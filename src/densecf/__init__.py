@@ -5,13 +5,11 @@ pipeline, and evaluation metrics."""
 __version__ = "0.1.0"
 
 from .baselines import (
-    BaselineConfig,
     InvalidCandidateError,
     backward_search,
-    dat_bw_search,
     dat_search,
     edg_search,
-    rcli_bw_search,
+    refine_with_backward,
 )
 from .data import (
     DatasetEntry,
@@ -32,9 +30,7 @@ from .density import (
     CliqueBookkeeping,
     ConfigurationError,
     CounterfactualResult,
-    RankedNodes,
-    ScoredEdgeList,
-    SearchConfig,
+    RunOptions,
     cli_search,
     densify_cli,
     rank_nodes,
@@ -69,7 +65,7 @@ from .graph import (
     triangle_counts,
     two_hop_neighborhood,
 )
-from .runner import METHODS, OracleSpec, RunOptions, run_benchmark, run_method
+from .runner import METHODS, OracleSpec, run_benchmark, run_method
 from .spectral import (
     DegenerateLabelsError,
     Oracle,

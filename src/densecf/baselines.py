@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
 from .data import GraphDataset
-from .density import CounterfactualResult, _finish
+from .density import CounterfactualResult, RunOptions, _finish
 from .graph import EditList, Graph, symmetric_difference_distance
 from .spectral import Oracle
 
@@ -22,36 +21,30 @@ class InvalidCandidateError(ValueError):
     """Backward search got a candidate that does not classify opposite."""
 
 
-@dataclass
-class BaselineConfig:
-    edg_max_iterations: int = DEFAULT_EDG_MAX_ITERATIONS
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.edg_max_iterations < 0:
-            raise ValueError("edg_max_iterations must be non-negative")
-
-
 def edg_search(
-    oracle: Oracle, g: Graph, config: BaselineConfig | None = None
+    oracle: Oracle, g: Graph, options: RunOptions | None = None
 ) -> CounterfactualResult:
     """Flip one uniformly random edge per iteration until the class flips.
 
     A present edge is removed, an absent one added; the pair is drawn
-    uniformly over all node pairs. On a flip the candidate is refined with
+    uniformly over all node pairs. At most ``options.max_iterations`` flips
+    are tried (default 2000). On a flip the candidate is refined with
     :func:`backward_search`. Deterministic for a given seed.
     """
-    config = config or BaselineConfig()
+    options = options or RunOptions()
+    max_iterations = (
+        options.max_iterations if options.max_iterations is not None else DEFAULT_EDG_MAX_ITERATIONS
+    )
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
     pairs = list(combinations(range(g.node_count), 2))
     if not pairs:
         return _finish(oracle, g, y0, g, False, 0, calls_before, note="graph has no node pairs")
-    rng = random.Random(config.seed)
+    rng = random.Random(options.seed)
     current = g
     found = False
     iterations = 0
-    for _ in range(config.edg_max_iterations):
+    for _ in range(max_iterations):
         u, v = pairs[rng.randrange(len(pairs))]
         if current.has_edge(u, v):
             current = current.remove_edge(u, v)
@@ -137,30 +130,19 @@ def backward_search(
             return current
 
 
-def dat_bw_search(oracle: Oracle, g: Graph, dataset: GraphDataset) -> CounterfactualResult:
-    """Nearest-unlike-neighbor lookup followed by backward refinement."""
-    calls_before = oracle.call_count
-    base = dat_search(oracle, g, dataset)
-    if not base.found:
-        return base
-    y0 = int(oracle.classifier(g))  # class already established inside the scan
-    refined = backward_search(
-        oracle, g, base.counterfactual, input_class=y0, candidate_class=1 - y0
-    )
-    return _finish(oracle, g, y0, refined, True, base.iterations, calls_before)
-
-
-def rcli_bw_search(
-    oracle: Oracle, g: Graph, partition, config=None
+def refine_with_backward(
+    oracle: Oracle, g: Graph, base: CounterfactualResult
 ) -> CounterfactualResult:
-    """Region-aware clique search followed by backward refinement."""
-    from .density import rcli_search
+    """The "+bw" step: shrink a found result's edits with :func:`backward_search`.
 
-    calls_before = oracle.call_count
-    base = rcli_search(oracle, g, partition, config=config)
+    ``base`` must be the result of a search of ``g`` on this oracle that just
+    ended; the returned result charges its calls plus the refinement's. A
+    not-found result passes through unchanged.
+    """
     if not base.found:
         return base
-    y0 = int(oracle.classifier(g))
+    calls_before = oracle.call_count - base.oracle_calls
+    y0 = int(oracle.classifier(g))  # class already established by the base search
     refined = backward_search(
         oracle, g, base.counterfactual, input_class=y0, candidate_class=1 - y0
     )

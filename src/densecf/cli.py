@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .data import (
     load_partition,
     save_dataset,
 )
-from .density import ConfigurationError
+from .density import RANKING_STRATEGIES, ConfigurationError
 from .evaluation import (
     CoverageError,
     RegionPartition,
@@ -85,10 +86,13 @@ def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path | None]) -> None:
+def _write_manifest(out_dir: Path, args, inputs: list[Path | None], **resolved) -> None:
+    """Record the parsed arguments, with ``resolved`` overriding defaults the
+    command worked out, plus input hashes."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     manifest = {
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": {**config, **resolved},
         "toolkit_version": __version__,
         "inputs": {str(p): _sha256(p) for p in inputs if p is not None},
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -155,19 +159,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     save_model(model, out / "model.json")
     _write_json(report.to_dict(), out / "train_report.json")
-    _write_manifest(
-        out,
-        "train",
-        {
-            "dataset": args.dataset,
-            "folds": args.folds,
-            "neighbors": args.neighbors,
-            "eigs": args.eigs,
-            "metric": args.metric,
-            "seed": args.seed,
-        },
-        [Path(args.dataset)],
-    )
+    _write_manifest(out, args, [Path(args.dataset)])
     print(
         f"trained sf-knn: accuracy={report.accuracy:.3f} f1={report.f1:.3f} "
         f"n_neighbors={report.n_neighbors} n_eigs={report.n_eigs}"
@@ -194,13 +186,7 @@ def cmd_explain(args) -> int:
     oracle = spec.build()
     index = _select_instance(dataset, args.instance)
     entry = dataset.entries[index]
-    options = _run_options(args)
-    options = RunOptions(
-        max_iterations=options.max_iterations,
-        clique_budget=options.clique_budget,
-        ranking=options.ranking,
-        seed=derive_seed(options.seed, index),
-    )
+    options = replace(_run_options(args), seed=derive_seed(args.seed, index))
     predicted = int(oracle.classifier(entry.graph))
     result = run_method(
         args.method, oracle, entry.graph, dataset=dataset, partition=partition, options=options
@@ -249,22 +235,7 @@ def cmd_explain(args) -> int:
                 out / "regions.csv",
             )
     _write_manifest(
-        out,
-        "explain",
-        {
-            "dataset": args.dataset,
-            "model": args.model,
-            "whitebox": args.whitebox,
-            "instance": args.instance,
-            "method": args.method,
-            "max_iters": args.max_iters,
-            "budget_b": args.budget_b,
-            "ranking": args.ranking,
-            "partition": args.partition,
-            "seed": args.seed,
-            "format": args.format,
-        },
-        [Path(args.dataset), Path(args.model) if args.model else None],
+        out, args, [Path(args.dataset), Path(args.model) if args.model else None]
     )
     status = "found" if result.found else "not found"
     print(
@@ -297,21 +268,9 @@ def cmd_benchmark(args) -> int:
         _write_json(build_aggregate_report(summaries), out / "aggregates.json")
     _write_manifest(
         out,
-        "benchmark",
-        {
-            "dataset": args.dataset,
-            "model": args.model,
-            "whitebox": args.whitebox,
-            "methods": methods,
-            "max_iters": args.max_iters,
-            "budget_b": args.budget_b,
-            "ranking": args.ranking,
-            "partition": args.partition,
-            "seed": args.seed,
-            "workers": workers,
-            "format": args.format,
-        },
+        args,
         [Path(args.dataset), Path(args.model) if args.model else None],
+        workers=workers,
     )
     for summary in summaries:
         found = sum(1 for r in summary.records if r.found)
@@ -334,22 +293,7 @@ def cmd_synth(args) -> int:
     dataset = generate_synthetic(spec)
     out = _out_dir(args)
     manifest_path = save_dataset(dataset, out)
-    _write_manifest(
-        out,
-        "synth",
-        {
-            "nodes": args.nodes,
-            "num_graphs": args.num_graphs,
-            "subgroups": args.subgroups,
-            "subgroup_size": args.subgroup_size,
-            "cliques": args.cliques,
-            "attach_m": args.attach_m,
-            "extra_p": args.extra_p,
-            "cross_q": args.cross_q,
-            "seed": args.seed,
-        },
-        [],
-    )
+    _write_manifest(out, args, [])
     print(f"wrote {len(dataset)} graphs on {dataset.node_count} nodes to {manifest_path}")
     return EXIT_OK
 
@@ -360,12 +304,7 @@ def cmd_ingest(args) -> int:
     )
     out = _out_dir(args)
     manifest_path = save_dataset(dataset, out)
-    _write_manifest(
-        out,
-        "ingest",
-        {"listing": args.listing, "percentile": args.percentile, "partition": args.partition},
-        [Path(args.listing)],
-    )
+    _write_manifest(out, args, [Path(args.listing)])
     avg_edges = sum(e.graph.edge_count for e in dataset) / len(dataset)
     print(
         f"ingested {len(dataset)} graphs on {dataset.node_count} nodes "
@@ -378,7 +317,7 @@ def cmd_report(args) -> int:
     summaries = read_records_csv(args.records)
     out = _out_dir(args)
     _write_json(build_aggregate_report(summaries), out / "aggregates.json")
-    _write_manifest(out, "report", {"records": args.records}, [Path(args.records)])
+    _write_manifest(out, args, [Path(args.records)])
     print(f"aggregated {sum(len(s) for s in summaries)} records from {len(summaries)} runs")
     return EXIT_OK
 
@@ -406,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-b", type=int, default=10, help="extra nodes an added clique may have")
         p.add_argument(
             "--ranking",
-            choices=["triangles", "eigenvector", "regional"],
+            choices=RANKING_STRATEGIES,
             default="triangles",
             help="node ranking for the cli method (regional requires a partition)",
         )

@@ -309,6 +309,8 @@ def load_dataset(path: Path | str) -> GraphDataset:
         raise
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError(f"{path}: manifest must be a JSON object")
     if manifest.get("format") != DATASET_FORMAT:
         raise DatasetFormatError(f"{path}: not a {DATASET_FORMAT} manifest")
     if manifest.get("version") != DATASET_VERSION:
@@ -320,20 +322,29 @@ def load_dataset(path: Path | str) -> GraphDataset:
     index_of = {node_id: i for i, node_id in enumerate(node_ids)}
     if len(index_of) != len(node_ids):
         raise DatasetFormatError(f"{path}: duplicate node ids")
+    graphs = manifest.get("graphs", [])
+    if not isinstance(graphs, list):
+        raise DatasetFormatError(f"{path}: 'graphs' must be a list")
     base = path.parent
     entries = []
-    for gspec in manifest.get("graphs", []):
-        gfile = base / gspec["file"]
+    for position, gspec in enumerate(graphs):
+        if not isinstance(gspec, dict) or not isinstance(gspec.get("file"), str):
+            raise DatasetFormatError(
+                f"{path}: graph entry {position} must be an object with a 'file' name"
+            )
         entries.append(
             DatasetEntry(
-                graph=_load_edge_list(gfile, index_of, len(node_ids)),
+                graph=_load_edge_list(base / gspec["file"], index_of, len(node_ids)),
                 label=_parse_label(gspec, path),
                 name=str(gspec.get("name", gspec["file"])),
             )
         )
+    partition_file = manifest.get("partition")
+    if partition_file is not None and not isinstance(partition_file, str):
+        raise DatasetFormatError(f"{path}: 'partition' must be a file name or null")
     partition = None
-    if manifest.get("partition"):
-        partition = load_partition(base / manifest["partition"], node_ids)
+    if partition_file:
+        partition = load_partition(base / partition_file, node_ids)
     return GraphDataset(len(node_ids), tuple(node_ids), tuple(entries), partition)
 
 
@@ -346,9 +357,18 @@ def _parse_label(gspec: dict, manifest_path: Path) -> int:
     return int(label)
 
 
+def _open_named(path: Path):
+    """Open a file that a manifest or flag names. A name that cannot be opened
+    (missing, a directory, a NUL byte) is a data error, not an internal one."""
+    try:
+        return open(path, newline="")
+    except (OSError, ValueError) as exc:
+        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_edge_list(path: Path, index_of: dict[str, int], node_count: int) -> Graph:
     edges = []
-    with open(path) as fh:
+    with _open_named(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -372,7 +392,7 @@ def load_partition(path: Path | str, node_ids: Sequence[str]) -> RegionPartition
     path = Path(path)
     index_of = {node_id: i for i, node_id in enumerate(node_ids)}
     labels: list[str | None] = [None] * len(node_ids)
-    with open(path, newline="") as fh:
+    with _open_named(path) as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if lineno == 1 and row[:2] == ["node_id", "region_name"]:

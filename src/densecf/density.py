@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
+from typing import Sequence
 
 from .evaluation import RegionPartition
 from .graph import (
+    Edge,
     EditList,
     Graph,
     apply_edits,
@@ -36,13 +38,15 @@ class ConfigurationError(ValueError):
     """Invalid search configuration (unknown strategy, missing partition, ...)."""
 
 
-@dataclass
-class SearchConfig:
-    """Knobs common to the density searches.
+@dataclass(frozen=True)
+class RunOptions:
+    """Settings shared by every search method, validated once here.
 
     ``max_iterations`` of None means the method default: clique searches cap
-    at 200 outer iterations, the triangle search runs until either candidate
-    list is exhausted.
+    at 200 outer iterations, ``edg`` at 2000 flips, and the triangle search
+    runs until either candidate list is exhausted. ``seed`` drives ``edg``'s
+    random flips; the runner derives one per instance with
+    ``dataclasses.replace``.
     """
 
     max_iterations: int | None = None
@@ -118,32 +122,8 @@ def _finish(
     )
 
 
-class ScoredEdgeList:
-    """Candidate edges in fixed score order, consumed front to back."""
-
-    __slots__ = ("entries", "_cursor")
-
-    def __init__(self, entries) -> None:
-        self.entries = tuple(entries)
-        self._cursor = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def remaining(self) -> int:
-        return len(self.entries) - self._cursor
-
-    def next_best(self):
-        if self._cursor >= len(self.entries):
-            return None
-        _, edge = self.entries[self._cursor]
-        self._cursor += 1
-        return edge
-
-
-def triangle_score_lists(g: Graph) -> tuple[ScoredEdgeList, ScoredEdgeList]:
-    """Score every node pair by the summed per-node triangle counts.
+def triangle_score_lists(g: Graph) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+    """Order every node pair by the summed per-node triangle counts.
 
     Existing edges become removal candidates (ascending score, so the least
     triangle-entangled edges go first); absent edges become addition
@@ -160,36 +140,30 @@ def triangle_score_lists(g: Graph) -> tuple[ScoredEdgeList, ScoredEdgeList]:
             additions.append(entry)
     removals.sort(key=lambda e: (e[0], e[1]))
     additions.sort(key=lambda e: (-e[0], e[1]))
-    return ScoredEdgeList(removals), ScoredEdgeList(additions)
+    return tuple(edge for _, edge in removals), tuple(edge for _, edge in additions)
 
 
 def tri_search(
     oracle: Oracle,
     g: Graph,
-    lists: tuple[ScoredEdgeList, ScoredEdgeList] | None = None,
-    config: SearchConfig | None = None,
+    lists: tuple[Sequence[Edge], Sequence[Edge]] | None = None,
+    options: RunOptions | None = None,
 ) -> CounterfactualResult:
-    """Swap one removal and one addition candidate per iteration.
+    """Swap the next removal and addition candidate per iteration.
 
     The edge count of every intermediate graph equals the input's. Stops on a
     class flip or when either list is exhausted, i.e. after at most
     min(|removals|, |additions|) iterations.
     """
-    config = config or SearchConfig()
+    options = options or RunOptions()
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
-    if lists is None:
-        lists = triangle_score_lists(g)
-    removals, additions = lists
-    cap = min(removals.remaining, additions.remaining)
-    if config.max_iterations is not None:
-        cap = min(cap, config.max_iterations)
+    removals, additions = lists if lists is not None else triangle_score_lists(g)
+    swaps = list(zip(removals, additions))[: options.max_iterations]
     current = g
     found = False
     i = 0
-    while i < cap:
-        edge_out = removals.next_best()
-        edge_in = additions.next_best()
+    for edge_out, edge_in in swaps:
         current = apply_edits(current, EditList(removals=(edge_out,), additions=(edge_in,)))
         i += 1
         if oracle.predict(current) != y0:
@@ -198,40 +172,7 @@ def tri_search(
     return _finish(oracle, g, y0, current, found, i, calls_before)
 
 
-class RankedNodes:
-    """Node permutation with a dense-end and a sparse-end cursor.
-
-    ``next_best`` walks from the dense end, ``next_worst`` from the sparse
-    end; no node is handed out twice, so a search exhausts after
-    floor(n/2) best/worst pairs.
-    """
-
-    def __init__(self, order, strategy: str) -> None:
-        self.order = tuple(order)
-        self.strategy = strategy
-        self._front = 0
-        self._back = len(self.order) - 1
-
-    def next_best(self) -> int | None:
-        if self._front > self._back:
-            return None
-        node = self.order[self._front]
-        self._front += 1
-        return node
-
-    def next_worst(self) -> int | None:
-        if self._back < self._front:
-            return None
-        node = self.order[self._back]
-        self._back -= 1
-        return node
-
-    @property
-    def remaining(self) -> int:
-        return max(0, self._back - self._front + 1)
-
-
-def rank_nodes(g: Graph, strategy: str = "triangles") -> RankedNodes:
+def rank_nodes(g: Graph, strategy: str = "triangles") -> tuple[int, ...]:
     """Order nodes by how dense their surroundings are (descending).
 
     Strategies: per-node triangle counts or eigenvector centrality. Ties break
@@ -243,11 +184,10 @@ def rank_nodes(g: Graph, strategy: str = "triangles") -> RankedNodes:
         scores = eigenvector_centrality(g)
     else:
         raise ConfigurationError(f"unknown ranking strategy {strategy!r}")
-    order = sorted(range(g.node_count), key=lambda v: (-scores[v], v))
-    return RankedNodes(order, strategy)
+    return tuple(sorted(range(g.node_count), key=lambda v: (-scores[v], v)))
 
 
-def rank_nodes_regional(g: Graph, partition: RegionPartition) -> RankedNodes:
+def rank_nodes_regional(g: Graph, partition: RegionPartition) -> tuple[int, ...]:
     """Two-level ranking: regions by induced edge count, nodes by triangles.
 
     Regions with denser induced subgraphs come first; within a region, nodes
@@ -264,7 +204,7 @@ def rank_nodes_regional(g: Graph, partition: RegionPartition) -> RankedNodes:
     order: list[int] = []
     for name in region_order:
         order.extend(sorted(partition.nodes_in(name), key=lambda v: (-tri[v], v)))
-    return RankedNodes(order, "regional")
+    return tuple(order)
 
 
 @dataclass
@@ -378,44 +318,43 @@ class CliIteration:
 def cli_search(
     oracle: Oracle,
     g: Graph,
-    ranked: RankedNodes | None = None,
-    config: SearchConfig | None = None,
+    order: Sequence[int] | None = None,
+    options: RunOptions | None = None,
     trace: list[CliIteration] | None = None,
 ) -> CounterfactualResult:
     """Rewrite cliques: sparsify around top-ranked nodes, densify around
     bottom-ranked ones.
 
-    Each outer iteration removes one maximal clique around the next best node,
-    then adds cliques around the next worst node until the cumulative number
-    of edges added reaches the number removed (or the class flips, or a round
-    adds nothing). Each densify round turns the remaining edge deficit d into
-    a node count: the largest k with k(k-1)/2 <= d. So a round never
-    overshoots, and no iteration adds more edges than it removed. Every added
-    clique also has at most |removed clique| + clique_budget nodes; since the
-    removed clique had at most |removed clique|(|removed clique|-1)/2 edges,
-    k never exceeds |removed clique| and that cap does not bind. The search
-    stops on a flip, after ``max_iterations`` outer iterations, or when the
-    ranking runs out of fresh node pairs.
+    ``order`` ranks the nodes densest first (default: ``rank_nodes`` with
+    ``options.ranking``). Outer iteration i removes one maximal clique around
+    ``order[i]``, then adds cliques around ``order[-1 - i]`` until the
+    cumulative number of edges added reaches the number removed (or the class
+    flips, or a round adds nothing). Each densify round turns the remaining
+    edge deficit d into a node count: the largest k with k(k-1)/2 <= d. So a
+    round never overshoots, and no iteration adds more edges than it removed.
+    Every added clique also has at most |removed clique| + clique_budget
+    nodes; since the removed clique had at most
+    |removed clique|(|removed clique|-1)/2 edges, k never exceeds
+    |removed clique| and that cap does not bind. The search stops on a flip,
+    after ``max_iterations`` outer iterations, or after floor(n/2) iterations,
+    when the ranking runs out of fresh node pairs.
     """
-    config = config or SearchConfig()
+    options = options or RunOptions()
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
-    if ranked is None:
-        if config.ranking == "regional":
+    if order is None:
+        if options.ranking == "regional":
             raise ConfigurationError("regional ranking needs rcli_search with a partition")
-        ranked = rank_nodes(g, config.ranking)
+        order = rank_nodes(g, options.ranking)
     max_iterations = (
-        config.max_iterations if config.max_iterations is not None else DEFAULT_MAX_ITERATIONS
+        options.max_iterations if options.max_iterations is not None else DEFAULT_MAX_ITERATIONS
     )
     book = CliqueBookkeeping.fresh(g.node_count)
     current = g
     found = False
     i = 0
-    while i < max_iterations:
-        n_dense = ranked.next_best()
-        n_sparse = ranked.next_worst()
-        if n_dense is None or n_sparse is None:
-            break
+    while i < min(max_iterations, len(order) // 2):
+        n_dense, n_sparse = order[i], order[-1 - i]
         before = current
         current, removed_clique = sparsify_cli(g, current, n_dense, book)
         i += 1
@@ -425,7 +364,7 @@ def cli_search(
         if oracle.predict(current) != y0:
             found = True
         else:
-            node_cap = len(removed_clique) + config.clique_budget
+            node_cap = len(removed_clique) + options.clique_budget
             while edges_added < edges_removed:
                 size = _clique_size_within(edges_removed - edges_added)
                 updated, added_clique = densify_cli(current, n_sparse, book, size, node_cap)
@@ -457,11 +396,11 @@ def rcli_search(
     oracle: Oracle,
     g: Graph,
     partition: RegionPartition,
-    config: SearchConfig | None = None,
+    options: RunOptions | None = None,
     trace: list[CliIteration] | None = None,
 ) -> CounterfactualResult:
     """Clique rewriting driven by the region-aware two-level node ranking."""
     if partition is None:
         raise ConfigurationError("rcli requires a region partition")
-    ranked = rank_nodes_regional(g, partition)
-    return cli_search(oracle, g, ranked=ranked, config=config, trace=trace)
+    order = rank_nodes_regional(g, partition)
+    return cli_search(oracle, g, order=order, options=options, trace=trace)

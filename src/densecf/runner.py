@@ -3,34 +3,55 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
-from .baselines import (
-    BaselineConfig,
-    DEFAULT_EDG_MAX_ITERATIONS,
-    dat_bw_search,
-    dat_search,
-    edg_search,
-    rcli_bw_search,
-)
+from .baselines import dat_search, edg_search, refine_with_backward
 from .data import GraphDataset, make_whitebox, node_halves
 from .density import (
     ConfigurationError,
     CounterfactualResult,
-    SearchConfig,
+    RunOptions,
     cli_search,
     rcli_search,
     tri_search,
 )
 from .evaluation import InstanceRecord, MethodRunSummary, RegionPartition
 from .graph import Graph
-from .spectral import Oracle, SFKnnModel, knn_predict
+from .spectral import Oracle, SFKnnModel
 
-METHODS = ("tri", "cli", "rcli", "edg", "dat", "dat+bw", "rcli+bw")
 
-_METHODS_NEEDING_DATASET = ("dat", "dat+bw")
-_METHODS_NEEDING_PARTITION = ("rcli", "rcli+bw")
+@dataclass(frozen=True)
+class _Method:
+    """How to run one named method: its search and the inputs it needs."""
+
+    # (oracle, graph, dataset, partition, options) -> result
+    search: Callable[..., CounterfactualResult]
+    needs_dataset: bool = False
+    needs_partition: bool = False
+
+
+# The searches are looked up as module globals when a method runs (not bound
+# here), so rebinding ``runner.tri_search`` and friends takes effect.
+_METHOD_TABLE = {
+    "tri": _Method(lambda o, g, d, p, opts: tri_search(o, g, options=opts)),
+    "cli": _Method(lambda o, g, d, p, opts: cli_search(o, g, options=opts)),
+    "rcli": _Method(
+        lambda o, g, d, p, opts: rcli_search(o, g, p, options=opts), needs_partition=True
+    ),
+    "edg": _Method(lambda o, g, d, p, opts: edg_search(o, g, opts)),
+    "dat": _Method(lambda o, g, d, p, opts: dat_search(o, g, d), needs_dataset=True),
+    "dat+bw": _Method(
+        lambda o, g, d, p, opts: refine_with_backward(o, g, dat_search(o, g, d)),
+        needs_dataset=True,
+    ),
+    "rcli+bw": _Method(
+        lambda o, g, d, p, opts: refine_with_backward(o, g, rcli_search(o, g, p, options=opts)),
+        needs_partition=True,
+    ),
+}
+
+METHODS = tuple(_METHOD_TABLE)
 
 
 @dataclass(frozen=True)
@@ -43,28 +64,34 @@ class OracleSpec:
 
     def build(self) -> Oracle:
         if self.kind == "model":
-            model = self.model
-            return Oracle(lambda g: knn_predict(model, g))
+            return Oracle.from_model(self.model)
         if self.kind == "whitebox":
             s0, s1 = node_halves(self.node_count)
             return Oracle(make_whitebox(s0, s1))
         raise ConfigurationError(f"unknown oracle kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class RunOptions:
-    """Per-run settings shared by all methods."""
-
-    max_iterations: int | None = None
-    edg_max_iterations: int = DEFAULT_EDG_MAX_ITERATIONS
-    clique_budget: int = 10
-    ranking: str = "triangles"
-    seed: int = 0
-
-
 def derive_seed(base: int, index: int) -> int:
     """Per-instance stream so parallel scheduling cannot change results."""
     return (base * 1_000_003 + index) % (2**63)
+
+
+def _resolve_method(
+    method: str, options: RunOptions, has_dataset: bool, has_partition: bool
+) -> _Method:
+    """The table entry that runs ``method``, after checking its inputs exist.
+
+    ``cli`` with regional ranking is the ``rcli`` search.
+    """
+    regional = method == "cli" and options.ranking == "regional"
+    entry = _METHOD_TABLE.get("rcli" if regional else method)
+    if entry is None:
+        raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
+    if entry.needs_dataset and not has_dataset:
+        raise ConfigurationError(f"method {method!r} requires a dataset")
+    if entry.needs_partition and not has_partition:
+        raise ConfigurationError(f"method {method!r} requires a region partition")
+    return entry
 
 
 def run_method(
@@ -77,45 +104,8 @@ def run_method(
 ) -> CounterfactualResult:
     """Run one named search method on one graph."""
     options = options or RunOptions()
-    if method in _METHODS_NEEDING_DATASET and dataset is None:
-        raise ConfigurationError(f"method {method!r} requires a dataset")
-    if method in _METHODS_NEEDING_PARTITION and partition is None:
-        raise ConfigurationError(f"method {method!r} requires a region partition")
-    if method == "tri":
-        return tri_search(oracle, g, config=SearchConfig(max_iterations=options.max_iterations))
-    if method == "cli":
-        if options.ranking == "regional":
-            if partition is None:
-                raise ConfigurationError("regional ranking requires a region partition")
-            config = SearchConfig(
-                max_iterations=options.max_iterations, clique_budget=options.clique_budget
-            )
-            return rcli_search(oracle, g, partition, config=config)
-        config = SearchConfig(
-            max_iterations=options.max_iterations,
-            clique_budget=options.clique_budget,
-            ranking=options.ranking,
-        )
-        return cli_search(oracle, g, config=config)
-    if method in ("rcli", "rcli+bw"):
-        config = SearchConfig(
-            max_iterations=options.max_iterations, clique_budget=options.clique_budget
-        )
-        if method == "rcli":
-            return rcli_search(oracle, g, partition, config=config)
-        return rcli_bw_search(oracle, g, partition, config=config)
-    if method == "edg":
-        cap = (
-            options.max_iterations
-            if options.max_iterations is not None
-            else options.edg_max_iterations
-        )
-        return edg_search(oracle, g, BaselineConfig(edg_max_iterations=cap, seed=options.seed))
-    if method == "dat":
-        return dat_search(oracle, g, dataset)
-    if method == "dat+bw":
-        return dat_bw_search(oracle, g, dataset)
-    raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
+    entry = _resolve_method(method, options, dataset is not None, partition is not None)
+    return entry.search(oracle, g, dataset, partition, options)
 
 
 def run_instance(
@@ -129,15 +119,9 @@ def run_instance(
     """Run one method on one dataset instance and record the outcome."""
     entry = dataset.entries[index]
     predicted = int(oracle.classifier(entry.graph))  # bookkeeping, not charged
-    per_instance = RunOptions(
-        max_iterations=options.max_iterations,
-        edg_max_iterations=options.edg_max_iterations,
-        clique_budget=options.clique_budget,
-        ranking=options.ranking,
-        seed=derive_seed(options.seed, index),
-    )
+    options = replace(options, seed=derive_seed(options.seed, index))
     result = run_method(
-        method, oracle, entry.graph, dataset=dataset, partition=partition, options=per_instance
+        method, oracle, entry.graph, dataset=dataset, partition=partition, options=options
     )
     return InstanceRecord(
         instance=index,
@@ -187,10 +171,7 @@ def run_benchmark(
     """
     options = options or RunOptions()
     for method in methods:
-        if method not in METHODS:
-            raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
-        if method in _METHODS_NEEDING_PARTITION and partition is None:
-            raise ConfigurationError(f"method {method!r} requires a region partition")
+        _resolve_method(method, options, True, partition is not None)
     ctx = {
         "oracle_spec": oracle_spec,
         "dataset": dataset,

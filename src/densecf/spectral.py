@@ -72,10 +72,9 @@ def spectral_features(g: Graph, k: int) -> SpectralFeatures:
     if k <= 0:
         raise ValueError(f"k must be a positive integer, got {k}")
     positives = positive_laplacian_eigenvalues(g)
-    values = [float(x) for x in positives[:k]]
-    padded = len(values) < k
-    values.extend(0.0 for _ in range(k - len(values)))
-    return SpectralFeatures(values=tuple(values), padded=padded)
+    return SpectralFeatures(
+        values=_features_from_eigenvalues(positives, k), padded=len(positives) < k
+    )
 
 
 def _features_from_eigenvalues(positives: np.ndarray, k: int) -> tuple[float, ...]:

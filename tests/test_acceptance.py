@@ -18,7 +18,6 @@ from densecf import (
     OracleSpec,
     RegionPartition,
     RunOptions,
-    SearchConfig,
     SyntheticSpec,
     backward_search,
     cli_search,
@@ -164,7 +163,7 @@ def test_03_synthetic_validation_flip_rate():
         for entry in dataset:
             oracle = Oracle(whitebox)
             predicted = whitebox(entry.graph)
-            result = cli_search(oracle, entry.graph, config=SearchConfig(max_iterations=200))
+            result = cli_search(oracle, entry.graph, options=RunOptions(max_iterations=200))
             per_class[predicted][1] += 1
             per_class[predicted][0] += int(result.found)
         outcomes[subgroups] = per_class
@@ -374,10 +373,10 @@ def test_10_clique_budget_feasibility():
         fn = rng.choice([lambda h: 0, lambda h: int(h.edge_count % 9 == 0)])
         partition = RegionPartition(tuple("abc"[i % 3] for i in range(n)))
         if rng.random() < 0.5:
-            cli_search(Oracle(fn), g, config=SearchConfig(clique_budget=b), trace=trace)
+            cli_search(Oracle(fn), g, options=RunOptions(clique_budget=b), trace=trace)
         else:
             rcli_search(
-                Oracle(fn), g, partition, config=SearchConfig(clique_budget=b), trace=trace
+                Oracle(fn), g, partition, options=RunOptions(clique_budget=b), trace=trace
             )
         for step in trace:
             iterations_checked += 1

@@ -3,18 +3,17 @@ import random
 import pytest
 
 from densecf import (
-    BaselineConfig,
     Graph,
     GraphDataset,
     InvalidCandidateError,
     Oracle,
     RegionPartition,
+    RunOptions,
     backward_search,
-    dat_bw_search,
     dat_search,
     edg_search,
-    rcli_bw_search,
     rcli_search,
+    refine_with_backward,
     symmetric_difference_distance,
 )
 from densecf.data import DatasetEntry
@@ -42,7 +41,7 @@ class TestEdgSearch:
     def test_any_single_flip_oracle(self):
         g = Graph(6, [(0, 1), (2, 3)])
         oracle = Oracle(lambda h: int(h != g))
-        result = edg_search(oracle, g, BaselineConfig(seed=5))
+        result = edg_search(oracle, g, RunOptions(seed=5))
         assert result.found
         assert result.iterations == 1
         assert result.distance <= 1
@@ -50,8 +49,8 @@ class TestEdgSearch:
     def test_same_seed_identical_result(self):
         g = random_graph(9, 0.5, random.Random(2))
         fn = lambda h: int(h.edge_count % 6 == 0)
-        r1 = edg_search(Oracle(fn), g, BaselineConfig(seed=11))
-        r2 = edg_search(Oracle(fn), g, BaselineConfig(seed=11))
+        r1 = edg_search(Oracle(fn), g, RunOptions(seed=11))
+        r2 = edg_search(Oracle(fn), g, RunOptions(seed=11))
         assert r1 == r2
 
     def test_refined_by_backward_search(self):
@@ -59,7 +58,7 @@ class TestEdgSearch:
         # the backward pass strips, leaving distance 1
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
         oracle = Oracle(lambda h: int(h.has_edge(0, 1)))
-        result = edg_search(oracle, g, BaselineConfig(seed=3))
+        result = edg_search(oracle, g, RunOptions(seed=3))
         assert result.found
         assert result.distance == 1
         assert result.edits.removals == ((0, 1),)
@@ -67,7 +66,7 @@ class TestEdgSearch:
     def test_iteration_bound_respected(self):
         g = random_graph(7, 0.5, random.Random(4))
         oracle = Oracle(lambda h: 0)
-        result = edg_search(oracle, g, BaselineConfig(edg_max_iterations=25))
+        result = edg_search(oracle, g, RunOptions(max_iterations=25))
         assert result.iterations == 25
         assert result.oracle_calls == 26
 
@@ -192,12 +191,14 @@ class TestCompositions:
         fn = lambda h: int(h.edge_count % 2 == 0)
         g = random_graph(9, 0.5, rng)
         base = dat_search(Oracle(fn), g, dataset_of(graphs))
-        composed = dat_bw_search(Oracle(fn), g, dataset_of(graphs))
+        oracle = Oracle(fn)
+        composed = refine_with_backward(oracle, g, dat_search(oracle, g, dataset_of(graphs)))
         assert composed.found == base.found
         if base.found:
             assert composed.distance <= base.distance
             assert fn(composed.counterfactual) != fn(g)
             assert composed.oracle_calls >= base.oracle_calls
+            assert composed.oracle_calls == oracle.call_count
 
     def test_rcli_bw_shrinks_distance(self):
         rng = random.Random(19)
@@ -205,7 +206,8 @@ class TestCompositions:
         partition = RegionPartition(tuple("ab"[i % 2] for i in range(10)))
         fn = lambda h: int(h.edge_count < g.edge_count - 4)
         base = rcli_search(Oracle(fn), g, partition)
-        composed = rcli_bw_search(Oracle(fn), g, partition)
+        oracle = Oracle(fn)
+        composed = refine_with_backward(oracle, g, rcli_search(oracle, g, partition))
         assert composed.found == base.found
         if base.found:
             assert composed.distance <= base.distance
@@ -214,5 +216,6 @@ class TestCompositions:
     def test_dat_bw_not_found_passthrough(self):
         graphs = [Graph(5, [(0, 1)]), Graph(5, [(1, 2)])]
         oracle = Oracle(lambda h: 0)
-        result = dat_bw_search(oracle, Graph(5), dataset_of(graphs))
-        assert not result.found
+        base = dat_search(oracle, Graph(5), dataset_of(graphs))
+        assert refine_with_backward(oracle, Graph(5), base) is base
+        assert not base.found

@@ -229,6 +229,20 @@ class TestBenchmarkAndReport:
         assert run("report", "--records", out / "records.csv", "--out-dir", rep) == 0
         assert json.loads((rep / "aggregates.json").read_text()) == aggregates
 
+    def test_manifest_records_args_and_resolved_workers(self, synth_dir, tmp_path):
+        out = tmp_path / "bench"
+        assert run(
+            "benchmark", "--dataset", synth_dir / "manifest.json", "--whitebox",
+            "--methods", "dat", "--budget-b", 3, "--out-dir", out,
+        ) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == "benchmark"
+        config = manifest["config"]
+        assert config["methods"] == "dat"
+        assert config["budget_b"] == 3
+        assert config["max_iters"] is None
+        assert isinstance(config["workers"], int) and config["workers"] >= 1
+
     def test_benchmark_workers_do_not_change_outputs(self, synth_dir, tmp_path):
         outs = [tmp_path / "w1", tmp_path / "w2"]
         for out, workers in zip(outs, (1, 2)):
@@ -269,7 +283,47 @@ class TestIngestCommand:
         assert run("ingest", "--listing", listing, "--out-dir", tmp_path / "x") == 2
 
 
+class TestMalformedManifest:
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            [1, 2],
+            {"graphs": {"file": "g.edges"}},
+            {"graphs": ["x"]},
+            {"graphs": [{"label": 0}]},
+        ],
+        ids=["top-level-not-object", "graphs-not-list", "entry-not-object", "entry-without-file"],
+    )
+    def test_exits_two(self, tmp_path, manifest, capsys):
+        if isinstance(manifest, dict):
+            header = {"format": "densecf-dataset", "version": 1, "node_ids": ["0", "1"]}
+            manifest = {**header, **manifest}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        code = run(
+            "explain", "--dataset", path, "--whitebox",
+            "--instance", 0, "--method", "tri", "--out-dir", tmp_path / "x",
+        )
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "method, flag",
+        [
+            ("tri", "--budget-b"),
+            ("dat", "--max-iters"),
+            ("cli", "--budget-b"),
+            ("edg", "--max-iters"),
+        ],
+    )
+    def test_negative_option_exits_one_for_every_method(self, synth_dir, tmp_path, method, flag):
+        assert run(
+            "explain", "--dataset", synth_dir / "manifest.json", "--whitebox",
+            "--instance", 0, "--method", method, flag, -1, "--out-dir", tmp_path,
+        ) == 1
+
     def test_unknown_method_flag(self, synth_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(

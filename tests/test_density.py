@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from densecf import density
 from densecf import (
     CliqueBookkeeping,
     ConfigurationError,
@@ -10,7 +11,7 @@ from densecf import (
     Graph,
     Oracle,
     RegionPartition,
-    SearchConfig,
+    RunOptions,
     apply_edits,
     cli_search,
     densify_cli,
@@ -26,40 +27,38 @@ from densecf import (
 from conftest import CountingClassifier, random_graph
 
 
+def edge_score(g, edge):
+    scores = triangle_counts(g)
+    return scores[edge[0]] + scores[edge[1]]
+
+
 class TestTriangleScoreLists:
     def test_triangle_plus_isolated_edge(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
         removals, additions = triangle_score_lists(g)
-        assert removals.entries[0] == (0, (3, 4))
-        assert all(score == 2 for score, edge in removals.entries[1:])
+        assert removals[0] == (3, 4)
+        assert edge_score(g, (3, 4)) == 0
+        assert all(edge_score(g, edge) == 2 for edge in removals[1:])
         assert len(removals) == 4
         assert len(additions) == 6
 
     def test_empty_graph(self):
         removals, additions = triangle_score_lists(Graph(5))
-        assert len(removals) == 0
-        assert len(additions) == 10
-        assert all(score == 0 for score, _ in additions.entries)
+        assert removals == ()
+        assert additions == tuple(combinations(range(5), 2))  # all scores 0: edge order
 
     def test_orderings_match_recomputed_scores(self):
         rng = random.Random(3)
         for _ in range(30):
             g = random_graph(9, rng.uniform(0.2, 0.8), rng)
-            scores = triangle_counts(g)
             removals, additions = triangle_score_lists(g)
-            rem = [(s, e) for s, e in removals.entries]
+            rem = [(edge_score(g, e), e) for e in removals]
             assert rem == sorted(rem, key=lambda x: (x[0], x[1]))
-            assert all(scores[e[0]] + scores[e[1]] == s for s, e in rem)
-            add = [(s, e) for s, e in additions.entries]
+            add = [(edge_score(g, e), e) for e in additions]
             assert add == sorted(add, key=lambda x: (-x[0], x[1]))
-            assert all(scores[e[0]] + scores[e[1]] == s for s, e in add)
-            assert {e for _, e in rem} == set(g.edges)
+            assert set(removals) == set(g.edges)
+            assert not set(additions) & set(g.edges)
             assert len(rem) + len(add) == g.node_count * (g.node_count - 1) // 2
-
-    def test_cursor_only_advances(self):
-        removals, _ = triangle_score_lists(Graph(4, [(0, 1), (2, 3)]))
-        seen = [removals.next_best(), removals.next_best(), removals.next_best()]
-        assert seen == [(0, 1), (2, 3), None]
 
 
 class TestTriSearch:
@@ -129,8 +128,21 @@ class TestTriSearch:
     def test_max_iterations_cap(self):
         g = Graph.complete(6).remove_edge(0, 1).remove_edge(2, 3)
         oracle = Oracle(lambda h: 0)
-        result = tri_search(oracle, g, config=SearchConfig(max_iterations=1))
+        result = tri_search(oracle, g, options=RunOptions(max_iterations=1))
         assert result.iterations == 1
+
+    def test_stops_at_the_shorter_list(self):
+        # 2 removal and 4 addition candidates: the swaps stop after 2, with
+        # both lists consumed front to back
+        g = Graph(4, [(0, 1), (2, 3)])
+        removals, additions = triangle_score_lists(g)
+        queried = []
+        oracle = Oracle(lambda h: queried.append(h) or 0)
+        result = tri_search(oracle, g, options=RunOptions(max_iterations=10))
+        assert (len(removals), len(additions)) == (2, 4)
+        assert result.iterations == 2
+        assert result.oracle_calls == 3
+        assert queried[-1].edges == frozenset(additions[:2])
 
     def test_accepts_precomputed_lists(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
@@ -144,49 +156,38 @@ class TestTriSearch:
 class TestRankNodes:
     def test_k4_nodes_first_by_triangles(self):
         g = Graph(6, list(combinations(range(4), 2)))
-        ranked = rank_nodes(g, "triangles")
-        assert set(ranked.order[:4]) == {0, 1, 2, 3}
-        assert ranked.order[4:] == (4, 5)
+        order = rank_nodes(g, "triangles")
+        assert set(order[:4]) == {0, 1, 2, 3}
+        assert order[4:] == (4, 5)
 
     def test_star_center_first_by_eigenvector(self):
         star = Graph(5, [(0, i) for i in range(1, 5)])
-        assert rank_nodes(star, "eigenvector").order[0] == 0
+        assert rank_nodes(star, "eigenvector")[0] == 0
 
     def test_all_isolated_gives_index_order(self):
-        ranked = rank_nodes(Graph(5), "triangles")
-        assert ranked.order == (0, 1, 2, 3, 4)
+        assert rank_nodes(Graph(5), "triangles") == (0, 1, 2, 3, 4)
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigurationError):
             rank_nodes(Graph(3), "degree")
 
-    def test_cursors_never_repeat_nodes(self):
-        ranked = rank_nodes(Graph(5), "triangles")
-        seen = []
-        while True:
-            best = ranked.next_best()
-            worst = ranked.next_worst()
-            if best is not None:
-                seen.append(best)
-            if worst is not None:
-                seen.append(worst)
-            if best is None or worst is None:
-                break
-        assert sorted(seen) == [0, 1, 2, 3, 4]
+    def test_is_a_permutation(self):
+        rng = random.Random(5)
+        for strategy in ("triangles", "eigenvector"):
+            g = random_graph(9, 0.5, rng)
+            assert sorted(rank_nodes(g, strategy)) == list(range(9))
 
 
 class TestRankNodesRegional:
     def test_dense_region_first(self):
         g = Graph(8, list(combinations(range(4), 2)))
         partition = RegionPartition(("a",) * 4 + ("b",) * 4)
-        ranked = rank_nodes_regional(g, partition)
-        assert set(ranked.order[:4]) == {0, 1, 2, 3}
+        assert set(rank_nodes_regional(g, partition)[:4]) == {0, 1, 2, 3}
 
     def test_equal_density_lexicographic(self):
         g = Graph(4, [(0, 1), (2, 3)])
         partition = RegionPartition(("zeta", "zeta", "alpha", "alpha"))
-        ranked = rank_nodes_regional(g, partition)
-        assert ranked.order == (2, 3, 0, 1)
+        assert rank_nodes_regional(g, partition) == (2, 3, 0, 1)
 
     def test_region_blocks_match_induced_edge_counts(self):
         rng = random.Random(17)
@@ -195,13 +196,13 @@ class TestRankNodesRegional:
             g = random_graph(12, rng.uniform(0.2, 0.7), rng)
             labels = tuple(rng.choice(names) for _ in range(12))
             partition = RegionPartition(labels)
-            ranked = rank_nodes_regional(g, partition)
+            order = rank_nodes_regional(g, partition)
             induced = {
                 name: sum(1 for u, v in g.edges if labels[u] == labels[v] == name)
                 for name in partition.names
             }
             block_order = []
-            for v in ranked.order:
+            for v in order:
                 if not block_order or block_order[-1] != labels[v]:
                     block_order.append(labels[v])
             assert block_order == sorted(
@@ -334,14 +335,39 @@ class TestCliSearch:
         for n in (6, 7, 10):
             g = random_graph(n, 0.5, rng)
             oracle = Oracle(lambda h: 0)
-            result = cli_search(oracle, g, config=SearchConfig(max_iterations=500))
+            result = cli_search(oracle, g, options=RunOptions(max_iterations=500))
             assert not result.found
             assert result.iterations == n // 2
+
+    def test_n5_runs_two_iterations_with_distinct_centers(self, monkeypatch):
+        # 5 nodes give floor(5/2) = 2 (dense, sparse) center pairs; the middle
+        # node of the ranking is never used, and no node is both centers
+        dense, sparse = [], []
+        sparsify, densify = density.sparsify_cli, density.densify_cli
+
+        def recording_sparsify(g_orig, g_cur, n, book):
+            dense.append(n)
+            return sparsify(g_orig, g_cur, n, book)
+
+        def recording_densify(g_cur, n, book, s, node_cap):
+            sparse.append(n)
+            return densify(g_cur, n, book, s, node_cap)
+
+        monkeypatch.setattr(density, "sparsify_cli", recording_sparsify)
+        monkeypatch.setattr(density, "densify_cli", recording_densify)
+        g = Graph.complete(5)
+        order = rank_nodes(g, "triangles")
+        result = cli_search(Oracle(lambda h: 0), g, options=RunOptions(max_iterations=10))
+        assert not result.found
+        assert result.iterations == 2
+        assert dense == [order[0], order[1]]
+        assert sparse == [order[4], order[3]]
+        assert not set(dense) & set(sparse)
 
     def test_max_iterations_respected(self):
         g = random_graph(12, 0.5, random.Random(23))
         oracle = Oracle(lambda h: 0)
-        result = cli_search(oracle, g, config=SearchConfig(max_iterations=3))
+        result = cli_search(oracle, g, options=RunOptions(max_iterations=3))
         assert result.iterations == 3
 
     def test_budget_bound_on_added_cliques(self):
@@ -351,7 +377,7 @@ class TestCliSearch:
             b = rng.choice([0, 2, 10])
             trace = []
             oracle = Oracle(lambda h: 0)
-            cli_search(oracle, g, config=SearchConfig(clique_budget=b), trace=trace)
+            cli_search(oracle, g, options=RunOptions(clique_budget=b), trace=trace)
             for step in trace:
                 for added in step.added_cliques:
                     assert len(added) <= len(step.removed_clique) + b
@@ -421,7 +447,7 @@ class TestCliSearch:
 
     def test_regional_ranking_requires_partition(self):
         with pytest.raises(ConfigurationError):
-            cli_search(Oracle(lambda h: 0), Graph(4), config=SearchConfig(ranking="regional"))
+            cli_search(Oracle(lambda h: 0), Graph(4), options=RunOptions(ranking="regional"))
 
 
 class TestRcliSearch:
@@ -430,7 +456,7 @@ class TestRcliSearch:
         fn = lambda h: int(h.edge_count % 4 == 0)
         partition = RegionPartition(("all",) * 10)
         r_regional = rcli_search(Oracle(fn), g, partition)
-        r_plain = cli_search(Oracle(fn), g, config=SearchConfig(ranking="triangles"))
+        r_plain = cli_search(Oracle(fn), g, options=RunOptions(ranking="triangles"))
         assert r_regional == r_plain
 
     def test_two_region_fixture_prefers_dense_region(self):
