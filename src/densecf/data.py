@@ -10,14 +10,15 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .evaluation import RegionPartition
-from .graph import Graph, edges_within, triangles_within
+from .graph import Graph, edges_within, node_mask, triangles_within
 
 DATASET_FORMAT = "densecf-dataset"
 DATASET_VERSION = 1
@@ -235,28 +236,29 @@ def _generate_one(
     return Graph(spec.node_count, edges)
 
 
-def whitebox_classify(g: Graph, s0: Sequence[int], s1: Sequence[int]) -> int:
+def whitebox_classify(g: Graph, s0: Sequence[int] | int, s1: Sequence[int] | int) -> int:
     """Label a graph by which node-set half holds more triangles.
 
-    Ties fall back to induced edge counts, then to class 0.
+    Each half is a sequence of node indices or its ``node_mask``. Ties fall
+    back to induced edge counts, then to class 0.
     """
-    set0, set1 = frozenset(s0), frozenset(s1)
-    if set0 & set1:
+    m0, m1 = node_mask(s0), node_mask(s1)
+    if m0 & m1:
         raise PartitionError("node subsets overlap")
-    if set0 | set1 != frozenset(range(g.node_count)):
+    if m0 | m1 != (1 << g.node_count) - 1:
         raise PartitionError("node subsets must cover all nodes")
-    t0, t1 = triangles_within(g, set0), triangles_within(g, set1)
+    t0, t1 = triangles_within(g, m0), triangles_within(g, m1)
     if t0 != t1:
         return 0 if t0 > t1 else 1
-    e0, e1 = edges_within(g, set0), edges_within(g, set1)
+    e0, e1 = edges_within(g, m0), edges_within(g, m1)
     if e0 != e1:
         return 0 if e0 > e1 else 1
     return 0
 
 
 def make_whitebox(s0: Sequence[int], s1: Sequence[int]) -> Callable[[Graph], int]:
-    s0, s1 = tuple(s0), tuple(s1)
-    return lambda g: whitebox_classify(g, s0, s1)
+    m0, m1 = node_mask(s0), node_mask(s1)
+    return lambda g: whitebox_classify(g, m0, m1)
 
 
 # --- persistence ---------------------------------------------------------
@@ -267,6 +269,8 @@ def save_dataset(dataset: GraphDataset, directory: Path | str) -> Path:
 
     Returns the manifest path. Output is byte-stable for equal datasets.
     """
+    for node_id in dataset.node_ids:
+        _check_node_id(node_id)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     graph_entries = []
@@ -276,12 +280,12 @@ def save_dataset(dataset: GraphDataset, directory: Path | str) -> Path:
             f"{dataset.node_ids[u]} {dataset.node_ids[v]}\n"
             for u, v in sorted(entry.graph.edges)
         ]
-        (directory / filename).write_text("".join(lines))
+        (directory / filename).write_text("".join(lines), encoding="utf-8")
         graph_entries.append({"file": filename, "label": entry.label, "name": entry.name})
     partition_file = None
     if dataset.partition is not None:
         partition_file = "partition.csv"
-        with open(directory / partition_file, "w", newline="") as fh:
+        with open(directory / partition_file, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["node_id", "region_name"])
             for v, node_id in enumerate(dataset.node_ids):
@@ -298,16 +302,27 @@ def save_dataset(dataset: GraphDataset, directory: Path | str) -> Path:
     return manifest_path
 
 
+def _check_node_id(node_id: str) -> None:
+    """Reject an id that an edge-list line cannot carry: one that is empty,
+    starts a comment, splits on whitespace, or has no UTF-8 encoding."""
+    if not node_id or node_id.startswith("#") or any(ch.isspace() for ch in node_id):
+        raise DatasetFormatError(f"node id {node_id!r} cannot be written to an edge list")
+    try:
+        node_id.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DatasetFormatError(f"node id {node_id!r} is not UTF-8 encodable") from exc
+
+
 def load_dataset(path: Path | str) -> GraphDataset:
     """Load a dataset from its manifest file (or a directory containing one)."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DatasetFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise DatasetFormatError(f"{path}: manifest must be a JSON object")
@@ -357,13 +372,22 @@ def _parse_label(gspec: dict, manifest_path: Path) -> int:
     return int(label)
 
 
-def _open_named(path: Path):
-    """Open a file that a manifest or flag names. A name that cannot be opened
-    (missing, a directory, a NUL byte) is a data error, not an internal one."""
+@contextmanager
+def _open_named(path: Path) -> Iterator[TextIO]:
+    """Open a file that a manifest or flag names, for reading as UTF-8 text.
+
+    A name that cannot be opened (missing, a directory, a NUL byte) and a
+    file that is not UTF-8 are data errors, not internal ones.
+    """
     try:
-        return open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except (OSError, ValueError) as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _load_edge_list(path: Path, index_of: dict[str, int], node_count: int) -> Graph:
@@ -413,7 +437,7 @@ def load_correlation_matrix(path: Path | str) -> np.ndarray:
     """Read an n x n numeric CSV."""
     path = Path(path)
     rows = []
-    with open(path, newline="") as fh:
+    with _open_named(path) as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
@@ -442,7 +466,7 @@ def ingest_correlation_listing(
     listing_path = Path(listing_path)
     base = listing_path.parent
     entries_raw = []
-    with open(listing_path, newline="") as fh:
+    with _open_named(listing_path) as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         if "file" not in fields or "label" not in fields:

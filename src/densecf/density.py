@@ -14,12 +14,18 @@ from itertools import combinations
 from math import isqrt
 from typing import Sequence
 
+import numpy as np
+
 from .evaluation import RegionPartition
 from .graph import (
     Edge,
     EditList,
     Graph,
+    UndefinedRatioError,
+    adjacency_matrix,
     apply_edits,
+    edges_within,
+    edit_distance_ratio,
     eigenvector_centrality,
     maximal_cliques_containing,
     symmetric_difference_distance,
@@ -109,7 +115,10 @@ def _finish(
     if int(oracle.classifier(final)) == original_class:
         raise RuntimeError("search produced a candidate that does not flip the class")
     edits = EditList.between(original, final)
-    union = len(original.edges | final.edges)
+    try:
+        ratio = edit_distance_ratio(original, final)
+    except UndefinedRatioError:
+        ratio = None
     return CounterfactualResult(
         found=True,
         counterfactual=final,
@@ -117,7 +126,7 @@ def _finish(
         iterations=iterations,
         oracle_calls=calls,
         distance=edits.size,
-        distance_ratio=edits.size / union if union else None,
+        distance_ratio=ratio,
         note=note,
     )
 
@@ -130,17 +139,19 @@ def triangle_score_lists(g: Graph) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     candidates (descending score, so new edges close as many wedges as
     possible). Score ties break on lexicographic edge order.
     """
-    scores = triangle_counts(g)
-    removals, additions = [], []
-    for u, v in combinations(range(g.node_count), 2):
-        entry = (scores[u] + scores[v], (u, v))
-        if g.has_edge(u, v):
-            removals.append(entry)
-        else:
-            additions.append(entry)
-    removals.sort(key=lambda e: (e[0], e[1]))
-    additions.sort(key=lambda e: (-e[0], e[1]))
-    return tuple(edge for _, edge in removals), tuple(edge for _, edge in additions)
+    u, v = np.triu_indices(g.node_count, k=1)  # every pair, in lexicographic order
+    scores = np.asarray(triangle_counts(g), dtype=np.int64)
+    scores = scores[u] + scores[v]
+    present = adjacency_matrix(g)[u, v] == 1.0
+    # a stable sort keeps lexicographic pair order among equal scores
+    out = np.flatnonzero(present)
+    out = out[np.argsort(scores[out], kind="stable")]
+    into = np.flatnonzero(~present)
+    into = into[np.argsort(-scores[into], kind="stable")]
+    return (
+        tuple(zip(u[out].tolist(), v[out].tolist())),
+        tuple(zip(u[into].tolist(), v[into].tolist())),
+    )
 
 
 def tri_search(
@@ -196,10 +207,7 @@ def rank_nodes_regional(g: Graph, partition: RegionPartition) -> tuple[int, ...]
     """
     partition.check_covers(g.node_count)
     tri = triangle_counts(g)
-    density = {name: 0 for name in partition.names}
-    for u, v in g.edges:
-        if partition.labels[u] == partition.labels[v]:
-            density[partition.labels[u]] += 1
+    density = {name: edges_within(g, partition.nodes_in(name)) for name in partition.names}
     region_order = sorted(partition.names, key=lambda name: (-density[name], name))
     order: list[int] = []
     for name in region_order:

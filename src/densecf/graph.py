@@ -7,8 +7,9 @@ edit the edge set. Edits return new graphs, so instances can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import Iterable
+from itertools import chain
+from operator import index
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -28,6 +29,7 @@ class EditConflictError(ValueError):
 
 
 def _normalize_edge(u: int, v: int, node_count: int) -> Edge:
+    u, v = index(u), index(v)  # numpy integers would overflow as shift counts
     if u == v:
         raise ValueError(f"self-loop ({u},{v}) not allowed")
     if not (0 <= u < node_count and 0 <= v < node_count):
@@ -38,88 +40,123 @@ def _normalize_edge(u: int, v: int, node_count: int) -> Edge:
 class Graph:
     """Simple undirected graph on nodes 0..node_count-1.
 
-    Edges are unordered pairs stored as (u, v) with u < v; self-loops and
-    duplicates are rejected. Instances are immutable: ``add_edge``,
-    ``remove_edge`` and ``apply_edits`` return new graphs.
+    The edge set is one int bitmask per node: bit v of row u is set when uv is
+    an edge. Edge views are built from the rows when asked for, as (u, v) with
+    u < v; self-loops are rejected and repeated pairs collapse. Instances are
+    immutable: ``add_edge``, ``remove_edge`` and ``apply_edits`` return new
+    graphs.
     """
 
-    __slots__ = ("node_count", "_edges", "_adj", "_hash")
+    __slots__ = ("node_count", "_rows", "_edge_count", "_hash")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
+        rows = [0] * node_count
+        for u, v in edges:
+            a, b = _normalize_edge(u, v, node_count)
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
         self.node_count = node_count
-        self._edges = frozenset(_normalize_edge(u, v, node_count) for u, v in edges)
-        adj: list[set[int]] = [set() for _ in range(node_count)]
-        for u, v in self._edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._rows = tuple(rows)
+        self._edge_count = sum(row.bit_count() for row in rows) // 2
         self._hash = None
 
     @classmethod
-    def complete(cls, node_count: int) -> "Graph":
-        return cls(node_count, combinations(range(node_count), 2))
-
-    @property
-    def edges(self) -> frozenset[Edge]:
-        return self._edges
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v, self.node_count) in self._edges
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    @classmethod
-    def _from_parts(cls, node_count, edges, adj) -> "Graph":
-        # edges already normalized and consistent with adj; skips revalidation
+    def _from_rows(cls, rows: tuple[int, ...], edge_count: int) -> "Graph":
+        # rows already symmetric, loop-free and within range; skips revalidation
         g = object.__new__(cls)
-        g.node_count = node_count
-        g._edges = edges
-        g._adj = adj
+        g.node_count = len(rows)
+        g._rows = rows
+        g._edge_count = edge_count
         g._hash = None
         return g
 
+    @classmethod
+    def complete(cls, node_count: int) -> "Graph":
+        full = (1 << node_count) - 1
+        rows = tuple(full ^ (1 << u) for u in range(node_count))
+        return cls._from_rows(rows, node_count * (node_count - 1) // 2)
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(_pairs(self._rows))
+
+    @property
+    def edge_count(self) -> int:
+        return self._edge_count
+
+    def has_edge(self, u: int, v: int) -> bool:
+        a, b = _normalize_edge(u, v, self.node_count)
+        return bool(self._rows[a] >> b & 1)
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        return frozenset(_members(self._rows[v]))
+
+    def degree(self, v: int) -> int:
+        return self._rows[v].bit_count()
+
     def add_edge(self, u: int, v: int) -> "Graph":
-        edge = _normalize_edge(u, v, self.node_count)
-        if edge in self._edges:
-            raise EditConflictError(f"edge {edge} already present")
-        a, b = edge
-        adj = list(self._adj)
-        adj[a] = adj[a] | {b}
-        adj[b] = adj[b] | {a}
-        return Graph._from_parts(self.node_count, self._edges | {edge}, tuple(adj))
+        a, b = _normalize_edge(u, v, self.node_count)
+        if self._rows[a] >> b & 1:
+            raise EditConflictError(f"edge {(a, b)} already present")
+        return Graph._from_rows(_toggled(self._rows, ((a, b),)), self._edge_count + 1)
 
     def remove_edge(self, u: int, v: int) -> "Graph":
-        edge = _normalize_edge(u, v, self.node_count)
-        if edge not in self._edges:
-            raise EditConflictError(f"edge {edge} not present")
-        a, b = edge
-        adj = list(self._adj)
-        adj[a] = adj[a] - {b}
-        adj[b] = adj[b] - {a}
-        return Graph._from_parts(self.node_count, self._edges - {edge}, tuple(adj))
+        a, b = _normalize_edge(u, v, self.node_count)
+        if not self._rows[a] >> b & 1:
+            raise EditConflictError(f"edge {(a, b)} not present")
+        return Graph._from_rows(_toggled(self._rows, ((a, b),)), self._edge_count - 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.node_count == other.node_count and self._edges == other._edges
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.node_count, self._edges))
+            self._hash = hash(self._rows)
         return self._hash
 
     def __repr__(self) -> str:
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
+
+
+def _members(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _pairs(rows: Iterable[int]) -> Iterator[Edge]:
+    """The pairs (u, v), u < v, with bit v set in row u, in sorted order."""
+    for u, row in enumerate(rows):
+        row >>= u + 1
+        while row:
+            low = row & -row
+            yield (u, u + low.bit_length())
+            row ^= low
+
+
+def _toggled(rows: tuple[int, ...], pairs: Iterable[Edge]) -> tuple[int, ...]:
+    out = list(rows)
+    for a, b in pairs:
+        out[a] ^= 1 << b
+        out[b] ^= 1 << a
+    return tuple(out)
+
+
+def node_mask(nodes: int | Iterable[int]) -> int:
+    """The bitmask with bit u set for every node u in ``nodes``; an int is
+    taken to be such a bitmask already."""
+    if isinstance(nodes, int):
+        return nodes
+    mask = 0
+    for u in nodes:
+        mask |= 1 << index(u)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -133,9 +170,10 @@ class EditList:
     def between(cls, original: Graph, target: Graph) -> "EditList":
         """Edits turning ``original`` into ``target``, each list sorted."""
         _check_same_nodes(original, target)
+        rows = tuple(zip(original._rows, target._rows))
         return cls(
-            removals=tuple(sorted(original.edges - target.edges)),
-            additions=tuple(sorted(target.edges - original.edges)),
+            removals=tuple(_pairs(a & ~b for a, b in rows)),
+            additions=tuple(_pairs(b & ~a for a, b in rows)),
         )
 
     @classmethod
@@ -160,16 +198,16 @@ def _check_same_nodes(g: Graph, h: Graph) -> None:
 def symmetric_difference_distance(g: Graph, h: Graph) -> int:
     """Number of edges present in exactly one of the two graphs."""
     _check_same_nodes(g, h)
-    return len(g.edges ^ h.edges)
+    return sum((a ^ b).bit_count() for a, b in zip(g._rows, h._rows)) // 2
 
 
 def edit_distance_ratio(g: Graph, h: Graph) -> float:
     """Symmetric-difference distance normalized by the size of the edge union."""
     _check_same_nodes(g, h)
-    union = len(g.edges | h.edges)
+    union = sum((a | b).bit_count() for a, b in zip(g._rows, h._rows)) // 2
     if union == 0:
         raise UndefinedRatioError("both edge sets are empty")
-    return len(g.edges ^ h.edges) / union
+    return symmetric_difference_distance(g, h) / union
 
 
 def apply_edits(g: Graph, edits: EditList) -> Graph:
@@ -178,20 +216,17 @@ def apply_edits(g: Graph, edits: EditList) -> Graph:
     additions = {_normalize_edge(u, v, g.node_count) for u, v in edits.additions}
     if removals & additions:
         raise EditConflictError("an edge appears both as removal and addition")
-    missing = removals - g.edges
+    rows = g._rows
+    missing = [(a, b) for a, b in removals if not rows[a] >> b & 1]
     if missing:
         raise EditConflictError(f"removal of absent edges: {sorted(missing)}")
-    present = additions & g.edges
+    present = [(a, b) for a, b in additions if rows[a] >> b & 1]
     if present:
         raise EditConflictError(f"addition of present edges: {sorted(present)}")
-    adj = list(g._adj)
-    for u, v in removals:
-        adj[u] = adj[u] - {v}
-        adj[v] = adj[v] - {u}
-    for u, v in additions:
-        adj[u] = adj[u] | {v}
-        adj[v] = adj[v] | {u}
-    return Graph._from_parts(g.node_count, (g.edges - removals) | additions, tuple(adj))
+    return Graph._from_rows(
+        _toggled(rows, chain(removals, additions)),
+        g.edge_count - len(removals) + len(additions),
+    )
 
 
 def triangle_counts(g: Graph) -> list[int]:
@@ -205,21 +240,35 @@ def total_triangles(g: Graph) -> int:
     return sum(triangle_counts(g)) // 3
 
 
-def triangles_within(g: Graph, nodes: Iterable[int]) -> int:
-    """Number of triangles of ``g`` whose three nodes all lie in ``nodes``."""
-    index = {v: i for i, v in enumerate(sorted(set(nodes)))}
-    a = np.zeros((len(index), len(index)))
-    for u, v in g.edges:
-        if u in index and v in index:
-            a[index[u], index[v]] = 1.0
-            a[index[v], index[u]] = 1.0
-    # each triangle is an adjacent ordered pair with a common neighbor, six ways
-    return int(round(((a @ a) * a).sum() / 6))
+def _within(g: Graph, nodes: int | Iterable[int]) -> int:
+    return node_mask(nodes) & ((1 << g.node_count) - 1)
 
 
-def edges_within(g: Graph, nodes: Iterable[int]) -> int:
-    inside = frozenset(nodes)
-    return sum(1 for u, v in g.edges if u in inside and v in inside)
+def triangles_within(g: Graph, nodes: int | Iterable[int]) -> int:
+    """Number of triangles of ``g`` whose three nodes all lie in ``nodes``
+    (node indices, or their ``node_mask``)."""
+    rest = _within(g, nodes)
+    rows = g._rows
+    total = 0
+    # each triangle u < v < w is counted once, at u and v; bits are taken
+    # lowest first, so ``rest`` holds the subset's nodes above u and ``later``
+    # u's neighbors in it above v
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        later = rows[low.bit_length() - 1] & rest
+        while later:
+            low = later & -later
+            later ^= low
+            total += (rows[low.bit_length() - 1] & later).bit_count()
+    return total
+
+
+def edges_within(g: Graph, nodes: int | Iterable[int]) -> int:
+    """Number of edges of ``g`` with both ends in ``nodes`` (node indices, or
+    their ``node_mask``)."""
+    mask = _within(g, nodes)
+    return sum((g._rows[u] & mask).bit_count() for u in _members(mask)) // 2
 
 
 def maximal_cliques_containing(g: Graph, v: int) -> set[frozenset[int]]:
@@ -230,11 +279,11 @@ def maximal_cliques_containing(g: Graph, v: int) -> set[frozenset[int]]:
     """
     if not 0 <= v < g.node_count:
         raise ValueError(f"node {v} outside node range 0..{g.node_count - 1}")
-    # node sets are int bitmasks (bit u is node u), restricted to N(v)
-    around = g.neighbors(v)
+    # node sets are bitmasks, neighborhoods restricted to N(v)
+    around = g._rows[v]
     nbr = [0] * g.node_count
-    for u in around:
-        nbr[u] = _bits(g.neighbors(u) & around)
+    for u in _members(around):
+        nbr[u] = g._rows[u] & around
     out: set[frozenset[int]] = set()
 
     def expand(clique: tuple[int, ...], candidates: int, excluded: int) -> None:
@@ -261,35 +310,26 @@ def maximal_cliques_containing(g: Graph, v: int) -> set[frozenset[int]]:
             excluded |= low
             rest ^= low
 
-    expand((v,), _bits(around), 0)
+    expand((v,), around, 0)
     return out
-
-
-def _bits(nodes: Iterable[int]) -> int:
-    mask = 0
-    for u in nodes:
-        mask |= 1 << u
-    return mask
 
 
 def two_hop_neighborhood(g: Graph, v: int) -> frozenset[int]:
     """Nodes at shortest-path distance 1 or 2 from ``v``, excluding ``v``."""
     if not 0 <= v < g.node_count:
         raise ValueError(f"node {v} outside node range 0..{g.node_count - 1}")
-    reach = set(g.neighbors(v))
-    for u in g.neighbors(v):
-        reach |= g.neighbors(u)
-    reach.discard(v)
-    return frozenset(reach)
+    reach = g._rows[v]
+    for u in _members(g._rows[v]):
+        reach |= g._rows[u]
+    return frozenset(_members(reach & ~(1 << index(v))))
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.node_count, g.node_count))
-    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * g.edge_count)
-    u, v = ends[0::2], ends[1::2]
-    a[u, v] = 1.0
-    a[v, u] = 1.0
-    return a
+    n = g.node_count
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in g._rows), np.uint8)
+    bits = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    return bits.astype(np.float64)
 
 
 def eigenvector_centrality(g: Graph) -> list[float]:

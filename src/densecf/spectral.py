@@ -131,11 +131,14 @@ def _predict_from_features(
     return 1 if 2 * ones > n_neighbors else 0  # tied vote -> 0
 
 
-def knn_predict(model: SFKnnModel, g: Graph) -> int:
+def knn_predict(model: SFKnnModel, g: Graph, train: np.ndarray | None = None) -> int:
+    """The model's class for ``g``. ``train`` is the model's training-feature
+    matrix, for callers that predict many graphs with one model."""
     if not model.training_features:
         raise UntrainedModelError("model has no training data")
     query = np.asarray(spectral_features(g, model.n_eigs).values)
-    train = np.asarray(model.training_features)
+    if train is None:
+        train = np.asarray(model.training_features)
     return _predict_from_features(
         train, model.training_labels, query, model.n_neighbors, model.metric
     )
@@ -165,7 +168,8 @@ class Oracle:
 
     @classmethod
     def from_model(cls, model: SFKnnModel) -> "Oracle":
-        return cls(lambda g: knn_predict(model, g))
+        train = np.asarray(model.training_features)
+        return cls(lambda g: knn_predict(model, g, train))
 
 
 @dataclass(frozen=True)

@@ -308,6 +308,33 @@ class TestMalformedManifest:
         assert "data error" in capsys.readouterr().err
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("named", ["graph", "partition", "manifest"])
+    def test_exits_two(self, tmp_path, named, capsys):
+        utf16 = b"\xff\xfe" + "0 1\n".encode("utf-16-le")
+        (tmp_path / "g.edges").write_bytes(utf16 if named == "graph" else b"0 1\n")
+        (tmp_path / "p.csv").write_bytes(
+            utf16 if named == "partition" else b"node_id,region_name\n0,a\n1,b\n"
+        )
+        manifest = {
+            "format": "densecf-dataset",
+            "version": 1,
+            "node_ids": ["0", "1"],
+            "graphs": [{"file": "g.edges", "label": 0}],
+            "partition": "p.csv",
+        }
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        if named == "manifest":
+            path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        code = run(
+            "explain", "--dataset", path, "--whitebox",
+            "--instance", 0, "--method", "tri", "--out-dir", tmp_path / "x",
+        )
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "method, flag",

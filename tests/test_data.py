@@ -199,6 +199,16 @@ class TestPersistence:
         manifest = save_dataset(dataset, tmp_path / "synth")
         assert load_dataset(manifest) == dataset
 
+    @pytest.mark.parametrize(
+        "node_id", ["", "#a", "a b", "a\tb", " a", "a\n", "a\u2028b", "\ud800"]
+    )
+    def test_ids_that_cannot_round_trip_are_rejected_before_writing(self, tmp_path, node_id):
+        # "#a" would start a comment line: its edges would reload as absent
+        dataset = GraphDataset(2, (node_id, "b"), (DatasetEntry(Graph(2, [(0, 1)]), 0, "g"),))
+        with pytest.raises(DatasetFormatError, match="node id"):
+            save_dataset(dataset, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
     def test_unknown_node_id_diagnosed(self, tmp_path):
         dataset = self.make_dataset(with_partition=False)
         save_dataset(dataset, tmp_path / "ds")

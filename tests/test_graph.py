@@ -37,6 +37,15 @@ class TestGraphBasics:
         g = Graph(3, [(1, 0), (0, 1), (2, 1)])
         assert g.edges == {(0, 1), (1, 2)}
 
+    def test_numpy_integer_endpoints_beyond_63(self):
+        # a node index is a shift count in the bitmask rows
+        g = Graph(100, [(np.int64(99), np.int64(70)), (np.int64(80), 99)])
+        assert g.edges == {(70, 99), (80, 99)}
+        assert all(type(x) is int for edge in g.edges for x in edge)
+        assert g.has_edge(np.int64(70), np.int64(99)) and not g.has_edge(70, 80)
+        assert two_hop_neighborhood(g, np.int64(70)) == {80, 99}
+        assert triangles_within(g.add_edge(70, 80), np.arange(100)) == 1
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph(3, [(1, 1)])

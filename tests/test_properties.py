@@ -1,4 +1,5 @@
-"""Property tests: edit round trips and the dataset loader's contract."""
+"""Property tests: the bitmask graph core against a plain edge-set model,
+edit round trips, and the dataset loader's contract."""
 
 import json
 import string
@@ -6,20 +7,29 @@ import tempfile
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from densecf import (
     DatasetFormatError,
+    EditConflictError,
     EditList,
     Graph,
     GraphDataset,
     RegionPartition,
+    UndefinedRatioError,
     apply_edits,
+    edit_distance_ratio,
     load_dataset,
     save_dataset,
+    symmetric_difference_distance,
+    triangle_counts,
 )
 from densecf.data import DATASET_FORMAT, DATASET_VERSION, DatasetEntry
+from densecf.density import triangle_score_lists
+from densecf.graph import adjacency_matrix, edges_within, node_mask, triangles_within
 
 # Node ids and region names as the dataset formats hold them: one token each,
 # no surrounding whitespace, not starting an edge-list comment.
@@ -79,6 +89,135 @@ MANIFESTS = st.fixed_dictionaries(
     },
     optional={"partition": FILE_NAMES | st.just("part.csv") | JSON},
 )
+
+
+class EdgeSetModel:
+    """The reference: a graph as a plain set of (u, v) pairs, u < v."""
+
+    def __init__(self, n, edges=()):
+        self.n = n
+        self.edges = {(min(u, v), max(u, v)) for u, v in edges}
+
+    def apply(self, removals, additions):
+        removals = {(min(u, v), max(u, v)) for u, v in removals}
+        additions = {(min(u, v), max(u, v)) for u, v in additions}
+        if removals & additions or not removals <= self.edges or additions & self.edges:
+            raise EditConflictError("inconsistent edit")
+        return EdgeSetModel(self.n, (self.edges - removals) | additions)
+
+
+@st.composite
+def edit_runs(draw):
+    """A node count and a sequence of edit lists over random node pairs, some
+    of them inconsistent with the graph they meet."""
+    n = draw(st.integers(2, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    steps = draw(
+        st.lists(
+            st.tuples(st.lists(pair, max_size=4), st.lists(pair, max_size=4)), max_size=12
+        )
+    )
+    return n, steps
+
+
+def assert_agrees(g, model):
+    n = model.n
+    assert g.edges == model.edges
+    assert g.edge_count == len(model.edges)
+    for u in range(n):
+        nbrs = {v for e in model.edges for v in e if u in e and v != u}
+        assert g.neighbors(u) == nbrs
+        assert g.degree(u) == len(nbrs)
+        for v in range(n):
+            if u != v:
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in model.edges)
+    expected = np.zeros((n, n))
+    for u, v in model.edges:
+        expected[u, v] = expected[v, u] = 1.0
+    a = adjacency_matrix(g)
+    assert a.dtype == np.float64 and a.flags.c_contiguous
+    assert np.array_equal(a, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edit_runs())
+def test_edits_agree_with_edge_set_model(run):
+    n, steps = run
+    g, model = Graph(n), EdgeSetModel(n)
+    for removals, additions in steps:
+        edits = EditList(removals=tuple(removals), additions=tuple(additions))
+        try:
+            expected = model.apply(removals, additions)
+        except EditConflictError:
+            with pytest.raises(EditConflictError):
+                apply_edits(g, edits)
+            continue
+        g, model = apply_edits(g, edits), expected
+        assert_agrees(g, model)
+        for u, v in sorted(model.edges)[:3]:
+            h = g.remove_edge(u, v)
+            assert h.add_edge(v, u) == g and hash(h.add_edge(v, u)) == hash(g)
+            assert_agrees(h, EdgeSetModel(n, model.edges - {(u, v)}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_pairs())
+def test_equality_edits_and_distances_agree_with_edge_sets(pair):
+    g, h = pair
+    eg, eh = set(g.edges), set(h.edges)
+    assert (g == h) == (eg == eh)
+    assert Graph(g.node_count, sorted(eg)) == g
+    assert hash(Graph(g.node_count, sorted(eg, reverse=True))) == hash(g)
+    edits = EditList.between(g, h)
+    assert edits.removals == tuple(sorted(eg - eh))
+    assert edits.additions == tuple(sorted(eh - eg))
+    assert symmetric_difference_distance(g, h) == len(eg ^ eh)
+    if eg | eh:
+        assert edit_distance_ratio(g, h) == len(eg ^ eh) / len(eg | eh)
+    else:
+        with pytest.raises(UndefinedRatioError):
+            edit_distance_ratio(g, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_pairs(), st.data())
+def test_counts_within_a_node_subset_agree_with_brute_force(pair, data):
+    g, _ = pair
+    nodes = data.draw(st.sets(st.integers(0, max(g.node_count - 1, 0))))
+    nodes = {v for v in nodes if v < g.node_count}
+    edges = {e for e in g.edges if set(e) <= nodes}
+    triangles = sum(
+        1
+        for a, b, c in combinations(sorted(nodes), 3)
+        if {(a, b), (a, c), (b, c)} <= edges
+    )
+    for arg in (nodes, sorted(nodes), node_mask(nodes)):
+        assert edges_within(g, arg) == len(edges)
+        assert triangles_within(g, arg) == triangles
+
+
+def sorted_triangle_score_lists(g):
+    """The sort-based body ``triangle_score_lists`` had before it used argsort."""
+    scores = triangle_counts(g)
+    removals, additions = [], []
+    for u, v in combinations(range(g.node_count), 2):
+        entry = (scores[u] + scores[v], (u, v))
+        if g.has_edge(u, v):
+            removals.append(entry)
+        else:
+            additions.append(entry)
+    removals.sort(key=lambda e: (e[0], e[1]))
+    additions.sort(key=lambda e: (-e[0], e[1]))
+    return tuple(edge for _, edge in removals), tuple(edge for _, edge in additions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_pairs())
+def test_triangle_score_lists_match_the_sort_based_order(pair):
+    g, _ = pair
+    removals, additions = triangle_score_lists(g)
+    assert (removals, additions) == sorted_triangle_score_lists(g)
+    assert all(type(x) is int for edge in removals + additions for x in edge)
 
 
 @given(graph_pairs())
