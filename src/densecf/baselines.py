@@ -142,7 +142,7 @@ def refine_with_backward(
     if not base.found:
         return base
     calls_before = oracle.call_count - base.oracle_calls
-    y0 = int(oracle.classifier(g))  # class already established by the base search
+    y0 = base.input_class
     refined = backward_search(
         oracle, g, base.counterfactual, input_class=y0, candidate_class=1 - y0
     )

@@ -137,7 +137,6 @@ def _oracle_spec(args, dataset: GraphDataset) -> OracleSpec:
 def _run_options(args) -> RunOptions:
     return RunOptions(
         max_iterations=args.max_iters,
-        clique_budget=args.budget_b,
         ranking=args.ranking,
         seed=args.seed,
     )
@@ -187,7 +186,6 @@ def cmd_explain(args) -> int:
     index = _select_instance(dataset, args.instance)
     entry = dataset.entries[index]
     options = replace(_run_options(args), seed=derive_seed(args.seed, index))
-    predicted = int(oracle.classifier(entry.graph))
     result = run_method(
         args.method, oracle, entry.graph, dataset=dataset, partition=partition, options=options
     )
@@ -207,7 +205,7 @@ def cmd_explain(args) -> int:
         "instance": index,
         "name": entry.name,
         "true_label": entry.label,
-        "predicted_class": predicted,
+        "predicted_class": result.input_class,
         "found": result.found,
         "iterations": result.iterations,
         "oracle_calls": result.oracle_calls,
@@ -342,12 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="use the half-vs-half triangle rule instead of a trained model",
         )
         p.add_argument("--max-iters", type=int, default=None, help="iteration cap override")
-        p.add_argument("--budget-b", type=int, default=10, help="extra nodes an added clique may have")
         p.add_argument(
             "--ranking",
             choices=RANKING_STRATEGIES,
             default="triangles",
-            help="node ranking for the cli method (regional requires a partition)",
+            help="node ranking for the cli method (rcli ranks by region)",
         )
         p.add_argument("--partition", help="node_id,region_name CSV overriding the dataset's")
         p.add_argument("--seed", type=int, default=0)

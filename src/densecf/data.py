@@ -71,10 +71,6 @@ class GraphDataset:
     def labels(self) -> tuple[int, ...]:
         return tuple(e.label for e in self.entries)
 
-    @property
-    def graphs(self) -> tuple[Graph, ...]:
-        return tuple(e.graph for e in self.entries)
-
 
 def threshold_correlations(matrix, percentile: float) -> Graph:
     """Build a graph by keeping pairs whose correlation strictly exceeds the
@@ -475,7 +471,13 @@ def ingest_correlation_listing(
             try:
                 label = int(row["label"])
             except (TypeError, ValueError):
-                raise DatasetFormatError(f"{listing_path}:{lineno}: bad label {row.get('label')!r}")
+                label = None
+            if label not in (0, 1):
+                raise DatasetFormatError(
+                    f"{listing_path}:{lineno}: label {row['label']!r}, expected 0 or 1"
+                )
+            if not row["file"]:
+                raise DatasetFormatError(f"{listing_path}:{lineno}: no file named")
             entries_raw.append((row["file"], label, row.get("name") or row["file"]))
     if not entries_raw:
         raise DatasetFormatError(f"{listing_path}: no graphs listed")

@@ -35,9 +35,8 @@ from .graph import (
 from .spectral import Oracle
 
 DEFAULT_MAX_ITERATIONS = 200
-DEFAULT_CLIQUE_BUDGET = 10
 
-RANKING_STRATEGIES = ("triangles", "eigenvector", "regional")
+RANKING_STRATEGIES = ("triangles", "eigenvector")
 
 
 class ConfigurationError(ValueError):
@@ -56,15 +55,12 @@ class RunOptions:
     """
 
     max_iterations: int | None = None
-    clique_budget: int = DEFAULT_CLIQUE_BUDGET
     ranking: str = "triangles"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ConfigurationError("max_iterations must be non-negative")
-        if self.clique_budget < 0:
-            raise ConfigurationError("clique_budget must be non-negative")
         if self.ranking not in RANKING_STRATEGIES:
             raise ConfigurationError(
                 f"unknown ranking strategy {self.ranking!r}, expected one of {RANKING_STRATEGIES}"
@@ -75,11 +71,13 @@ class RunOptions:
 class CounterfactualResult:
     """Outcome of one counterfactual search.
 
-    When ``found``, the counterfactual is guaranteed (re-checked at
+    ``input_class`` is the oracle's class for the input, charged once by the
+    search. When ``found``, the counterfactual is guaranteed (re-checked at
     construction with an uncounted classifier call) to classify opposite to
-    the input, and ``edits`` reproduces it from the input via ``apply_edits``.
+    it, and ``edits`` reproduces it from the input via ``apply_edits``.
     """
 
+    input_class: int
     found: bool
     counterfactual: Graph | None
     edits: EditList
@@ -103,6 +101,7 @@ def _finish(
     calls = oracle.call_count - calls_before
     if not found:
         return CounterfactualResult(
+            input_class=original_class,
             found=False,
             counterfactual=None,
             edits=EditList.empty(),
@@ -120,6 +119,7 @@ def _finish(
     except UndefinedRatioError:
         ratio = None
     return CounterfactualResult(
+        input_class=original_class,
         found=True,
         counterfactual=final,
         edits=edits,
@@ -155,10 +155,7 @@ def triangle_score_lists(g: Graph) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
 
 
 def tri_search(
-    oracle: Oracle,
-    g: Graph,
-    lists: tuple[Sequence[Edge], Sequence[Edge]] | None = None,
-    options: RunOptions | None = None,
+    oracle: Oracle, g: Graph, options: RunOptions | None = None
 ) -> CounterfactualResult:
     """Swap the next removal and addition candidate per iteration.
 
@@ -169,7 +166,7 @@ def tri_search(
     options = options or RunOptions()
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
-    removals, additions = lists if lists is not None else triangle_score_lists(g)
+    removals, additions = triangle_score_lists(g)
     swaps = list(zip(removals, additions))[: options.max_iterations]
     current = g
     found = False
@@ -268,21 +265,19 @@ def sparsify_cli(
 
 
 def densify_cli(
-    g_cur: Graph, n: int, book: CliqueBookkeeping, s: int, node_cap: int
+    g_cur: Graph, n: int, book: CliqueBookkeeping, s: int
 ) -> tuple[Graph, frozenset[int]]:
-    """Add a clique of up to min(s, node_cap) nodes near ``n``.
+    """Add a clique of up to ``s`` nodes near ``n``.
 
-    ``s`` and ``node_cap`` are node counts. Candidates are the two-hop
-    neighborhood of ``n`` followed by the remaining nodes. Within the two-hop
-    block, direct neighbors of ``n`` come first, then ascending usage count,
-    then ascending triangle count in ``g_cur`` (the sparsest surroundings
-    first), then node index. The remaining nodes are sorted by ascending usage
-    count (ties: node index). All absent edges among the chosen nodes are
-    added and their usage counts are decremented. With fewer than two nodes to
-    pick this is a no-op.
+    Candidates are the two-hop neighborhood of ``n`` followed by the remaining
+    nodes. Within the two-hop block, direct neighbors of ``n`` come first, then
+    ascending usage count, then ascending triangle count in ``g_cur`` (the
+    sparsest surroundings first), then node index. The remaining nodes are
+    sorted by ascending usage count (ties: node index). All absent edges among
+    the chosen nodes are added and their usage counts are decremented. With
+    fewer than two nodes to pick this is a no-op.
     """
-    size = min(s, node_cap)
-    if size < 2:
+    if s < 2:
         return g_cur, frozenset()
     neighborhood = two_hop_neighborhood(g_cur, n)
     adjacent = g_cur.neighbors(n)
@@ -294,7 +289,7 @@ def densify_cli(
         (v for v in range(g_cur.node_count) if v not in neighborhood),
         key=lambda v: (book.usage[v], v),
     )
-    chosen = (near + far)[:size]
+    chosen = (near + far)[:s]
     additions = tuple(
         sorted(
             edge
@@ -340,19 +335,15 @@ def cli_search(
     flips, or a round adds nothing). Each densify round turns the remaining
     edge deficit d into a node count: the largest k with k(k-1)/2 <= d. So a
     round never overshoots, and no iteration adds more edges than it removed.
-    Every added clique also has at most |removed clique| + clique_budget
-    nodes; since the removed clique had at most
-    |removed clique|(|removed clique|-1)/2 edges, k never exceeds
-    |removed clique| and that cap does not bind. The search stops on a flip,
-    after ``max_iterations`` outer iterations, or after floor(n/2) iterations,
-    when the ranking runs out of fresh node pairs.
+    Since the removed clique C had at most |C|(|C|-1)/2 edges, no added clique
+    has more nodes than C. The search stops on a flip, after
+    ``max_iterations`` outer iterations, or after floor(n/2) iterations, when
+    the ranking runs out of fresh node pairs.
     """
     options = options or RunOptions()
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
     if order is None:
-        if options.ranking == "regional":
-            raise ConfigurationError("regional ranking needs rcli_search with a partition")
         order = rank_nodes(g, options.ranking)
     max_iterations = (
         options.max_iterations if options.max_iterations is not None else DEFAULT_MAX_ITERATIONS
@@ -372,10 +363,9 @@ def cli_search(
         if oracle.predict(current) != y0:
             found = True
         else:
-            node_cap = len(removed_clique) + options.clique_budget
             while edges_added < edges_removed:
                 size = _clique_size_within(edges_removed - edges_added)
-                updated, added_clique = densify_cli(current, n_sparse, book, size, node_cap)
+                updated, added_clique = densify_cli(current, n_sparse, book, size)
                 round_added = symmetric_difference_distance(current, updated)
                 current = updated
                 if added_clique:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,9 +51,6 @@ class RegionPartition:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.labels)))
-
-    def region_of(self, v: int) -> str:
-        return self.labels[v]
 
     def nodes_in(self, name: str) -> tuple[int, ...]:
         return tuple(v for v, label in enumerate(self.labels) if label == name)
@@ -121,9 +118,6 @@ class MethodRunSummary:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self) -> Iterator[InstanceRecord]:
-        return iter(self.records)
-
 
 def flip_rate(summary: MethodRunSummary) -> tuple[float | None, float | None]:
     """Percentage of found counterfactuals per predicted input class.
@@ -156,14 +150,6 @@ class RegionChangeSummary:
     rows: tuple[RegionRow, ...]
     added_total: int
     removed_total: int
-
-    @property
-    def no_additions(self) -> bool:
-        return self.added_total == 0
-
-    @property
-    def no_removals(self) -> bool:
-        return self.removed_total == 0
 
 
 def region_change_summary(

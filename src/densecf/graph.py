@@ -180,9 +180,6 @@ class EditList:
     def empty(cls) -> "EditList":
         return cls((), ())
 
-    def inverse(self) -> "EditList":
-        return EditList(removals=self.additions, additions=self.removals)
-
     @property
     def size(self) -> int:
         return len(self.removals) + len(self.additions)
@@ -234,10 +231,6 @@ def triangle_counts(g: Graph) -> list[int]:
     a = adjacency_matrix(g)
     # row w of (A@A)*A counts each triangle at w twice, once per ordered pair of its other nodes
     return [int(x) for x in ((a @ a) * a).sum(axis=1) // 2]
-
-
-def total_triangles(g: Graph) -> int:
-    return sum(triangle_counts(g)) // 3
 
 
 def _within(g: Graph, nodes: int | Iterable[int]) -> int:

@@ -18,7 +18,7 @@ from .density import (
 )
 from .evaluation import InstanceRecord, MethodRunSummary, RegionPartition
 from .graph import Graph
-from .spectral import Oracle, SFKnnModel
+from .spectral import Oracle, SFKnnModel, knn_predict
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ class OracleSpec:
 
     def build(self) -> Oracle:
         if self.kind == "model":
-            return Oracle.from_model(self.model)
+            # looked up per call, so rebinding ``runner.knn_predict`` takes effect
+            return Oracle(lambda g: knn_predict(self.model, g))
         if self.kind == "whitebox":
             s0, s1 = node_halves(self.node_count)
             return Oracle(make_whitebox(s0, s1))
@@ -76,15 +77,9 @@ def derive_seed(base: int, index: int) -> int:
     return (base * 1_000_003 + index) % (2**63)
 
 
-def _resolve_method(
-    method: str, options: RunOptions, has_dataset: bool, has_partition: bool
-) -> _Method:
-    """The table entry that runs ``method``, after checking its inputs exist.
-
-    ``cli`` with regional ranking is the ``rcli`` search.
-    """
-    regional = method == "cli" and options.ranking == "regional"
-    entry = _METHOD_TABLE.get("rcli" if regional else method)
+def _resolve_method(method: str, has_dataset: bool, has_partition: bool) -> _Method:
+    """The table entry that runs ``method``, after checking its inputs exist."""
+    entry = _METHOD_TABLE.get(method)
     if entry is None:
         raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
     if entry.needs_dataset and not has_dataset:
@@ -104,7 +99,7 @@ def run_method(
 ) -> CounterfactualResult:
     """Run one named search method on one graph."""
     options = options or RunOptions()
-    entry = _resolve_method(method, options, dataset is not None, partition is not None)
+    entry = _resolve_method(method, dataset is not None, partition is not None)
     return entry.search(oracle, g, dataset, partition, options)
 
 
@@ -118,7 +113,6 @@ def run_instance(
 ) -> InstanceRecord:
     """Run one method on one dataset instance and record the outcome."""
     entry = dataset.entries[index]
-    predicted = int(oracle.classifier(entry.graph))  # bookkeeping, not charged
     options = replace(options, seed=derive_seed(options.seed, index))
     result = run_method(
         method, oracle, entry.graph, dataset=dataset, partition=partition, options=options
@@ -127,7 +121,7 @@ def run_instance(
         instance=index,
         name=entry.name,
         true_label=entry.label,
-        predicted_label=predicted,
+        predicted_label=result.input_class,
         found=result.found,
         iterations=result.iterations,
         oracle_calls=result.oracle_calls,
@@ -171,7 +165,7 @@ def run_benchmark(
     """
     options = options or RunOptions()
     for method in methods:
-        _resolve_method(method, options, True, partition is not None)
+        _resolve_method(method, True, partition is not None)
     ctx = {
         "oracle_spec": oracle_spec,
         "dataset": dataset,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -89,6 +89,8 @@ class SFKnnModel:
 
     Prediction is fully deterministic: neighbors at equal distance are taken
     in training-index order and a tied vote resolves to class 0.
+    ``training_matrix`` is ``training_features`` as an array, built once here
+    for every prediction; equality, hashing and ``save_model`` ignore it.
     """
 
     training_features: tuple[tuple[float, ...], ...]
@@ -97,6 +99,7 @@ class SFKnnModel:
     n_eigs: int
     metric: str = "euclidean"
     seed: int | None = None
+    training_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.training_features) != len(self.training_labels):
@@ -113,6 +116,7 @@ class SFKnnModel:
             raise ValueError(f"metric must be one of {KNN_METRICS}")
         if any(len(f) != self.n_eigs for f in self.training_features):
             raise ValueError("every feature vector must have length n_eigs")
+        object.__setattr__(self, "training_matrix", np.asarray(self.training_features))
 
 
 def _predict_from_features(
@@ -131,25 +135,23 @@ def _predict_from_features(
     return 1 if 2 * ones > n_neighbors else 0  # tied vote -> 0
 
 
-def knn_predict(model: SFKnnModel, g: Graph, train: np.ndarray | None = None) -> int:
-    """The model's class for ``g``. ``train`` is the model's training-feature
-    matrix, for callers that predict many graphs with one model."""
+def knn_predict(model: SFKnnModel, g: Graph) -> int:
+    """The model's class for ``g``."""
     if not model.training_features:
         raise UntrainedModelError("model has no training data")
     query = np.asarray(spectral_features(g, model.n_eigs).values)
-    if train is None:
-        train = np.asarray(model.training_features)
     return _predict_from_features(
-        train, model.training_labels, query, model.n_neighbors, model.metric
+        model.training_matrix, model.training_labels, query, model.n_neighbors, model.metric
     )
 
 
 class Oracle:
     """Black-box wrapper that counts every prediction it performs.
 
-    Searches must go through :meth:`predict`. Code that needs a class without
-    charging the search (result validation, report bookkeeping) calls the
-    underlying ``classifier`` directly.
+    Searches must go through :meth:`predict`. Only the check that a found
+    counterfactual flips the class calls the underlying ``classifier``
+    directly, without charging the search; the input's class is the one the
+    search charged, carried on its result.
     """
 
     def __init__(self, classifier: Callable[[Graph], int]) -> None:
@@ -159,17 +161,6 @@ class Oracle:
     def predict(self, g: Graph) -> int:
         self.call_count += 1
         return int(self.classifier(g))
-
-    def reset(self) -> None:
-        self.call_count = 0
-
-    def clone(self) -> "Oracle":
-        return Oracle(self.classifier)
-
-    @classmethod
-    def from_model(cls, model: SFKnnModel) -> "Oracle":
-        train = np.asarray(model.training_features)
-        return cls(lambda g: knn_predict(model, g, train))
 
 
 @dataclass(frozen=True)

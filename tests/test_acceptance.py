@@ -313,13 +313,12 @@ def test_09_oracle_call_accounting():
     partition = RegionPartition(tuple("ab"[i % 2] for i in range(10)))
 
     def uncounted_accesses(method: str, found: bool) -> int:
-        # the classifier is touched outside the charged path for: the record's
-        # predicted-label peek (always), the found-result validation, and for
-        # the composed methods also the base result's validation plus the
-        # composition's input-class peek
+        # the classifier is touched outside the charged path only to validate
+        # a found result: once, and for the composed methods once more for
+        # the base result
         if not found:
-            return 1
-        return 4 if method in ("dat+bw", "rcli+bw") else 2
+            return 0
+        return 2 if method in ("dat+bw", "rcli+bw") else 1
 
     mismatches = []
     for method in METHODS:
@@ -360,27 +359,25 @@ def test_09_oracle_call_accounting():
 
 
 def test_10_clique_budget_feasibility():
-    """In every clique-rewrite iteration, an added clique never has more than
-    |removed clique| + b nodes."""
+    """In every clique-rewrite iteration, an added clique never has more
+    nodes than the removed clique."""
     rng = random.Random(10)
     violations = 0
     iterations_checked = 0
     for _ in range(40):
         n = rng.randrange(8, 16)
         g = random_graph(n, rng.uniform(0.3, 0.8), rng)
-        b = rng.choice([0, 5, 10])
+        rng.choice([0, 5, 10])  # unused draw, kept so the same 40 graphs are checked
         trace = []
         fn = rng.choice([lambda h: 0, lambda h: int(h.edge_count % 9 == 0)])
         partition = RegionPartition(tuple("abc"[i % 3] for i in range(n)))
         if rng.random() < 0.5:
-            cli_search(Oracle(fn), g, options=RunOptions(clique_budget=b), trace=trace)
+            cli_search(Oracle(fn), g, trace=trace)
         else:
-            rcli_search(
-                Oracle(fn), g, partition, options=RunOptions(clique_budget=b), trace=trace
-            )
+            rcli_search(Oracle(fn), g, partition, trace=trace)
         for step in trace:
             iterations_checked += 1
-            cap = len(step.removed_clique) + b
+            cap = len(step.removed_clique)
             if any(len(added) > cap for added in step.added_cliques):
                 violations += 1
     _report(

@@ -233,14 +233,14 @@ class TestBenchmarkAndReport:
         out = tmp_path / "bench"
         assert run(
             "benchmark", "--dataset", synth_dir / "manifest.json", "--whitebox",
-            "--methods", "dat", "--budget-b", 3, "--out-dir", out,
+            "--methods", "dat", "--max-iters", 3, "--out-dir", out,
         ) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["command"] == "benchmark"
         config = manifest["config"]
         assert config["methods"] == "dat"
-        assert config["budget_b"] == 3
-        assert config["max_iters"] is None
+        assert config["max_iters"] == 3
+        assert config["ranking"] == "triangles"
         assert isinstance(config["workers"], int) and config["workers"] >= 1
 
     def test_benchmark_workers_do_not_change_outputs(self, synth_dir, tmp_path):
@@ -281,6 +281,16 @@ class TestIngestCommand:
         listing = tmp_path / "bad.csv"
         listing.write_text("nope\n")
         assert run("ingest", "--listing", listing, "--out-dir", tmp_path / "x") == 2
+
+    @pytest.mark.parametrize(
+        "text", ["file,label\nm.csv,2\n", "label,file\n0\n"], ids=["label-2", "no-file"]
+    )
+    def test_bad_listing_row_exits_two(self, tmp_path, text, capsys):
+        (tmp_path / "m.csv").write_text("1,0.5\n0.5,1\n")
+        listing = tmp_path / "listing.csv"
+        listing.write_text(text)
+        assert run("ingest", "--listing", listing, "--out-dir", tmp_path / "x") == 2
+        assert "listing.csv:2" in capsys.readouterr().err
 
 
 class TestMalformedManifest:
@@ -339,9 +349,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "method, flag",
         [
-            ("tri", "--budget-b"),
+            ("tri", "--max-iters"),
             ("dat", "--max-iters"),
-            ("cli", "--budget-b"),
+            ("cli", "--max-iters"),
             ("edg", "--max-iters"),
         ],
     )
@@ -352,12 +362,13 @@ class TestUsageErrors:
         ) == 1
 
     def test_unknown_method_flag(self, synth_dir, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(
-                "explain", "--dataset", synth_dir / "manifest.json", "--whitebox",
-                "--instance", 0, "--method", "bogus", "--out-dir", tmp_path,
-            )
-        assert exc.value.code == 1
+        for choice in (("--method", "bogus"), ("--method", "cli", "--ranking", "regional")):
+            with pytest.raises(SystemExit) as exc:
+                run(
+                    "explain", "--dataset", synth_dir / "manifest.json", "--whitebox",
+                    "--instance", 0, *choice, "--out-dir", tmp_path,
+                )
+            assert exc.value.code == 1
 
     def test_no_oracle_choice_exits_one(self, synth_dir, tmp_path):
         assert run(

@@ -118,7 +118,6 @@ class TestRegionChangeSummary:
         assert by_name["s"].added_pct == 0.0
         assert summary.added_total == 2
         assert summary.removed_total == 0
-        assert summary.no_removals
 
     def test_spanning_edge_splits_endpoints(self):
         g = Graph(4)

@@ -1,5 +1,5 @@
 """Property tests: the bitmask graph core against a plain edge-set model,
-edit round trips, and the dataset loader's contract."""
+edit round trips, and the dataset and ingest loaders' contracts."""
 
 import json
 import string
@@ -22,12 +22,14 @@ from densecf import (
     UndefinedRatioError,
     apply_edits,
     edit_distance_ratio,
+    ingest_correlation_listing,
     load_dataset,
     save_dataset,
     symmetric_difference_distance,
     triangle_counts,
 )
-from densecf.data import DATASET_FORMAT, DATASET_VERSION, DatasetEntry
+from densecf.cli import EXIT_INTERNAL, main
+from densecf.data import DATASET_FORMAT, DATASET_VERSION, DatasetEntry, load_correlation_matrix
 from densecf.density import triangle_score_lists
 from densecf.graph import adjacency_matrix, edges_within, node_mask, triangles_within
 
@@ -245,3 +247,75 @@ def test_any_json_manifest_loads_or_raises_format_error(manifest):
             load_dataset(base / "manifest.json")
         except DatasetFormatError:
             pass
+
+
+def csv_text(cells):
+    return st.lists(st.lists(cells, max_size=4).map(",".join), max_size=4).map("\n".join)
+
+
+# Matrix cells: numbers, non-finite and non-numeric values, and arbitrary text.
+MATRIX_TEXT = csv_text(
+    st.sampled_from(["1", "0", "-0.5", " 2e-1", "nan", "inf", "1e999", "x", ""])
+    | st.text(max_size=4)
+)
+# Listing cells: a matrix file that exists, the listing itself, a missing
+# file, names of directories, labels in and out of range, and text without
+# "/", so every name the listing gives stays inside its directory.
+FILES = st.sampled_from(["m.csv", "listing.csv", "missing.csv", "", ".."])
+LABELS = st.sampled_from(["0", "1", "2", "", "x"])
+LISTING_CELLS = FILES | LABELS | st.text(
+    st.characters(blacklist_characters="/", blacklist_categories=("Cs",)), max_size=4
+)
+
+
+@st.composite
+def listings(draw):
+    """A header naming file, label and name in any order, or arbitrary cells;
+    then rows that fill the header's columns in its order (a good file and
+    label more often than not), some of them cut short, or arbitrary cells."""
+    header = draw(st.permutations(["file", "label", "name"]) | st.lists(LISTING_CELLS, max_size=4))
+    column = {
+        "file": st.just("m.csv") | FILES,
+        "label": st.sampled_from(["0", "1"]) | LABELS,
+        "name": LISTING_CELLS,
+    }
+    rows = [header]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["full", "full", "short", "arbitrary"]))
+        if kind == "arbitrary":
+            rows.append(draw(st.lists(LISTING_CELLS, max_size=4)))
+            continue
+        row = [draw(column.get(name, LISTING_CELLS)) for name in header]
+        rows.append(row if kind == "full" else row[: draw(st.integers(0, len(row)))])
+    return "\n".join(",".join(row) for row in rows)
+
+
+SYMMETRIC_MATRICES = st.sampled_from(["1", "1,0.5\n0.5,1", "1,inf\ninf,1", "0,1,2\n1,0,3\n2,3,0"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRIX_TEXT.map(str.encode) | st.binary(max_size=24))
+def test_any_matrix_csv_loads_or_raises_format_error(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(content)
+        try:
+            matrix = load_correlation_matrix(path)
+        except DatasetFormatError:
+            return
+        assert matrix.ndim == 2
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(listings(), SYMMETRIC_MATRICES | MATRIX_TEXT)
+def test_any_listing_ingests_or_raises_format_error(listing, matrix):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        (base / "m.csv").write_text(matrix, encoding="utf-8")
+        (base / "listing.csv").write_text(listing, encoding="utf-8")
+        try:
+            ingest_correlation_listing(base / "listing.csv", percentile=90.0)
+        except DatasetFormatError:
+            pass
+        argv = ["ingest", "--listing", str(base / "listing.csv"), "--out-dir", str(base / "out")]
+        assert main(argv) != EXIT_INTERNAL

@@ -10,8 +10,10 @@ from densecf import (
     OracleSpec,
     RegionPartition,
     RunOptions,
+    SFKnnModel,
     run_benchmark,
     run_method,
+    spectral_features,
 )
 from densecf.data import DatasetEntry
 from densecf.runner import derive_seed, run_instance
@@ -31,6 +33,16 @@ def small_dataset(n=8, count=6, seed=51, partition=True):
 
 def whitebox_spec(dataset):
     return OracleSpec(kind="whitebox", node_count=dataset.node_count)
+
+
+def model_spec(dataset, k=3):
+    model = SFKnnModel(
+        training_features=tuple(spectral_features(e.graph, k).values for e in dataset),
+        training_labels=dataset.labels,
+        n_neighbors=1,
+        n_eigs=k,
+    )
+    return OracleSpec(kind="model", model=model)
 
 
 class TestRunMethod:
@@ -56,20 +68,6 @@ class TestRunMethod:
     def test_partition_required_for_rcli(self):
         with pytest.raises(ConfigurationError):
             run_method("rcli", whitebox_spec(small_dataset()).build(), Graph(8))
-
-    def test_cli_with_regional_ranking_equals_rcli(self):
-        dataset = small_dataset()
-        spec = whitebox_spec(dataset)
-        g = dataset.entries[0].graph
-        options = RunOptions(max_iterations=10, ranking="regional")
-        via_cli = run_method(
-            "cli", spec.build(), g, partition=dataset.partition, options=options
-        )
-        via_rcli = run_method(
-            "rcli", spec.build(), g, partition=dataset.partition,
-            options=RunOptions(max_iterations=10),
-        )
-        assert via_cli == via_rcli
 
     def test_cli_regional_ranking_without_partition_rejected(self):
         dataset = small_dataset(partition=False)
@@ -112,9 +110,10 @@ class TestBenchmark:
             partition=dataset.partition,
             options=RunOptions(max_iterations=30, seed=7),
         )
-        serial = run_benchmark(whitebox_spec(dataset), workers=1, **kwargs)
-        parallel = run_benchmark(whitebox_spec(dataset), workers=2, **kwargs)
-        assert serial == parallel
+        for spec in (whitebox_spec(dataset), model_spec(dataset)):
+            serial = run_benchmark(spec, workers=1, **kwargs)
+            parallel = run_benchmark(spec, workers=2, **kwargs)
+            assert serial == parallel
 
     def test_per_instance_seed_is_schedule_independent(self):
         assert derive_seed(3, 5) == derive_seed(3, 5)
