@@ -70,7 +70,6 @@ from .spectral import (
     DegenerateLabelsError,
     Oracle,
     SFKnnModel,
-    SpectralFeatures,
     TrainReport,
     UntrainedModelError,
     knn_predict,

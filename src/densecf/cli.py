@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,7 +36,6 @@ from .data import (
 )
 from .density import RANKING_STRATEGIES, ConfigurationError
 from .evaluation import (
-    CoverageError,
     RegionPartition,
     build_aggregate_report,
     read_records_csv,
@@ -44,7 +43,6 @@ from .evaluation import (
     write_records_csv,
     write_region_csv,
 )
-from .graph import apply_edits
 from .runner import METHODS, OracleSpec, RunOptions, derive_seed, run_benchmark, run_method
 from .spectral import DegenerateLabelsError, load_model, save_model, train_sf_knn
 
@@ -55,7 +53,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-RESULT_SCHEMA_VERSION = 1
+RESULT_SCHEMA_VERSION = 2
 EDITS_CSV_COLUMNS = ["action", "node_u", "node_v"]
 
 
@@ -157,7 +155,7 @@ def cmd_train(args) -> int:
     )
     out = _out_dir(args)
     save_model(model, out / "model.json")
-    _write_json(report.to_dict(), out / "train_report.json")
+    _write_json(asdict(report), out / "train_report.json")
     _write_manifest(out, args, [Path(args.dataset)])
     print(
         f"trained sf-knn: accuracy={report.accuracy:.3f} f1={report.f1:.3f} "
@@ -192,12 +190,6 @@ def cmd_explain(args) -> int:
 
     out = _out_dir(args)
     ids = dataset.node_ids
-    ratio = result.distance_ratio
-    ratio_defined = True
-    if result.found and ratio is None:
-        ratio = 0.0  # both edge sets empty; true ratio is undefined
-        ratio_defined = False
-        logger.warning("distance ratio undefined (empty edge union); reporting 0")
     payload = {
         "schema_version": RESULT_SCHEMA_VERSION,
         "method": args.method,
@@ -210,8 +202,7 @@ def cmd_explain(args) -> int:
         "iterations": result.iterations,
         "oracle_calls": result.oracle_calls,
         "distance": result.distance,
-        "distance_ratio": ratio if result.found else None,
-        "distance_ratio_defined": ratio_defined,
+        "distance_ratio": result.distance_ratio,
         "removals": [[ids[u], ids[v]] for u, v in result.edits.removals],
         "additions": [[ids[u], ids[v]] for u, v in result.edits.additions],
         "note": result.note,
@@ -227,9 +218,8 @@ def cmd_explain(args) -> int:
             for u, v in result.edits.additions:
                 writer.writerow(["add", ids[u], ids[v]])
         if partition is not None and result.found:
-            counterfactual = apply_edits(entry.graph, result.edits)
             write_region_csv(
-                region_change_summary(entry.graph, counterfactual, partition),
+                region_change_summary(entry.graph, result.counterfactual, partition),
                 out / "regions.csv",
             )
     _write_manifest(
@@ -409,13 +399,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetFormatError, PartitionError, DegenerateLabelsError) as exc:
+    except (DatasetFormatError, PartitionError, DegenerateLabelsError, OSError) as exc:
         print(f"densecf: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"densecf: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ConfigurationError, CoverageError, ValueError) as exc:
+    except ValueError as exc:  # ConfigurationError, CoverageError, ...
         print(f"densecf: configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:  # pragma: no cover - defensive

@@ -78,6 +78,8 @@ def threshold_correlations(matrix, percentile: float) -> Graph:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DatasetFormatError(f"correlation matrix must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise DatasetFormatError("correlation matrix must hold only finite values")
     if not np.allclose(m, m.T, atol=1e-9):
         raise DatasetFormatError("correlation matrix must be symmetric (tolerance 1e-9)")
     if not 0.0 <= percentile <= 100.0:
@@ -87,7 +89,10 @@ def threshold_correlations(matrix, percentile: float) -> Graph:
     values = m[iu, iv]
     if values.size == 0:
         return Graph(n)
-    threshold = float(np.percentile(values, percentile))
+    with np.errstate(over="ignore", invalid="ignore"):
+        threshold = float(np.percentile(values, percentile))
+    if not np.isfinite(threshold):  # interpolating between neighbours overflowed
+        raise DatasetFormatError("correlation values too far apart to take their percentile")
     edges = [(int(u), int(v)) for u, v in zip(iu, iv) if m[u, v] > threshold]
     return Graph(n, edges)
 
@@ -314,18 +319,7 @@ def load_dataset(path: Path | str) -> GraphDataset:
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DatasetFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise DatasetFormatError(f"{path}: manifest must be a JSON object")
-    if manifest.get("format") != DATASET_FORMAT:
-        raise DatasetFormatError(f"{path}: not a {DATASET_FORMAT} manifest")
-    if manifest.get("version") != DATASET_VERSION:
-        raise DatasetFormatError(f"{path}: unsupported version {manifest.get('version')!r}")
+    manifest = read_versioned_json(path, DATASET_FORMAT, DATASET_VERSION)
     node_ids = manifest.get("node_ids")
     if not isinstance(node_ids, list):
         raise DatasetFormatError(f"{path}: 'node_ids' must be a list")
@@ -357,6 +351,25 @@ def load_dataset(path: Path | str) -> GraphDataset:
     if partition_file:
         partition = load_partition(base / partition_file, node_ids)
     return GraphDataset(len(node_ids), tuple(node_ids), tuple(entries), partition)
+
+
+def read_versioned_json(path: Path | str, fmt: str, version: int) -> dict:
+    """The JSON object in ``path``, checked to carry the given ``format`` and
+    ``version`` keys. Any failure, reading included, is a DatasetFormatError."""
+    path = Path(path)
+    with _open_named(path) as fh:
+        text = fh.read()
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise DatasetFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise DatasetFormatError(f"{path}: must be a JSON object")
+    if payload.get("format") != fmt:
+        raise DatasetFormatError(f"{path}: not a {fmt} file")
+    if payload.get("version") != version:
+        raise DatasetFormatError(f"{path}: unsupported version {payload.get('version')!r}")
+    return payload
 
 
 def _parse_label(gspec: dict, manifest_path: Path) -> int:
@@ -467,7 +480,8 @@ def ingest_correlation_listing(
         fields = reader.fieldnames or []
         if "file" not in fields or "label" not in fields:
             raise DatasetFormatError(f"{listing_path}: header must include file,label")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             try:
                 label = int(row["label"])
             except (TypeError, ValueError):

@@ -21,7 +21,6 @@ from .graph import (
     Edge,
     EditList,
     Graph,
-    UndefinedRatioError,
     adjacency_matrix,
     apply_edits,
     edges_within,
@@ -111,13 +110,11 @@ def _finish(
             distance_ratio=None,
             note=note,
         )
+    if final == original:
+        raise RuntimeError("search reported the unchanged input as a counterfactual")
     if int(oracle.classifier(final)) == original_class:
         raise RuntimeError("search produced a candidate that does not flip the class")
     edits = EditList.between(original, final)
-    try:
-        ratio = edit_distance_ratio(original, final)
-    except UndefinedRatioError:
-        ratio = None
     return CounterfactualResult(
         input_class=original_class,
         found=True,
@@ -126,7 +123,7 @@ def _finish(
         iterations=iterations,
         oracle_calls=calls,
         distance=edits.size,
-        distance_ratio=ratio,
+        distance_ratio=edit_distance_ratio(original, final),
         note=note,
     )
 

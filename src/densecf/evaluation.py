@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -79,9 +79,6 @@ class QuartileSummary:
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.q0, self.q1, self.q2, self.q3, self.q4)
-
-    def to_dict(self) -> dict[str, float]:
-        return {"q0": self.q0, "q1": self.q1, "q2": self.q2, "q3": self.q3, "q4": self.q4}
 
 
 def summarize_distribution(values: Sequence[float]) -> QuartileSummary:
@@ -260,13 +257,11 @@ def build_aggregate_report(summaries: Iterable[MethodRunSummary]) -> dict:
             "attempted": len(summary.records),
             "found": len(found),
             "flip_rate": {"class0": fr0, "class1": fr1},
-            "distance_ratio": summarize_distribution(ratios).to_dict() if ratios else None,
-            "oracle_calls": summarize_distribution(
-                [r.oracle_calls for r in summary.records]
-            ).to_dict(),
-            "iterations": summarize_distribution(
-                [r.iterations for r in summary.records]
-            ).to_dict(),
+            "distance_ratio": asdict(summarize_distribution(ratios)) if ratios else None,
+            "oracle_calls": asdict(
+                summarize_distribution([r.oracle_calls for r in summary.records])
+            ),
+            "iterations": asdict(summarize_distribution([r.iterations for r in summary.records])),
         }
         per_method[summary.method] = entry
     return {

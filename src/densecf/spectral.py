@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import GraphDataset
+from .data import DatasetFormatError, GraphDataset, read_versioned_json
 from .graph import Graph, adjacency_matrix
 
 POSITIVE_EIGENVALUE_TOL = 1e-8
@@ -56,31 +56,18 @@ def positive_laplacian_eigenvalues(g: Graph) -> np.ndarray:
     return eigs[eigs > POSITIVE_EIGENVALUE_TOL]
 
 
-@dataclass(frozen=True)
-class SpectralFeatures:
-    """k smallest positive normalized-Laplacian eigenvalues, ascending.
-
-    When the graph has fewer positive eigenvalues than k, the vector is padded
-    at the end with zeros and ``padded`` is set.
-    """
-
-    values: tuple[float, ...]
-    padded: bool = False
-
-
-def spectral_features(g: Graph, k: int) -> SpectralFeatures:
+def spectral_features(g: Graph, k: int) -> np.ndarray:
+    """The k smallest positive normalized-Laplacian eigenvalues, ascending,
+    zero-padded at the end when the graph has fewer than k."""
     if k <= 0:
         raise ValueError(f"k must be a positive integer, got {k}")
-    positives = positive_laplacian_eigenvalues(g)
-    return SpectralFeatures(
-        values=_features_from_eigenvalues(positives, k), padded=len(positives) < k
-    )
+    return _first_k(positive_laplacian_eigenvalues(g), k)
 
 
-def _features_from_eigenvalues(positives: np.ndarray, k: int) -> tuple[float, ...]:
-    values = [float(x) for x in positives[:k]]
-    values.extend(0.0 for _ in range(k - len(values)))
-    return tuple(values)
+def _first_k(positives: np.ndarray, k: int) -> np.ndarray:
+    out = np.zeros(k)
+    out[: min(k, len(positives))] = positives[:k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,9 +126,12 @@ def knn_predict(model: SFKnnModel, g: Graph) -> int:
     """The model's class for ``g``."""
     if not model.training_features:
         raise UntrainedModelError("model has no training data")
-    query = np.asarray(spectral_features(g, model.n_eigs).values)
     return _predict_from_features(
-        model.training_matrix, model.training_labels, query, model.n_neighbors, model.metric
+        model.training_matrix,
+        model.training_labels,
+        spectral_features(g, model.n_eigs),
+        model.n_neighbors,
+        model.metric,
     )
 
 
@@ -176,19 +166,6 @@ class TrainReport:
     fold_assignment: tuple[int, ...]
     seed: int
     grid_scores: tuple[tuple[int, int, float, float], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-            "n_neighbors": self.n_neighbors,
-            "n_eigs": self.n_eigs,
-            "fold_accuracies": list(self.fold_accuracies),
-            "fold_f1s": list(self.fold_f1s),
-            "fold_assignment": list(self.fold_assignment),
-            "seed": self.seed,
-            "grid_scores": [list(row) for row in self.grid_scores],
-        }
 
 
 def _binary_f1(true: Sequence[int], pred: Sequence[int]) -> float:
@@ -230,45 +207,38 @@ def train_sf_knn(
 
     eigenvalues = [positive_laplacian_eigenvalues(e.graph) for e in dataset]
     features = {
-        k: np.asarray([_features_from_eigenvalues(eigs, k) for eigs in eigenvalues])
-        for k in sorted(set(eig_grid))
+        k: np.asarray([_first_k(eigs, k) for eigs in eigenvalues]) for k in sorted(set(eig_grid))
     }
+    splits = [
+        ([i for i in range(n) if fold_of[i] != fold], [i for i in range(n) if fold_of[i] == fold])
+        for fold in range(folds)
+    ]
+    max_neighbors = min(len(train_idx) for train_idx, _ in splits)
 
-    candidates = []  # (mean_acc, mean_f1, -nn, -k, fold data)
-    grid_scores = []
+    grid = []  # (nn, k, mean_acc, mean_f1, fold_accs, fold_f1s)
     for k in eig_grid:
         feats = features[k]
         for nn in neighbor_grid:
+            if nn > max_neighbors:
+                continue
             fold_accs, fold_f1s = [], []
-            feasible = True
-            for fold in range(folds):
-                train_idx = [i for i in range(n) if fold_of[i] != fold]
-                test_idx = [i for i in range(n) if fold_of[i] == fold]
-                if nn > len(train_idx) or not test_idx:
-                    feasible = False
-                    break
-                train_labels = [labels[i] for i in train_idx]
+            for train_idx, test_idx in splits:
+                train, train_labels = feats[train_idx], [labels[i] for i in train_idx]
                 preds = [
-                    _predict_from_features(
-                        feats[train_idx], train_labels, feats[i], nn, metric
-                    )
+                    _predict_from_features(train, train_labels, feats[i], nn, metric)
                     for i in test_idx
                 ]
                 true = [labels[i] for i in test_idx]
                 fold_accs.append(sum(t == p for t, p in zip(true, preds)) / len(true))
                 fold_f1s.append(_binary_f1(true, preds))
-            if not feasible:
-                continue
-            mean_acc = sum(fold_accs) / folds
-            mean_f1 = sum(fold_f1s) / folds
-            grid_scores.append((nn, k, mean_acc, mean_f1))
-            candidates.append((mean_acc, mean_f1, -nn, -k, fold_accs, fold_f1s))
-    if not candidates:
+            mean_acc, mean_f1 = sum(fold_accs) / folds, sum(fold_f1s) / folds
+            grid.append((nn, k, mean_acc, mean_f1, fold_accs, fold_f1s))
+    if not grid:
         raise ValueError("no feasible grid configuration for this dataset/fold count")
 
-    best = max(candidates, key=lambda c: c[:4])
-    mean_acc, mean_f1, neg_nn, neg_k, fold_accs, fold_f1s = best
-    nn, k = -neg_nn, -neg_k
+    nn, k, mean_acc, mean_f1, fold_accs, fold_f1s = max(
+        grid, key=lambda c: (c[2], c[3], -c[0], -c[1])
+    )
     model = SFKnnModel(
         training_features=tuple(tuple(row) for row in features[k]),
         training_labels=tuple(labels),
@@ -286,7 +256,7 @@ def train_sf_knn(
         fold_f1s=tuple(fold_f1s),
         fold_assignment=tuple(fold_of),
         seed=seed,
-        grid_scores=tuple(grid_scores),
+        grid_scores=tuple(row[:4] for row in grid),
     )
     return model, report
 
@@ -306,20 +276,17 @@ def save_model(model: SFKnnModel, path: Path | str) -> None:
 
 
 def load_model(path: Path | str) -> SFKnnModel:
-    path = Path(path)
+    payload = read_versioned_json(path, MODEL_FORMAT, MODEL_VERSION)
     try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-    if payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    if payload.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported version {payload.get('version')!r}")
-    return SFKnnModel(
-        training_features=tuple(tuple(float(x) for x in row) for row in payload["training_features"]),
-        training_labels=tuple(int(x) for x in payload["training_labels"]),
-        n_neighbors=int(payload["n_neighbors"]),
-        n_eigs=int(payload["n_eigs"]),
-        metric=payload.get("metric", "euclidean"),
-        seed=payload.get("seed"),
-    )
+        return SFKnnModel(
+            training_features=tuple(
+                tuple(float(x) for x in row) for row in payload["training_features"]
+            ),
+            training_labels=tuple(int(x) for x in payload["training_labels"]),
+            n_neighbors=int(payload["n_neighbors"]),
+            n_eigs=int(payload["n_eigs"]),
+            metric=payload.get("metric", "euclidean"),
+            seed=payload.get("seed"),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DatasetFormatError(f"{path}: malformed model ({exc!r})") from exc

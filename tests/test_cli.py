@@ -345,6 +345,53 @@ class TestNonUtf8Input:
         assert "data error" in capsys.readouterr().err
 
 
+class TestMalformedModel:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text[:-3].encode(),
+            lambda text: b"[1, 2]",
+            lambda text: json.dumps(
+                {k: v for k, v in json.loads(text).items() if k != "training_features"}
+            ).encode(),
+            lambda text: text.encode("utf-16"),
+            lambda text: text.replace("densecf-sf-knn", "something-else").encode(),
+        ],
+        ids=["invalid-json", "list", "missing-key", "not-utf8", "wrong-format"],
+    )
+    def test_exits_two(self, synth_dir, trained_dir, tmp_path, corrupt, capsys):
+        path = tmp_path / "model.json"
+        path.write_bytes(corrupt((trained_dir / "model.json").read_text()))
+        code = run(
+            "explain", "--dataset", synth_dir / "manifest.json", "--model", path,
+            "--instance", 0, "--method", "tri", "--out-dir", tmp_path / "x",
+        )
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize(
+        "case", ["out-dir-is-a-file", "out-dir-under-a-file", "dataset-name-too-long"]
+    )
+    def test_exits_two(self, synth_dir, tmp_path, case, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        dataset, out = synth_dir / "manifest.json", tmp_path / "out"
+        if case == "out-dir-is-a-file":
+            out = blocker
+        elif case == "out-dir-under-a-file":
+            out = blocker / "out"
+        else:
+            dataset = "d" * 5000
+        code = run(
+            "explain", "--dataset", dataset, "--whitebox",
+            "--instance", 0, "--method", "tri", "--out-dir", out,
+        )
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "method, flag",

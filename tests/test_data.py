@@ -74,6 +74,21 @@ class TestThresholding:
         with pytest.raises(DatasetFormatError):
             threshold_correlations(np.ones((2, 3)), 50)
 
+    @pytest.mark.parametrize(
+        "offdiag, percentile",
+        [
+            ((np.inf, -np.inf, 0.2), 50),
+            ((np.nan, 0.1, 0.2), 50),
+            ((1.7e308, -1.7e308, 1.7e308), 25),
+        ],
+        ids=["inf", "nan", "overflow"],
+    )
+    def test_rejects_matrix_without_a_finite_threshold(self, offdiag, percentile):
+        # overflow: the 25th percentile lies between -1.7e308 and 1.7e308, whose
+        # difference overflows; the threshold would read -inf and keep every pair
+        with pytest.raises(DatasetFormatError):
+            threshold_correlations(symmetric_matrix(offdiag), percentile)
+
 
 class TestSyntheticGeneration:
     def test_paper_scale_defaults_resolve(self):
@@ -277,4 +292,11 @@ class TestIngest:
         listing = tmp_path / "l.csv"
         listing.write_text("file,label\na.csv,yes\n")
         with pytest.raises(DatasetFormatError):
+            ingest_correlation_listing(listing, percentile=90)
+
+    def test_error_names_the_physical_line(self, tmp_path):
+        self.write_matrix(tmp_path / "m.csv", np.eye(3))
+        listing = tmp_path / "l1.csv"
+        listing.write_text("file,label\n\nm.csv,0\n\nm.csv,3\n")
+        with pytest.raises(DatasetFormatError, match=r"l1\.csv:5:"):
             ingest_correlation_listing(listing, percentile=90)

@@ -466,3 +466,22 @@ class TestRcliSearch:
     def test_partition_must_cover_all_nodes(self):
         with pytest.raises(CoverageError):
             rcli_search(Oracle(lambda h: 0), Graph(6), RegionPartition(("a",) * 5))
+
+
+class TestFinish:
+    """A found result flips the class and differs from the input, so its
+    distance ratio is always defined."""
+
+    def test_unchanged_input_is_rejected_without_a_classifier_call(self):
+        g = Graph(4, [(0, 1), (1, 2)])
+        classify = CountingClassifier(lambda h: h.edge_count % 2)
+        oracle = Oracle(classify)
+        with pytest.raises(RuntimeError, match="unchanged"):
+            density._finish(oracle, g, 0, g, True, 1, 0)
+        assert classify.calls == 0
+
+    def test_candidate_that_does_not_flip_is_rejected(self):
+        g = Graph(4, [(0, 1), (1, 2)])
+        oracle = Oracle(lambda h: 0)
+        with pytest.raises(RuntimeError, match="flip"):
+            density._finish(oracle, g, 0, g.add_edge(2, 3), True, 1, 0)

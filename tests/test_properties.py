@@ -19,19 +19,23 @@ from densecf import (
     Graph,
     GraphDataset,
     RegionPartition,
+    SFKnnModel,
     UndefinedRatioError,
     apply_edits,
     edit_distance_ratio,
     ingest_correlation_listing,
     load_dataset,
+    load_model,
     save_dataset,
     symmetric_difference_distance,
+    threshold_correlations,
     triangle_counts,
 )
 from densecf.cli import EXIT_INTERNAL, main
 from densecf.data import DATASET_FORMAT, DATASET_VERSION, DatasetEntry, load_correlation_matrix
 from densecf.density import triangle_score_lists
 from densecf.graph import adjacency_matrix, edges_within, node_mask, triangles_within
+from densecf.spectral import KNN_METRICS, MODEL_FORMAT, MODEL_VERSION
 
 # Node ids and region names as the dataset formats hold them: one token each,
 # no surrounding whitespace, not starting an edge-list comment.
@@ -249,6 +253,33 @@ def test_any_json_manifest_loads_or_raises_format_error(manifest):
             pass
 
 
+# Model files: the right header over fields that are well formed, ill typed
+# (including non-finite numbers) or missing, or any JSON value at all.
+MODELS = st.fixed_dictionaries(
+    {"format": st.just(MODEL_FORMAT), "version": st.just(MODEL_VERSION)},
+    optional={
+        "n_neighbors": st.integers(-1, 3) | st.floats() | JSON,
+        "n_eigs": st.integers(-1, 3) | st.floats() | JSON,
+        "metric": st.sampled_from(KNN_METRICS) | JSON,
+        "seed": st.integers() | JSON,
+        "training_labels": st.lists(st.sampled_from((0, 1)), max_size=3) | JSON,
+        "training_features": st.lists(st.lists(st.floats(), max_size=3), max_size=3) | JSON,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given((MODELS | JSON).map(json.dumps) | st.text(max_size=12))
+def test_any_json_model_loads_or_raises_format_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            assert isinstance(load_model(path), SFKnnModel)
+        except DatasetFormatError:
+            pass
+
+
 def csv_text(cells):
     return st.lists(st.lists(cells, max_size=4).map(",".join), max_size=4).map("\n".join)
 
@@ -288,6 +319,27 @@ def listings(draw):
         row = [draw(column.get(name, LISTING_CELLS)) for name in header]
         rows.append(row if kind == "full" else row[: draw(st.integers(0, len(row)))])
     return "\n".join(",".join(row) for row in rows)
+
+
+SQUARE_MATRICES = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.floats(), min_size=n * n, max_size=n * n).map(
+        lambda xs: np.array(xs).reshape(n, n)
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SQUARE_MATRICES, st.floats(0, 100))
+def test_any_symmetric_matrix_thresholds_or_raises_format_error(m, percentile):
+    """Values anywhere in float range, inf and nan included: the result is a
+    graph only for a finite matrix, never an edgeless stand-in for one the
+    percentile cannot be taken of (a RuntimeWarning fails the test)."""
+    m = np.triu(m) + np.triu(m, 1).T
+    try:
+        g = threshold_correlations(m, percentile)
+    except DatasetFormatError:
+        return
+    assert np.isfinite(m).all() and g.node_count == len(m)
 
 
 SYMMETRIC_MATRICES = st.sampled_from(["1", "1,0.5\n0.5,1", "1,inf\ninf,1", "0,1,2\n1,0,3\n2,3,0"])

@@ -37,7 +37,7 @@ def whitebox_spec(dataset):
 
 def model_spec(dataset, k=3):
     model = SFKnnModel(
-        training_features=tuple(spectral_features(e.graph, k).values for e in dataset),
+        training_features=tuple(tuple(spectral_features(e.graph, k)) for e in dataset),
         training_labels=dataset.labels,
         n_neighbors=1,
         n_eigs=k,
