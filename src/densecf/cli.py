@@ -28,6 +28,7 @@ from .data import (
     GraphDataset,
     PartitionError,
     SyntheticSpec,
+    dataset_manifest,
     generate_synthetic,
     ingest_correlation_listing,
     load_dataset,
@@ -105,7 +106,7 @@ def _out_dir(args) -> Path:
 
 
 def _dataset_name(path: str) -> str:
-    p = Path(path)
+    p = dataset_manifest(path)
     return p.parent.name if p.name == "manifest.json" else p.stem
 
 
@@ -156,7 +157,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     save_model(model, out / "model.json")
     _write_json(asdict(report), out / "train_report.json")
-    _write_manifest(out, args, [Path(args.dataset)])
+    _write_manifest(out, args, [dataset_manifest(args.dataset)])
     print(
         f"trained sf-knn: accuracy={report.accuracy:.3f} f1={report.f1:.3f} "
         f"n_neighbors={report.n_neighbors} n_eigs={report.n_eigs}"
@@ -223,7 +224,7 @@ def cmd_explain(args) -> int:
                 out / "regions.csv",
             )
     _write_manifest(
-        out, args, [Path(args.dataset), Path(args.model) if args.model else None]
+        out, args, [dataset_manifest(args.dataset), Path(args.model) if args.model else None]
     )
     status = "found" if result.found else "not found"
     print(
@@ -257,7 +258,7 @@ def cmd_benchmark(args) -> int:
     _write_manifest(
         out,
         args,
-        [Path(args.dataset), Path(args.model) if args.model else None],
+        [dataset_manifest(args.dataset), Path(args.model) if args.model else None],
         workers=workers,
     )
     for summary in summaries:

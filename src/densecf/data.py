@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .evaluation import RegionPartition
-from .graph import Graph, edges_within, node_mask, triangles_within
+from .graph import Graph, edges_within, node_mask, triangles_within, within_deltas
 
 DATASET_FORMAT = "densecf-dataset"
 DATASET_VERSION = 1
@@ -243,23 +243,41 @@ def whitebox_classify(g: Graph, s0: Sequence[int] | int, s1: Sequence[int] | int
     Each half is a sequence of node indices or its ``node_mask``. Ties fall
     back to induced edge counts, then to class 0.
     """
-    m0, m1 = node_mask(s0), node_mask(s1)
+    masks = _halves(g, node_mask(s0), node_mask(s1))
+    return _by_counts(tuple((triangles_within(g, m), edges_within(g, m)) for m in masks))
+
+
+def _halves(g: Graph, m0: int, m1: int) -> tuple[int, int]:
     if m0 & m1:
         raise PartitionError("node subsets overlap")
     if m0 | m1 != (1 << g.node_count) - 1:
         raise PartitionError("node subsets must cover all nodes")
-    t0, t1 = triangles_within(g, m0), triangles_within(g, m1)
-    if t0 != t1:
-        return 0 if t0 > t1 else 1
-    e0, e1 = edges_within(g, m0), edges_within(g, m1)
-    if e0 != e1:
-        return 0 if e0 > e1 else 1
-    return 0
+    return m0, m1
+
+
+def _by_counts(counts: tuple[tuple[int, int], ...]) -> int:
+    # (triangles, edges) of each half: the larger pair wins, a full tie is class 0
+    return int(counts[1] > counts[0])
 
 
 def make_whitebox(s0: Sequence[int], s1: Sequence[int]) -> Callable[[Graph], int]:
-    m0, m1 = node_mask(s0), node_mask(s1)
-    return lambda g: whitebox_classify(g, m0, m1)
+    """``whitebox_classify`` over fixed halves, updating its last counts by ``within_deltas``."""
+    masks = node_mask(s0), node_mask(s1)
+    last = None  # (graph, ((t0, e0), (t1, e1))), replaced whole so the rule can be shared
+
+    def classify(g: Graph) -> int:
+        nonlocal last
+        _halves(g, *masks)
+        memo = last
+        deltas = None if memo is None else within_deltas(memo[0], g, masks)
+        if deltas is None:
+            counts = tuple((triangles_within(g, m), edges_within(g, m)) for m in masks)
+        else:
+            counts = tuple((t + dt, e + de) for (t, e), (dt, de) in zip(memo[1], deltas))
+        last = (g, counts)
+        return _by_counts(counts)
+
+    return classify
 
 
 # --- persistence ---------------------------------------------------------
@@ -314,11 +332,15 @@ def _check_node_id(node_id: str) -> None:
         raise DatasetFormatError(f"node id {node_id!r} is not UTF-8 encodable") from exc
 
 
+def dataset_manifest(path: Path | str) -> Path:
+    """The manifest file a dataset path names: itself, or the one in it."""
+    path = Path(path)
+    return path / "manifest.json" if path.is_dir() else path
+
+
 def load_dataset(path: Path | str) -> GraphDataset:
     """Load a dataset from its manifest file (or a directory containing one)."""
-    path = Path(path)
-    if path.is_dir():
-        path = path / "manifest.json"
+    path = dataset_manifest(path)
     manifest = read_versioned_json(path, DATASET_FORMAT, DATASET_VERSION)
     node_ids = manifest.get("node_ids")
     if not isinstance(node_ids, list):

@@ -7,9 +7,9 @@ edit the edge set. Edits return new graphs, so instances can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import index
-from typing import Iterable, Iterator
+from itertools import chain, compress, count
+from operator import index, is_not
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -262,6 +262,36 @@ def edges_within(g: Graph, nodes: int | Iterable[int]) -> int:
     their ``node_mask``)."""
     mask = _within(g, nodes)
     return sum((g._rows[u] & mask).bit_count() for u in _members(mask)) // 2
+
+
+def within_deltas(before: Graph, after: Graph, masks: Sequence[int]) -> list | None:
+    """For each of the disjoint node ``masks``, the change from ``before`` to
+    ``after`` in (triangles within it, edges within it); None when the node
+    counts differ or the graphs differ in at least ``after.edge_count`` pairs."""
+    if before.node_count != after.node_count or not after._edge_count:
+        return None
+    old, new, changed = before._rows, after._rows, []
+    # edits share the int objects of unchanged rows: identity settles most rows
+    for u in compress(count(), map(is_not, old, new)):
+        diff = (old[u] ^ new[u]) >> (u + 1)
+        while diff:
+            low = diff & -diff
+            changed.append((u, u + low.bit_length()))
+            diff ^= low
+        if len(changed) >= after._edge_count:
+            return None
+    rows, deltas = list(old), [(0, 0)] * len(masks)
+    # each toggle of uv within a mask moves that mask's triangles by the
+    # common neighbors of u and v in it, in the graph as it stands then
+    for u, v in changed:
+        for k, mask in enumerate(masks):
+            if mask >> u & mask >> v & 1:
+                sign = 1 if new[u] >> v & 1 else -1
+                t, e = deltas[k]
+                deltas[k] = (t + sign * (rows[u] & rows[v] & mask).bit_count(), e + sign)
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+    return deltas
 
 
 def maximal_cliques_containing(g: Graph, v: int) -> set[frozenset[int]]:

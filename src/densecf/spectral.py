@@ -278,15 +278,22 @@ def save_model(model: SFKnnModel, path: Path | str) -> None:
 def load_model(path: Path | str) -> SFKnnModel:
     payload = read_versioned_json(path, MODEL_FORMAT, MODEL_VERSION)
     try:
+        features = tuple(tuple(row) for row in payload["training_features"])
+        labels, seed = tuple(payload["training_labels"]), payload.get("seed")
+        # JSON numbers load as exactly int or float, and a bool is no int here
+        if any(type(x) is not int for x in (payload["n_neighbors"], payload["n_eigs"], *labels)):
+            raise TypeError("n_neighbors, n_eigs and the labels must be integers")
+        if any(type(x) not in (int, float) for row in features for x in row):
+            raise TypeError("the features must be numbers")
+        if seed is not None and type(seed) is not int:
+            raise TypeError("seed must be an integer or null")
         return SFKnnModel(
-            training_features=tuple(
-                tuple(float(x) for x in row) for row in payload["training_features"]
-            ),
-            training_labels=tuple(int(x) for x in payload["training_labels"]),
-            n_neighbors=int(payload["n_neighbors"]),
-            n_eigs=int(payload["n_eigs"]),
+            training_features=tuple(tuple(float(x) for x in row) for row in features),
+            training_labels=labels,
+            n_neighbors=payload["n_neighbors"],
+            n_eigs=payload["n_eigs"],
             metric=payload.get("metric", "euclidean"),
-            seed=payload.get("seed"),
+            seed=seed,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"{path}: malformed model ({exc!r})") from exc

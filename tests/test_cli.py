@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -345,6 +346,36 @@ class TestNonUtf8Input:
         assert "data error" in capsys.readouterr().err
 
 
+def retyped(*where_and_value):
+    """A corruption setting one model field, or an item of a list field, to a value."""
+    *keys, last, value = where_and_value
+
+    def corrupt(text):
+        payload = json.loads(text)
+        holder = payload
+        for key in keys:
+            holder = holder[key]
+        holder[last] = value
+        return json.dumps(payload).encode()
+
+    return corrupt
+
+
+# a model field of the wrong JSON type, which the loader once coerced
+RETYPED = {
+    "n_neighbors-float": retyped("n_neighbors", 1.9),
+    "n_neighbors-bool": retyped("n_neighbors", True),
+    "n_eigs-string": retyped("n_eigs", "4"),
+    "label-float": retyped("training_labels", 0, 1.7),
+    "label-bool": retyped("training_labels", 0, False),
+    "feature-string": retyped("training_features", 0, 0, "0.5"),
+    "feature-bool": retyped("training_features", 0, 0, True),
+    "seed-list": retyped("seed", [1, 2]),
+    "seed-float": retyped("seed", 1.5),
+    "seed-bool": retyped("seed", True),
+}
+
+
 class TestMalformedModel:
     @pytest.mark.parametrize(
         "corrupt",
@@ -356,8 +387,9 @@ class TestMalformedModel:
             ).encode(),
             lambda text: text.encode("utf-16"),
             lambda text: text.replace("densecf-sf-knn", "something-else").encode(),
+            *RETYPED.values(),
         ],
-        ids=["invalid-json", "list", "missing-key", "not-utf8", "wrong-format"],
+        ids=["invalid-json", "list", "missing-key", "not-utf8", "wrong-format", *RETYPED],
     )
     def test_exits_two(self, synth_dir, trained_dir, tmp_path, corrupt, capsys):
         path = tmp_path / "model.json"
@@ -368,6 +400,34 @@ class TestMalformedModel:
         )
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+
+class TestDatasetDirectory:
+    @pytest.mark.parametrize("command", ["train", "explain", "benchmark"])
+    def test_writes_manifest_hashing_the_dataset_manifest(self, synth_dir, tmp_path, command):
+        out = tmp_path / "out"
+        flags = {
+            "train": ["--folds", 5, "--neighbors", 1, "--eigs", 4],
+            "explain": ["--whitebox", "--instance", 0, "--method", "tri"],
+            "benchmark": ["--whitebox", "--methods", "dat", "--max-iters", 3, "--workers", 1],
+        }[command]
+        assert run(command, "--dataset", synth_dir, *flags, "--out-dir", out) == 0
+        inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+        manifest = synth_dir / "manifest.json"
+        assert inputs == {str(manifest): hashlib.sha256(manifest.read_bytes()).hexdigest()}
+
+    def test_records_name_the_dataset_as_its_manifest_does(self, tmp_path):
+        # a dotted directory name is the dataset's name whole, not its stem
+        data = tmp_path / "synth.v2"
+        assert run("synth", "--nodes", 12, "--num-graphs", 10, "--out-dir", data) == 0
+        outs = [tmp_path / "dir", tmp_path / "file"]
+        for out, dataset in zip(outs, (data, data / "manifest.json")):
+            assert run(
+                "benchmark", "--dataset", dataset, "--whitebox", "--methods", "dat",
+                "--workers", 1, "--out-dir", out,
+            ) == 0
+        records = [(out / "records.csv").read_text() for out in outs]
+        assert records[0] == records[1] and ",synth.v2," in records[0]
 
 
 class TestUnusablePaths:

@@ -1,5 +1,7 @@
 import random
 import statistics
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from densecf import (
     generate_synthetic,
     ingest_correlation_listing,
     load_dataset,
+    make_whitebox,
     node_halves,
     save_dataset,
     threshold_correlations,
@@ -170,6 +173,47 @@ class TestWhitebox:
     def test_partial_cover_rejected(self):
         with pytest.raises(PartitionError):
             whitebox_classify(Graph(4), (0,), (1, 2))
+
+    def test_rule_checks_the_cover_after_classifying(self):
+        rule = make_whitebox((0, 1, 2), (3, 4, 5))
+        assert rule(Graph(6, [(3, 4)])) == 1
+        assert rule(Graph(6, [(3, 4), (0, 1), (1, 2)])) == 0
+        with pytest.raises(PartitionError):
+            rule(Graph(7))
+
+    def test_rule_with_overlapping_halves_raises_on_first_call(self):
+        with pytest.raises(PartitionError):
+            make_whitebox((0, 1, 2), (2, 3, 4, 5))(Graph(6))
+
+    def test_rule_shared_across_threads_equals_the_reference(self):
+        # each thread walks its own edit chain through one rule, so a memo
+        # holding one thread's graph with another's counts gives wrong labels
+        s0, s1 = node_halves(10)
+        rule = make_whitebox(s0, s1)
+        pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+        wrong = []
+
+        def walk(seed):
+            rng = random.Random(seed)
+            g = random_graph(10, 0.5, rng)
+            for _ in range(2000):
+                u, v = rng.choice(pairs)
+                g = g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
+                if rule(g) != whitebox_classify(g, s0, s1):
+                    wrong.append(seed)
+
+        threads = [threading.Thread(target=walk, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
 
 
 class TestPersistence:

@@ -18,6 +18,7 @@ from densecf import (
     EditList,
     Graph,
     GraphDataset,
+    PartitionError,
     RegionPartition,
     SFKnnModel,
     UndefinedRatioError,
@@ -26,15 +27,24 @@ from densecf import (
     ingest_correlation_listing,
     load_dataset,
     load_model,
+    make_whitebox,
     save_dataset,
+    save_model,
     symmetric_difference_distance,
     threshold_correlations,
     triangle_counts,
+    whitebox_classify,
 )
 from densecf.cli import EXIT_INTERNAL, main
 from densecf.data import DATASET_FORMAT, DATASET_VERSION, DatasetEntry, load_correlation_matrix
 from densecf.density import triangle_score_lists
-from densecf.graph import adjacency_matrix, edges_within, node_mask, triangles_within
+from densecf.graph import (
+    adjacency_matrix,
+    edges_within,
+    node_mask,
+    triangles_within,
+    within_deltas,
+)
 from densecf.spectral import KNN_METRICS, MODEL_FORMAT, MODEL_VERSION
 
 # Node ids and region names as the dataset formats hold them: one token each,
@@ -202,6 +212,88 @@ def test_counts_within_a_node_subset_agree_with_brute_force(pair, data):
         assert triangles_within(g, arg) == triangles
 
 
+def toggled(g, pairs):
+    """``g`` with each pair in ``pairs`` flipped, through ``apply_edits`` so
+    that unchanged rows are shared as a search's edits share them."""
+    removals = tuple(p for p in pairs if g.has_edge(*p))
+    return apply_edits(g, EditList(removals, tuple(p for p in pairs if p not in removals)))
+
+
+@st.composite
+def before_after(draw):
+    """Two graphs on 3-12 nodes: unrelated, or 1-3 pairs apart."""
+    n = draw(st.integers(3, 12))
+    before = draw(graphs_on(n))
+    if draw(st.booleans()):
+        return before, draw(graphs_on(n))
+    pairs = st.sampled_from(list(combinations(range(n), 2)))
+    return before, toggled(before, draw(st.sets(pairs, min_size=1, max_size=3)))
+
+
+def disjoint_masks(draw, n, parts):
+    """``parts`` disjoint node masks; a node may lie in none of them."""
+    owner = draw(st.lists(st.integers(-1, parts - 1), min_size=n, max_size=n))
+    return [node_mask(v for v in range(n) if owner[v] == k) for k in range(parts)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(before_after(), st.data())
+def test_within_deltas_equal_the_change_in_counts(pair, data):
+    before, after = pair
+    masks = disjoint_masks(data.draw, after.node_count, data.draw(st.integers(1, 3)))
+    deltas = within_deltas(before, after, masks)
+    recount = symmetric_difference_distance(before, after) >= after.edge_count
+    assert (deltas is None) == recount
+    if deltas is not None:
+        assert deltas == [
+            (
+                triangles_within(after, m) - triangles_within(before, m),
+                edges_within(after, m) - edges_within(before, m),
+            )
+            for m in masks
+        ]
+    assert within_deltas(Graph(after.node_count + 1), after, masks) is None
+
+
+@st.composite
+def graph_walks(draw):
+    """Halves of 3-12 nodes and a sequence of graphs: mostly chains of 1-3
+    edge edits, with unrelated graphs and graphs of another node count."""
+    n = draw(st.integers(3, 12))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    halves = [v for v in range(n) if not side[v]], [v for v in range(n) if side[v]]
+    pairs = st.sampled_from(list(combinations(range(n), 2)))
+    g = draw(graphs_on(n))
+    walk = [g]
+    for _ in range(draw(st.integers(1, 20))):
+        step = draw(st.sampled_from(("edit", "edit", "edit", "unrelated", "other size")))
+        if step == "other size":
+            walk.append(draw(graphs_on(draw(st.integers(0, 12).filter(lambda m: m != n)))))
+            continue
+        if step == "edit":
+            g = toggled(g, draw(st.sets(pairs, min_size=1, max_size=3)))
+        else:
+            g = draw(graphs_on(n))
+        walk.append(g)
+    return halves, walk
+
+
+def outcome(classify, g):
+    try:
+        return classify(g)
+    except PartitionError:
+        return PartitionError
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_walks())
+def test_shared_whitebox_rule_equals_the_reference_along_a_walk(walk):
+    (s0, s1), graphs = walk
+    rule = make_whitebox(s0, s1)
+    for g in graphs:
+        assert outcome(rule, g) == outcome(lambda h: whitebox_classify(h, s0, s1), g)
+
+
 def sorted_triangle_score_lists(g):
     """The sort-based body ``triangle_score_lists`` had before it used argsort."""
     scores = triangle_counts(g)
@@ -268,16 +360,60 @@ MODELS = st.fixed_dictionaries(
 )
 
 
+# A scalar a model field may hold in a file: of the right JSON type or not.
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 3)
+    | st.floats(-1, 3)
+    | st.text(max_size=2)
+    | st.lists(st.integers(0, 2), max_size=2)
+)
+
+
+@st.composite
+def retyped_models(draw):
+    """A well-formed model payload with up to two of its scalars (a count,
+    the seed, a label or a feature) replaced by ``SCALARS``."""
+    n_eigs = draw(st.integers(1, 2))
+    labels = draw(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=3))
+    features = [draw(st.lists(st.floats(0, 2), min_size=n_eigs, max_size=n_eigs)) for _ in labels]
+    payload = {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "n_neighbors": 1,
+        "n_eigs": n_eigs,
+        "metric": "euclidean",
+        "seed": draw(st.none() | st.integers()),
+        "training_labels": labels,
+        "training_features": features,
+    }
+    slots = [(payload, "n_neighbors"), (payload, "n_eigs"), (payload, "seed")]
+    slots += [(labels, i) for i in range(len(labels))]
+    slots += [(row, j) for row in features for j in range(n_eigs)]
+    for holder, key in draw(st.lists(st.sampled_from(slots), max_size=2)):
+        holder[key] = draw(SCALARS)
+    return payload
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given((MODELS | JSON).map(json.dumps) | st.text(max_size=12))
+@given((MODELS | retyped_models() | JSON).map(json.dumps) | st.text(max_size=12))
 def test_any_json_model_loads_or_raises_format_error(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         path.write_text(text, encoding="utf-8")
         try:
-            assert isinstance(load_model(path), SFKnnModel)
+            model = load_model(path)
         except DatasetFormatError:
-            pass
+            return
+        save_model(model, path)
+        saved = json.loads(path.read_text())
+    hash(model)
+    # a model that loads is its file unchanged, up to ints written as
+    # features and the defaults of the optional fields
+    expected = {"metric": "euclidean", "seed": None, **json.loads(text)}
+    expected["training_features"] = [list(map(float, row)) for row in expected["training_features"]]
+    assert json.dumps(saved, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def csv_text(cells):

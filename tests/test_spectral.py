@@ -293,6 +293,9 @@ class TestPersistence:
         assert loaded == model and hash(loaded) == hash(model)
         assert loaded.training_matrix is not model.training_matrix
         assert "training_matrix" not in path.read_text()
+        again = tmp_path / "again.json"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
