@@ -12,10 +12,12 @@ from .baselines import (
     refine_with_backward,
 )
 from .data import (
+    CoverageError,
     DatasetEntry,
     DatasetFormatError,
     GraphDataset,
     PartitionError,
+    RegionPartition,
     SyntheticSpec,
     generate_synthetic,
     ingest_correlation_listing,
@@ -41,12 +43,10 @@ from .density import (
     triangle_score_lists,
 )
 from .evaluation import (
-    CoverageError,
     InstanceRecord,
     MethodRunSummary,
     QuartileSummary,
     RegionChangeSummary,
-    RegionPartition,
     flip_rate,
     region_change_summary,
     summarize_distribution,
@@ -71,7 +71,6 @@ from .spectral import (
     Oracle,
     SFKnnModel,
     TrainReport,
-    UntrainedModelError,
     knn_predict,
     load_model,
     save_model,

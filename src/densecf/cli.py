@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import logging
 import os
 import sys
@@ -27,6 +26,7 @@ from .data import (
     DatasetFormatError,
     GraphDataset,
     PartitionError,
+    RegionPartition,
     SyntheticSpec,
     dataset_manifest,
     generate_synthetic,
@@ -34,10 +34,10 @@ from .data import (
     load_dataset,
     load_partition,
     save_dataset,
+    write_json,
 )
 from .density import RANKING_STRATEGIES, ConfigurationError
 from .evaluation import (
-    RegionPartition,
     build_aggregate_report,
     read_records_csv,
     region_change_summary,
@@ -81,10 +81,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _write_manifest(out_dir: Path, args, inputs: list[Path | None], **resolved) -> None:
     """Record the parsed arguments, with ``resolved`` overriding defaults the
     command worked out, plus input hashes."""
@@ -96,7 +92,7 @@ def _write_manifest(out_dir: Path, args, inputs: list[Path | None], **resolved) 
         "inputs": {str(p): _sha256(p) for p in inputs if p is not None},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _write_json(manifest, out_dir / "run_manifest.json")
+    write_json(manifest, out_dir / "run_manifest.json")
 
 
 def _out_dir(args) -> Path:
@@ -117,8 +113,10 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _load_dataset_and_partition(args) -> tuple[GraphDataset, "RegionPartition | None"]:
+def _load_dataset_and_partition(args) -> tuple[GraphDataset, RegionPartition | None]:
     dataset = load_dataset(args.dataset)
+    if not dataset.entries:
+        raise ConfigurationError(f"dataset {args.dataset} has no graphs")
     partition = dataset.partition
     if getattr(args, "partition", None):
         partition = load_partition(args.partition, dataset.node_ids)
@@ -156,7 +154,7 @@ def cmd_train(args) -> int:
     )
     out = _out_dir(args)
     save_model(model, out / "model.json")
-    _write_json(asdict(report), out / "train_report.json")
+    write_json(asdict(report), out / "train_report.json")
     _write_manifest(out, args, [dataset_manifest(args.dataset)])
     print(
         f"trained sf-knn: accuracy={report.accuracy:.3f} f1={report.f1:.3f} "
@@ -209,9 +207,9 @@ def cmd_explain(args) -> int:
         "note": result.note,
     }
     if args.format in ("both", "json"):
-        _write_json(payload, out / "result.json")
+        write_json(payload, out / "result.json")
     if args.format in ("both", "csv"):
-        with open(out / "edits.csv", "w", newline="") as fh:
+        with open(out / "edits.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(EDITS_CSV_COLUMNS)
             for u, v in result.edits.removals:
@@ -254,7 +252,7 @@ def cmd_benchmark(args) -> int:
     if args.format in ("both", "csv"):
         write_records_csv(summaries, out / "records.csv")
     if args.format in ("both", "json"):
-        _write_json(build_aggregate_report(summaries), out / "aggregates.json")
+        write_json(build_aggregate_report(summaries), out / "aggregates.json")
     _write_manifest(
         out,
         args,
@@ -305,7 +303,7 @@ def cmd_ingest(args) -> int:
 def cmd_report(args) -> int:
     summaries = read_records_csv(args.records)
     out = _out_dir(args)
-    _write_json(build_aggregate_report(summaries), out / "aggregates.json")
+    write_json(build_aggregate_report(summaries), out / "aggregates.json")
     _write_manifest(out, args, [Path(args.records)])
     print(f"aggregated {sum(len(s) for s in summaries)} records from {len(summaries)} runs")
     return EXIT_OK

@@ -2,7 +2,8 @@
 
 Correlation matrices enter here and come out as graphs; synthetic datasets are
 generated with dense subgroups on one half of the node set so that a white-box
-triangle-count rule classifies them perfectly.
+triangle-count rule classifies them perfectly. Below every other module but
+``graph``, it also reads each CSV and writes each JSON file the package uses.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .evaluation import RegionPartition
 from .graph import Graph, edges_within, node_mask, triangles_within, within_deltas
 
 DATASET_FORMAT = "densecf-dataset"
@@ -25,11 +25,39 @@ DATASET_VERSION = 1
 
 
 class DatasetFormatError(ValueError):
-    """A dataset, matrix, or partition file is malformed."""
+    """A dataset, matrix, partition, records or model file is malformed."""
 
 
 class PartitionError(ValueError):
     """Node subsets passed to the white-box rule do not partition the node set."""
+
+
+class CoverageError(ValueError):
+    """A region partition does not cover the full node set."""
+
+
+@dataclass(frozen=True)
+class RegionPartition:
+    """Assignment of every node to a named region (e.g. a brain lobe)."""
+
+    labels: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not self.labels:
+            raise ValueError("partition needs at least one node")
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(sorted(set(self.labels)))
+
+    def nodes_in(self, name: str) -> tuple[int, ...]:
+        return tuple(v for v, label in enumerate(self.labels) if label == name)
+
+    def check_covers(self, node_count: int) -> None:
+        if len(self.labels) != node_count:
+            raise CoverageError(
+                f"partition labels {len(self.labels)} nodes, graph has {node_count}"
+            )
 
 
 @dataclass(frozen=True)
@@ -317,8 +345,13 @@ def save_dataset(dataset: GraphDataset, directory: Path | str) -> Path:
         "partition": partition_file,
     }
     manifest_path = directory / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest, manifest_path)
     return manifest_path
+
+
+def write_json(payload: dict, path: Path | str) -> None:
+    """Write ``payload`` byte-stably: indent 2, sorted keys, trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _check_node_id(node_id: str) -> None:
@@ -421,6 +454,20 @@ def _open_named(path: Path) -> Iterator[TextIO]:
             raise DatasetFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
+def read_csv_rows(path: Path | str) -> Iterator[tuple[int, list[str]]]:
+    """Each nonblank row of a UTF-8 CSV file with the physical line it ends
+    on, so that a quoted field spanning lines does not shift later numbers."""
+    path = Path(path)
+    with _open_named(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+        except csv.Error as exc:
+            raise DatasetFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def _load_edge_list(path: Path, index_of: dict[str, int], node_count: int) -> Graph:
     edges = []
     with _open_named(path) as fh:
@@ -447,17 +494,15 @@ def load_partition(path: Path | str, node_ids: Sequence[str]) -> RegionPartition
     path = Path(path)
     index_of = {node_id: i for i, node_id in enumerate(node_ids)}
     labels: list[str | None] = [None] * len(node_ids)
-    with _open_named(path) as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and row[:2] == ["node_id", "region_name"]:
-                continue
-            if len(row) < 2:
-                raise DatasetFormatError(f"{path}:{lineno}: expected node_id,region_name")
-            node_id, region = row[0].strip(), row[1].strip()
-            if node_id not in index_of:
-                raise DatasetFormatError(f"{path}:{lineno}: unknown node id {node_id!r}")
-            labels[index_of[node_id]] = region
+    for position, (lineno, row) in enumerate(read_csv_rows(path)):
+        if position == 0 and row[:2] == ["node_id", "region_name"]:
+            continue
+        if len(row) < 2:
+            raise DatasetFormatError(f"{path}:{lineno}: expected node_id,region_name")
+        node_id, region = row[0].strip(), row[1].strip()
+        if node_id not in index_of:
+            raise DatasetFormatError(f"{path}:{lineno}: unknown node id {node_id!r}")
+        labels[index_of[node_id]] = region
     missing = [node_ids[i] for i, label in enumerate(labels) if label is None]
     if missing:
         raise DatasetFormatError(f"{path}: no region for nodes {missing[:5]}")
@@ -468,14 +513,11 @@ def load_correlation_matrix(path: Path | str) -> np.ndarray:
     """Read an n x n numeric CSV."""
     path = Path(path)
     rows = []
-    with _open_named(path) as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: non-numeric value ({exc})")
+    for lineno, row in read_csv_rows(path):
+        try:
+            rows.append([float(x) for x in row])
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}:{lineno}: non-numeric value ({exc})")
     if not rows:
         raise DatasetFormatError(f"{path}: empty matrix file")
     width = len(rows[0])
@@ -497,24 +539,23 @@ def ingest_correlation_listing(
     listing_path = Path(listing_path)
     base = listing_path.parent
     entries_raw = []
-    with _open_named(listing_path) as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        if "file" not in fields or "label" not in fields:
-            raise DatasetFormatError(f"{listing_path}: header must include file,label")
-        for row in reader:
-            lineno = reader.line_num
-            try:
-                label = int(row["label"])
-            except (TypeError, ValueError):
-                label = None
-            if label not in (0, 1):
-                raise DatasetFormatError(
-                    f"{listing_path}:{lineno}: label {row['label']!r}, expected 0 or 1"
-                )
-            if not row["file"]:
-                raise DatasetFormatError(f"{listing_path}:{lineno}: no file named")
-            entries_raw.append((row["file"], label, row.get("name") or row["file"]))
+    rows = read_csv_rows(listing_path)
+    _, fields = next(rows, (0, []))
+    if "file" not in fields or "label" not in fields:
+        raise DatasetFormatError(f"{listing_path}: header must include file,label")
+    for lineno, cells in rows:
+        row = dict(zip(fields, cells))  # a short row lacks its last columns
+        try:
+            label = int(row.get("label"))
+        except (TypeError, ValueError):
+            label = None
+        if label not in (0, 1):
+            raise DatasetFormatError(
+                f"{listing_path}:{lineno}: label {row.get('label')!r}, expected 0 or 1"
+            )
+        if not row.get("file"):
+            raise DatasetFormatError(f"{listing_path}:{lineno}: no file named")
+        entries_raw.append((row["file"], label, row.get("name") or row["file"]))
     if not entries_raw:
         raise DatasetFormatError(f"{listing_path}: no graphs listed")
     node_count = None

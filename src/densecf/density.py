@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluation import RegionPartition
+from .data import RegionPartition
 from .graph import (
     Edge,
     EditList,

@@ -3,63 +3,22 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .data import CoverageError, DatasetFormatError, RegionPartition, read_csv_rows
 from .graph import EditList, Graph
-
-RECORDS_CSV_COLUMNS = [
-    "method",
-    "dataset",
-    "instance",
-    "name",
-    "true_label",
-    "predicted_label",
-    "found",
-    "iterations",
-    "oracle_calls",
-    "distance",
-    "distance_ratio",
-]
 
 REGION_CSV_COLUMNS = ["region", "added_pct", "removed_pct"]
 
 REPORT_SCHEMA_VERSION = 1
 
 
-class CoverageError(ValueError):
-    """A region partition does not cover the full node set."""
-
-
 class EmptyDistributionError(ValueError):
     """No values to summarize."""
-
-
-@dataclass(frozen=True)
-class RegionPartition:
-    """Assignment of every node to a named region (e.g. a brain lobe)."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.labels:
-            raise ValueError("partition needs at least one node")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.labels)))
-
-    def nodes_in(self, name: str) -> tuple[int, ...]:
-        return tuple(v for v, label in enumerate(self.labels) if label == name)
-
-    def check_covers(self, node_count: int) -> None:
-        if len(self.labels) != node_count:
-            raise CoverageError(
-                f"partition labels {len(self.labels)} nodes, graph has {node_count}"
-            )
 
 
 @dataclass(frozen=True)
@@ -102,6 +61,22 @@ class InstanceRecord:
     oracle_calls: int
     distance: int
     distance_ratio: float | None
+
+    def __post_init__(self) -> None:
+        if self.true_label not in (0, 1) or self.predicted_label not in (0, 1):
+            raise ValueError("labels must be 0 or 1")
+
+
+# records.csv: one row per InstanceRecord after its method and dataset, each
+# field's cell in the text form of its type, as (write, read) functions.
+_CELL_TEXT = {
+    "int": (str, int),
+    "str": (str, str),
+    "bool": (lambda b: "true" if b else "false", {"true": True, "false": False}.__getitem__),
+    "float | None": (lambda x: "" if x is None else repr(x), lambda s: float(s) if s else None),
+}
+_RECORD_CELLS = {f.name: _CELL_TEXT[f.type] for f in fields(InstanceRecord)}
+RECORDS_CSV_COLUMNS = ["method", "dataset", *_RECORD_CELLS]
 
 
 @dataclass(frozen=True)
@@ -179,61 +154,38 @@ def region_change_summary(
 
 
 def write_records_csv(summaries: Iterable[MethodRunSummary], path: Path | str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORDS_CSV_COLUMNS)
         for summary in summaries:
             for r in summary.records:
-                writer.writerow(
-                    [
-                        summary.method,
-                        summary.dataset,
-                        r.instance,
-                        r.name,
-                        r.true_label,
-                        r.predicted_label,
-                        "true" if r.found else "false",
-                        r.iterations,
-                        r.oracle_calls,
-                        r.distance,
-                        "" if r.distance_ratio is None else repr(r.distance_ratio),
-                    ]
-                )
+                cells = [write(getattr(r, name)) for name, (write, _) in _RECORD_CELLS.items()]
+                writer.writerow([summary.method, summary.dataset, *cells])
 
 
 def read_records_csv(path: Path | str) -> list[MethodRunSummary]:
+    """The runs of a records file, in first-appearance order; any row that
+    does not read back as an InstanceRecord is a DatasetFormatError."""
     groups: dict[tuple[str, str], list[InstanceRecord]] = {}
-    order: list[tuple[str, str]] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in RECORDS_CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"records file missing columns: {missing}")
-        for row in reader:
-            key = (row["method"], row["dataset"])
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(
-                InstanceRecord(
-                    instance=int(row["instance"]),
-                    name=row["name"],
-                    true_label=int(row["true_label"]),
-                    predicted_label=int(row["predicted_label"]),
-                    found=row["found"] == "true",
-                    iterations=int(row["iterations"]),
-                    oracle_calls=int(row["oracle_calls"]),
-                    distance=int(row["distance"]),
-                    distance_ratio=float(row["distance_ratio"]) if row["distance_ratio"] else None,
-                )
-            )
-    return [
-        MethodRunSummary(method=m, dataset=d, records=tuple(groups[(m, d)])) for m, d in order
-    ]
+    rows = read_csv_rows(path)
+    lineno, header = next(rows, (1, []))
+    missing = [c for c in RECORDS_CSV_COLUMNS if c not in header]
+    if missing:
+        raise DatasetFormatError(f"{path}:{lineno}: records file missing columns {missing}")
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise DatasetFormatError(f"{path}:{lineno}: {len(row)} fields, expected {len(header)}")
+        cell = dict(zip(header, row))
+        try:
+            record = InstanceRecord(**{n: read(cell[n]) for n, (_, read) in _RECORD_CELLS.items()})
+        except (KeyError, ValueError) as exc:
+            raise DatasetFormatError(f"{path}:{lineno}: malformed record ({exc!r})") from exc
+        groups.setdefault((cell["method"], cell["dataset"]), []).append(record)
+    return [MethodRunSummary(m, d, tuple(records)) for (m, d), records in groups.items()]
 
 
 def write_region_csv(summary: RegionChangeSummary, path: Path | str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REGION_CSV_COLUMNS)
         for row in summary.rows:

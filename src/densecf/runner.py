@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .baselines import dat_search, edg_search, refine_with_backward
-from .data import GraphDataset, make_whitebox, node_halves
+from .data import GraphDataset, RegionPartition, make_whitebox, node_halves
 from .density import (
     ConfigurationError,
     CounterfactualResult,
@@ -16,7 +16,7 @@ from .density import (
     rcli_search,
     tri_search,
 )
-from .evaluation import InstanceRecord, MethodRunSummary, RegionPartition
+from .evaluation import InstanceRecord, MethodRunSummary
 from .graph import Graph
 from .spectral import Oracle, SFKnnModel, knn_predict
 

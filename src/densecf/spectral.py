@@ -8,7 +8,6 @@ Oracle, which counts each prediction.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import DatasetFormatError, GraphDataset, read_versioned_json
+from .data import DatasetFormatError, GraphDataset, read_versioned_json, write_json
 from .graph import Graph, adjacency_matrix
 
 POSITIVE_EIGENVALUE_TOL = 1e-8
@@ -28,10 +27,6 @@ KNN_METRICS = ("euclidean", "manhattan")
 
 MODEL_FORMAT = "densecf-sf-knn"
 MODEL_VERSION = 1
-
-
-class UntrainedModelError(ValueError):
-    """Prediction requested from a model with no training data."""
 
 
 class DegenerateLabelsError(ValueError):
@@ -46,7 +41,14 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     with np.errstate(divide="ignore"):
         inv_sqrt = 1.0 / np.sqrt(deg)
     inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
-    return np.eye(g.node_count) - (inv_sqrt[:, None] * a) * inv_sqrt[None, :]
+    # eye(n) - (s[:, None] * a) * s[None, :] with the same rounding, computed in
+    # the adjacency array: one n x n allocation per oracle call instead of five
+    a *= inv_sqrt[:, None]
+    a *= inv_sqrt
+    diagonal = 1.0 - a.diagonal()
+    np.subtract(0.0, a, out=a)
+    np.fill_diagonal(a, diagonal)
+    return a
 
 
 def positive_laplacian_eigenvalues(g: Graph) -> np.ndarray:
@@ -75,7 +77,9 @@ class SFKnnModel:
     """KNN classifier over spectral-feature vectors.
 
     Prediction is fully deterministic: neighbors at equal distance are taken
-    in training-index order and a tied vote resolves to class 0.
+    in training-index order and a tied vote resolves to class 0. A model with
+    no training rows or a non-finite feature cannot be built, so any model
+    can predict.
     ``training_matrix`` is ``training_features`` as an array, built once here
     for every prediction; equality, hashing and ``save_model`` ignore it.
     """
@@ -95,7 +99,7 @@ class SFKnnModel:
             raise ValueError("labels must be 0 or 1")
         if self.n_neighbors < 1:
             raise ValueError("n_neighbors must be positive")
-        if self.training_features and self.n_neighbors > len(self.training_features):
+        if self.n_neighbors > len(self.training_features):
             raise ValueError("n_neighbors exceeds training-set size")
         if self.n_eigs < 1:
             raise ValueError("n_eigs must be positive")
@@ -103,7 +107,10 @@ class SFKnnModel:
             raise ValueError(f"metric must be one of {KNN_METRICS}")
         if any(len(f) != self.n_eigs for f in self.training_features):
             raise ValueError("every feature vector must have length n_eigs")
-        object.__setattr__(self, "training_matrix", np.asarray(self.training_features))
+        matrix = np.asarray(self.training_features)
+        if not np.isfinite(matrix).all():
+            raise ValueError("every feature must be finite")
+        object.__setattr__(self, "training_matrix", matrix)
 
 
 def _predict_from_features(
@@ -124,8 +131,6 @@ def _predict_from_features(
 
 def knn_predict(model: SFKnnModel, g: Graph) -> int:
     """The model's class for ``g``."""
-    if not model.training_features:
-        raise UntrainedModelError("model has no training data")
     return _predict_from_features(
         model.training_matrix,
         model.training_labels,
@@ -190,6 +195,8 @@ def train_sf_knn(
     mean F1, then fewer neighbors, then fewer eigenvalues. The returned model
     is refit on the full dataset.
     """
+    if folds < 2:
+        raise ValueError(f"cross-validation needs at least 2 folds, got {folds}")
     n = len(dataset)
     if n < folds:
         raise ValueError(f"dataset has {n} graphs, fewer than {folds} folds")
@@ -272,7 +279,7 @@ def save_model(model: SFKnnModel, path: Path | str) -> None:
         "training_labels": list(model.training_labels),
         "training_features": [list(row) for row in model.training_features],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(payload, path)
 
 
 def load_model(path: Path | str) -> SFKnnModel:

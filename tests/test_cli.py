@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from densecf.cli import main
+from densecf.evaluation import RECORDS_CSV_COLUMNS
+
+RECORDS_HEADER = ",".join(RECORDS_CSV_COLUMNS)
 
 
 def run(*argv):
@@ -100,6 +103,14 @@ class TestTrain:
         assert run(
             "train", "--dataset", tmp_path / "nope" / "manifest.json", "--out-dir", tmp_path,
         ) == 2
+
+    @pytest.mark.parametrize("folds", [0, -1, 1])
+    def test_fewer_than_two_folds_exits_one(self, synth_dir, tmp_path, folds, capsys):
+        assert run(
+            "train", "--dataset", synth_dir, "--folds", folds, "--out-dir", tmp_path / "x",
+        ) == 1
+        assert f"got {folds}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestExplain:
@@ -256,6 +267,27 @@ class TestBenchmarkAndReport:
         assert (outs[0] / "aggregates.json").read_bytes() == (outs[1] / "aggregates.json").read_bytes()
 
 
+class TestEmptyDataset:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["benchmark", "--methods", "dat", "--workers", 1],
+            ["explain", "--instance", 0, "--method", "dat"],
+        ],
+        ids=["benchmark", "explain"],
+    )
+    def test_exits_one_before_writing(self, tmp_path, flags, capsys):
+        from densecf import GraphDataset, save_dataset
+
+        save_dataset(GraphDataset(4, tuple("abcd"), ()), tmp_path / "empty")
+        command, *rest = flags
+        out = tmp_path / "out"
+        code = run(command, "--dataset", tmp_path / "empty", "--whitebox", *rest, "--out-dir", out)
+        assert code == 1
+        assert "has no graphs" in capsys.readouterr().err
+        assert not out.exists()  # so no records.csv either
+
+
 class TestIngestCommand:
     def test_ingest_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -319,6 +351,42 @@ class TestMalformedManifest:
         assert "data error" in capsys.readouterr().err
 
 
+GOOD_RECORD = "tri,d,0,g,0,0,true,1,2,1,0.5"
+BAD_RECORDS = {
+    "short-row": "tri,d,0,g,0,0,true",
+    "instance-not-int": GOOD_RECORD.replace("tri,d,0,", "tri,d,zero,"),
+    "found-not-bool": GOOD_RECORD.replace("true", "maybe"),
+    "label-out-of-range": GOOD_RECORD.replace(",0,0,true", ",0,7,true"),
+}
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize(
+        "content",
+        [
+            *(f"{RECORDS_HEADER}\n{GOOD_RECORD}\n{r}\n".encode() for r in BAD_RECORDS.values()),
+            f"{RECORDS_HEADER.replace(',found', '')}\n{GOOD_RECORD}\n".encode(),
+            f"{RECORDS_HEADER}\n{GOOD_RECORD}\n".encode("utf-16"),
+        ],
+        ids=[*BAD_RECORDS, "missing-column", "not-utf8"],
+    )
+    def test_exits_two(self, tmp_path, content, capsys):
+        path = tmp_path / "records.csv"
+        path.write_bytes(content)
+        assert run("report", "--records", path, "--out-dir", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(path) in err
+        assert not (tmp_path / "x").exists()
+
+    def test_row_error_names_its_line(self, tmp_path, capsys):
+        # the name spans lines 2-3 and line 4 is blank: the short row is line 5
+        two_line_name = GOOD_RECORD.replace(",g,", ',"a\nb",')
+        path = tmp_path / "records.csv"
+        path.write_text("\n".join([RECORDS_HEADER, two_line_name, "", BAD_RECORDS["short-row"]]))
+        assert run("report", "--records", path, "--out-dir", tmp_path / "x") == 2
+        assert f"{path}:5:" in capsys.readouterr().err
+
+
 class TestNonUtf8Input:
     @pytest.mark.parametrize("named", ["graph", "partition", "manifest"])
     def test_exits_two(self, tmp_path, named, capsys):
@@ -376,6 +444,20 @@ RETYPED = {
 }
 
 
+def untrained(text):
+    payload = json.loads(text)
+    payload["training_features"], payload["training_labels"] = [], []
+    return json.dumps(payload).encode()
+
+
+# a well-typed model that SFKnnModel cannot be: features not finite, or none
+INVALID = {
+    "feature-nan": retyped("training_features", 0, 0, float("nan")),
+    "feature-inf": retyped("training_features", 1, 0, float("inf")),
+    "no-training-rows": untrained,
+}
+
+
 class TestMalformedModel:
     @pytest.mark.parametrize(
         "corrupt",
@@ -388,8 +470,11 @@ class TestMalformedModel:
             lambda text: text.encode("utf-16"),
             lambda text: text.replace("densecf-sf-knn", "something-else").encode(),
             *RETYPED.values(),
+            *INVALID.values(),
         ],
-        ids=["invalid-json", "list", "missing-key", "not-utf8", "wrong-format", *RETYPED],
+        ids=[
+            "invalid-json", "list", "missing-key", "not-utf8", "wrong-format", *RETYPED, *INVALID,
+        ],
     )
     def test_exits_two(self, synth_dir, trained_dir, tmp_path, corrupt, capsys):
         path = tmp_path / "model.json"

@@ -23,7 +23,7 @@ from densecf import (
     triangle_counts,
     whitebox_classify,
 )
-from densecf.data import DatasetEntry, load_partition
+from densecf.data import DatasetEntry, load_correlation_matrix, load_partition
 
 from conftest import random_graph
 
@@ -344,3 +344,20 @@ class TestIngest:
         listing.write_text("file,label\n\nm.csv,0\n\nm.csv,3\n")
         with pytest.raises(DatasetFormatError, match=r"l1\.csv:5:"):
             ingest_correlation_listing(listing, percentile=90)
+
+    @pytest.mark.parametrize(
+        "text, read",
+        [
+            # a region name spans lines 2-3, so the bad row is line 4
+            ('node_id,region_name\na,"left\nside"\nb\n', lambda p: load_partition(p, "ab")),
+            # a first cell spans lines 1-2, so the bad value is on line 3
+            ('"1\n",0\n0,x\n', load_correlation_matrix),
+        ],
+        ids=["partition", "matrix"],
+    )
+    def test_csv_errors_name_the_physical_line(self, tmp_path, text, read):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        line = text.count("\n")
+        with pytest.raises(DatasetFormatError, match=rf"f\.csv:{line}:"):
+            read(path)

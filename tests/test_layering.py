@@ -1,0 +1,44 @@
+"""The package's import layering, read from the source with ``ast``: ``data``
+is the bottom file layer above ``graph``, and no two modules import each
+other, directly or through others."""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+import densecf
+
+PACKAGE = Path(densecf.__file__).parent
+
+
+def package_imports() -> dict[str, set[str]]:
+    """For each module of the package, the package modules it imports; a
+    ``from . import name`` of a non-module name imports ``__init__``."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for name in modules:
+        found = set()
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    found.add(node.module.split(".")[0])
+                else:
+                    found |= {a.name if a.name in modules else "__init__" for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("densecf"):
+                found.add(node.module.partition(".")[2] or "__init__")
+            elif isinstance(node, ast.Import):
+                found |= {a.name[8:] for a in node.names if a.name.startswith("densecf.")}
+        graph[name] = found
+    return graph
+
+
+def test_data_imports_only_graph_from_the_package():
+    assert package_imports()["data"] == {"graph"}
+
+
+def test_package_imports_have_no_cycle():
+    try:
+        order = list(TopologicalSorter(package_imports()).static_order())
+    except CycleError as exc:
+        raise AssertionError(f"import cycle: {exc.args[1]}") from None
+    assert order.index("graph") < order.index("data") < order.index("evaluation")

@@ -18,6 +18,8 @@ from densecf import (
     EditList,
     Graph,
     GraphDataset,
+    InstanceRecord,
+    MethodRunSummary,
     PartitionError,
     RegionPartition,
     SFKnnModel,
@@ -38,6 +40,7 @@ from densecf import (
 from densecf.cli import EXIT_INTERNAL, main
 from densecf.data import DATASET_FORMAT, DATASET_VERSION, DatasetEntry, load_correlation_matrix
 from densecf.density import triangle_score_lists
+from densecf.evaluation import RECORDS_CSV_COLUMNS, read_records_csv, write_records_csv
 from densecf.graph import (
     adjacency_matrix,
     edges_within,
@@ -373,11 +376,13 @@ SCALARS = (
 
 @st.composite
 def retyped_models(draw):
-    """A well-formed model payload with up to two of its scalars (a count,
-    the seed, a label or a feature) replaced by ``SCALARS``."""
+    """A well-typed model payload, perhaps with no training rows or with
+    non-finite features, with up to two of its scalars (a count, the seed, a
+    label or a feature) replaced by ``SCALARS``."""
     n_eigs = draw(st.integers(1, 2))
-    labels = draw(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=3))
-    features = [draw(st.lists(st.floats(0, 2), min_size=n_eigs, max_size=n_eigs)) for _ in labels]
+    labels = draw(st.lists(st.sampled_from((0, 1)), max_size=3))
+    feature = st.floats(0, 2) | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    features = [draw(st.lists(feature, min_size=n_eigs, max_size=n_eigs)) for _ in labels]
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -409,11 +414,80 @@ def test_any_json_model_loads_or_raises_format_error(text):
         save_model(model, path)
         saved = json.loads(path.read_text())
     hash(model)
+    assert model.training_features and np.isfinite(model.training_matrix).all()
     # a model that loads is its file unchanged, up to ints written as
     # features and the defaults of the optional fields
     expected = {"metric": "euclidean", "seed": None, **json.loads(text)}
     expected["training_features"] = [list(map(float, row)) for row in expected["training_features"]]
     assert json.dumps(saved, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+# Names as records.csv must carry them: with commas, quotes, line breaks and
+# non-ASCII text among any other characters that UTF-8 can encode.
+NAMES = st.text(
+    st.sampled_from(',"\n\r\u00e9\u540d') | st.characters(blacklist_categories=("Cs",))
+)
+RECORDS = st.builds(
+    InstanceRecord,
+    instance=st.integers(),
+    name=NAMES,
+    true_label=st.sampled_from((0, 1)),
+    predicted_label=st.sampled_from((0, 1)),
+    found=st.booleans(),
+    iterations=st.integers(),
+    oracle_calls=st.integers(),
+    distance=st.integers(),
+    distance_ratio=st.none() | st.floats(allow_nan=False),
+)
+RUNS = st.dictionaries(
+    st.tuples(NAMES, NAMES), st.lists(RECORDS, min_size=1, max_size=3), max_size=3
+).map(lambda runs: [MethodRunSummary(m, d, tuple(rs)) for (m, d), rs in runs.items()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(RUNS)
+def test_records_csv_round_trip(summaries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        write_records_csv(summaries, path)
+        assert read_records_csv(path) == summaries
+
+
+# A good cell for each records column, and cells wrong for most of them.
+GOOD_CELLS = dict(zip(RECORDS_CSV_COLUMNS, "tri,d,0,g,0,1,true,1,2,1,0.5".split(",")))
+RECORD_CELLS = st.text(max_size=3) | st.sampled_from(
+    ["1", "7", "-1", "false", "maybe", "", "nan", '"a\nb"']
+)
+
+
+@st.composite
+def records_texts(draw):
+    """A header of records columns, in any order or some of them, then rows
+    of about its width, each cell right for its column more often than not."""
+    columns = st.sampled_from(RECORDS_CSV_COLUMNS)
+    header = draw(st.permutations(RECORDS_CSV_COLUMNS) | st.lists(columns))
+    rows = [header]
+    for _ in range(draw(st.integers(0, 3))):
+        row = [draw(st.just(GOOD_CELLS[name]) | RECORD_CELLS) for name in header]
+        rows.append(row[: draw(st.sampled_from([len(row), len(row), len(row) - 1]))])
+    return "\n".join(",".join(row) for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records_texts().map(str.encode) | st.text().map(str.encode) | st.binary(max_size=24))
+def test_any_records_csv_reads_or_raises_format_error(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        path.write_bytes(content)
+        try:
+            summaries = read_records_csv(path)
+        except DatasetFormatError:
+            return
+        # what reads is written back in one text, which reads back the same
+        write_records_csv(summaries, path)
+        written = path.read_bytes()
+        write_records_csv(read_records_csv(path), path)
+        assert path.read_bytes() == written
 
 
 def csv_text(cells):

@@ -10,7 +10,6 @@ from densecf import (
     GraphDataset,
     Oracle,
     SFKnnModel,
-    UntrainedModelError,
     knn_predict,
     load_model,
     save_model,
@@ -18,6 +17,7 @@ from densecf import (
     train_sf_knn,
 )
 from densecf.data import DatasetEntry
+from densecf.graph import adjacency_matrix
 from densecf.spectral import POSITIVE_EIGENVALUE_TOL, normalized_laplacian
 
 from conftest import random_graph
@@ -73,6 +73,17 @@ class TestSpectralFeatures:
             got = spectral_features(g, k)
             expected = independent_spectral_oracle(g, k)
             assert got == pytest.approx(expected, abs=1e-8)
+
+    def test_laplacian_equals_the_matrix_expression_bit_for_bit(self):
+        rng = random.Random(41)
+        for n in (1, 2, 15, 116):
+            g = random_graph(n, rng.uniform(0.0, 0.9), rng)
+            a = adjacency_matrix(g)
+            with np.errstate(divide="ignore"):
+                s = 1.0 / np.sqrt(a.sum(axis=1))
+            s[~np.isfinite(s)] = 0.0
+            expected = np.eye(n) - (s[:, None] * a) * s[None, :]
+            assert normalized_laplacian(g).tobytes() == expected.tobytes()
 
     def test_eigenvalues_in_zero_two_range(self):
         rng = random.Random(37)
@@ -148,9 +159,9 @@ class TestKnnPredict:
                 assert knn_predict(model, q) == expected
 
     def test_empty_model_raises(self):
-        model = SFKnnModel((), (), n_neighbors=1, n_eigs=4)
-        with pytest.raises(UntrainedModelError):
-            knn_predict(model, Graph(3))
+        # a model without training rows cannot be built, so none can predict
+        with pytest.raises(ValueError, match="training-set size"):
+            SFKnnModel((), (), n_neighbors=1, n_eigs=4)
 
     def test_training_order_invariance_given_tie_breaks(self):
         rng = random.Random(61)
