@@ -53,13 +53,9 @@ def edg_search(
         iterations += 1
         if oracle.predict(current) != y0:
             found = True
+            current = backward_search(oracle, g, current, input_class=y0, candidate_class=1 - y0)
             break
-    if found:
-        refined = backward_search(
-            oracle, g, current, input_class=y0, candidate_class=1 - y0
-        )
-        return _finish(oracle, g, y0, refined, True, iterations, calls_before)
-    return _finish(oracle, g, y0, current, False, iterations, calls_before)
+    return _finish(oracle, g, y0, current, found, iterations, calls_before)
 
 
 def dat_search(oracle: Oracle, g: Graph, dataset: GraphDataset) -> CounterfactualResult:

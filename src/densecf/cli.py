@@ -12,7 +12,6 @@ Set DENSECF_LOG to control logging verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import logging
 import os
@@ -34,6 +33,7 @@ from .data import (
     load_dataset,
     load_partition,
     save_dataset,
+    write_csv_rows,
     write_json,
 )
 from .density import RANKING_STRATEGIES, ConfigurationError
@@ -209,13 +209,11 @@ def cmd_explain(args) -> int:
     if args.format in ("both", "json"):
         write_json(payload, out / "result.json")
     if args.format in ("both", "csv"):
-        with open(out / "edits.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EDITS_CSV_COLUMNS)
-            for u, v in result.edits.removals:
-                writer.writerow(["remove", ids[u], ids[v]])
-            for u, v in result.edits.additions:
-                writer.writerow(["add", ids[u], ids[v]])
+        rows = [
+            *(["remove", ids[u], ids[v]] for u, v in result.edits.removals),
+            *(["add", ids[u], ids[v]] for u, v in result.edits.additions),
+        ]
+        write_csv_rows(out / "edits.csv", EDITS_CSV_COLUMNS, rows)
         if partition is not None and result.found:
             write_region_csv(
                 region_change_summary(entry.graph, result.counterfactual, partition),

@@ -14,7 +14,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -167,6 +167,8 @@ class SyntheticSpec:
             raise ValueError("subgroup_size must be at least 3 to plant cliques")
         if self.subgroups_per_class * self.subgroup_size > self.node_count // 2:
             raise ValueError("subgroups do not fit in half of the node set")
+        if self.cliques_per_graph < 0:
+            raise ValueError("cliques_per_graph must be non-negative")
         if self.attachment < 1:
             raise ValueError("attachment must be positive")
         if self.extra_edges < 0:
@@ -332,11 +334,11 @@ def save_dataset(dataset: GraphDataset, directory: Path | str) -> Path:
     partition_file = None
     if dataset.partition is not None:
         partition_file = "partition.csv"
-        with open(directory / partition_file, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node_id", "region_name"])
-            for v, node_id in enumerate(dataset.node_ids):
-                writer.writerow([node_id, dataset.partition.labels[v]])
+        write_csv_rows(
+            directory / partition_file,
+            ["node_id", "region_name"],
+            zip(dataset.node_ids, dataset.partition.labels),
+        )
     manifest = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
@@ -359,10 +361,17 @@ def _check_node_id(node_id: str) -> None:
     starts a comment, splits on whitespace, or has no UTF-8 encoding."""
     if not node_id or node_id.startswith("#") or any(ch.isspace() for ch in node_id):
         raise DatasetFormatError(f"node id {node_id!r} cannot be written to an edge list")
+    _check_utf8(node_id, "node id")
+
+
+def _check_utf8(text: str, what: str) -> str:
+    """``text``, unless UTF-8 cannot encode it (a lone surrogate, as JSON's
+    ``"\\ud800"`` loads); no output file could then hold it."""
     try:
-        node_id.encode("utf-8")
+        text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise DatasetFormatError(f"node id {node_id!r} is not UTF-8 encodable") from exc
+        raise DatasetFormatError(f"{what} {text!r} is not UTF-8 encodable") from exc
+    return text
 
 
 def dataset_manifest(path: Path | str) -> Path:
@@ -378,7 +387,7 @@ def load_dataset(path: Path | str) -> GraphDataset:
     node_ids = manifest.get("node_ids")
     if not isinstance(node_ids, list):
         raise DatasetFormatError(f"{path}: 'node_ids' must be a list")
-    node_ids = [str(x) for x in node_ids]
+    node_ids = [_check_utf8(str(x), f"{path}: node id") for x in node_ids]
     index_of = {node_id: i for i, node_id in enumerate(node_ids)}
     if len(index_of) != len(node_ids):
         raise DatasetFormatError(f"{path}: duplicate node ids")
@@ -396,7 +405,7 @@ def load_dataset(path: Path | str) -> GraphDataset:
             DatasetEntry(
                 graph=_load_edge_list(base / gspec["file"], index_of, len(node_ids)),
                 label=_parse_label(gspec, path),
-                name=str(gspec.get("name", gspec["file"])),
+                name=_check_utf8(str(gspec.get("name", gspec["file"])), f"{path}: graph name"),
             )
         )
     partition_file = manifest.get("partition")
@@ -466,6 +475,15 @@ def read_csv_rows(path: Path | str) -> Iterator[tuple[int, list[str]]]:
                     yield reader.line_num, row
         except csv.Error as exc:
             raise DatasetFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def write_csv_rows(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` then ``rows`` as UTF-8 CSV in the default dialect,
+    the mirror of ``read_csv_rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _load_edge_list(path: Path, index_of: dict[str, int], node_count: int) -> Graph:

@@ -27,7 +27,6 @@ from .graph import (
     edit_distance_ratio,
     eigenvector_centrality,
     maximal_cliques_containing,
-    symmetric_difference_distance,
     triangle_counts,
     two_hop_neighborhood,
 )
@@ -98,32 +97,23 @@ def _finish(
     note: str | None = None,
 ) -> CounterfactualResult:
     calls = oracle.call_count - calls_before
-    if not found:
-        return CounterfactualResult(
-            input_class=original_class,
-            found=False,
-            counterfactual=None,
-            edits=EditList.empty(),
-            iterations=iterations,
-            oracle_calls=calls,
-            distance=0,
-            distance_ratio=None,
-            note=note,
-        )
-    if final == original:
-        raise RuntimeError("search reported the unchanged input as a counterfactual")
-    if int(oracle.classifier(final)) == original_class:
-        raise RuntimeError("search produced a candidate that does not flip the class")
-    edits = EditList.between(original, final)
+    edits, counterfactual, ratio = EditList.empty(), None, None
+    if found:
+        if final == original:
+            raise RuntimeError("search reported the unchanged input as a counterfactual")
+        if int(oracle.classifier(final)) == original_class:
+            raise RuntimeError("search produced a candidate that does not flip the class")
+        edits = EditList.between(original, final)
+        counterfactual, ratio = final, edit_distance_ratio(original, final)
     return CounterfactualResult(
         input_class=original_class,
-        found=True,
-        counterfactual=final,
+        found=found,
+        counterfactual=counterfactual,
         edits=edits,
         iterations=iterations,
         oracle_calls=calls,
         distance=edits.size,
-        distance_ratio=edit_distance_ratio(original, final),
+        distance_ratio=ratio,
         note=note,
     )
 
@@ -202,11 +192,10 @@ def rank_nodes_regional(g: Graph, partition: RegionPartition) -> tuple[int, ...]
     partition.check_covers(g.node_count)
     tri = triangle_counts(g)
     density = {name: edges_within(g, partition.nodes_in(name)) for name in partition.names}
-    region_order = sorted(partition.names, key=lambda name: (-density[name], name))
-    order: list[int] = []
-    for name in region_order:
-        order.extend(sorted(partition.nodes_in(name), key=lambda v: (-tri[v], v)))
-    return tuple(order)
+    region = partition.labels
+    return tuple(
+        sorted(range(g.node_count), key=lambda v: (-density[region[v]], region[v], -tri[v], v))
+    )
 
 
 @dataclass
@@ -228,10 +217,6 @@ class CliqueBookkeeping:
         return cls(removed=[], usage=[0] * node_count)
 
 
-def _clique_sort_key(clique: frozenset[int]) -> tuple[int, tuple[int, ...]]:
-    return (-len(clique), tuple(sorted(clique)))
-
-
 def sparsify_cli(
     g_orig: Graph, g_cur: Graph, n: int, book: CliqueBookkeeping
 ) -> tuple[Graph, frozenset[int]]:
@@ -239,26 +224,27 @@ def sparsify_cli(
 
     Cliques are enumerated in the ORIGINAL graph, so edges already dropped in
     earlier iterations may be gone; only still-present edges are removed. The
-    first call takes the largest clique; afterwards, the clique with the
-    lowest maximum overlap against previously removed ones (ties: larger
-    clique, then lexicographically smallest node set).
+    chosen clique minimizes (largest overlap with any previously removed
+    clique, 0 with none; minus its size; its sorted nodes): the least
+    overlapping, then the largest, then the lexicographically smallest. With
+    no history every overlap is 0, so the first call takes the largest clique.
     """
-    cliques = maximal_cliques_containing(g_orig, n)
-    if not book.removed:
-        chosen = min(cliques, key=_clique_sort_key)
-    else:
-        def overlap(c: frozenset[int]) -> int:
-            return max(len(c & removed) for removed in book.removed)
-
-        chosen = min(cliques, key=lambda c: (overlap(c),) + _clique_sort_key(c))
+    chosen = min(
+        maximal_cliques_containing(g_orig, n),
+        key=lambda c: (
+            max((len(c & removed) for removed in book.removed), default=0),
+            -len(c),
+            sorted(c),
+        ),
+    )
     still_present = tuple(
-        sorted(edge for edge in combinations(sorted(chosen), 2) if g_cur.has_edge(*edge))
+        edge for edge in combinations(sorted(chosen), 2) if g_cur.has_edge(*edge)
     )
     updated = apply_edits(g_cur, EditList(removals=still_present, additions=()))
-    book.removed.append(frozenset(chosen))
+    book.removed.append(chosen)
     for v in chosen:
         book.usage[v] += 1
-    return updated, frozenset(chosen)
+    return updated, chosen
 
 
 def densify_cli(
@@ -288,11 +274,7 @@ def densify_cli(
     )
     chosen = (near + far)[:s]
     additions = tuple(
-        sorted(
-            edge
-            for edge in combinations(sorted(chosen), 2)
-            if not g_cur.has_edge(*edge)
-        )
+        edge for edge in combinations(sorted(chosen), 2) if not g_cur.has_edge(*edge)
     )
     updated = apply_edits(g_cur, EditList(removals=(), additions=additions))
     for v in chosen:
@@ -351,28 +333,24 @@ def cli_search(
     i = 0
     while i < min(max_iterations, len(order) // 2):
         n_dense, n_sparse = order[i], order[-1 - i]
-        before = current
+        # sparsify only removes edges and densify only adds them, so each
+        # step's edit size is its change in edge count
+        edge_count = current.edge_count
         current, removed_clique = sparsify_cli(g, current, n_dense, book)
         i += 1
-        edges_removed = symmetric_difference_distance(before, current)
+        edges_removed = edge_count - current.edge_count
         added_cliques: list[frozenset[int]] = []
         edges_added = 0
-        if oracle.predict(current) != y0:
-            found = True
-        else:
-            while edges_added < edges_removed:
-                size = _clique_size_within(edges_removed - edges_added)
-                updated, added_clique = densify_cli(current, n_sparse, book, size)
-                round_added = symmetric_difference_distance(current, updated)
-                current = updated
-                if added_clique:
-                    added_cliques.append(added_clique)
-                edges_added += round_added
-                if round_added == 0:
-                    break  # chosen region is saturated; class of current is already known
-                if oracle.predict(current) != y0:
-                    found = True
-                    break
+        found = oracle.predict(current) != y0
+        while not found and edges_added < edges_removed:
+            size = _clique_size_within(edges_removed - edges_added)
+            edge_count = current.edge_count
+            current, added_clique = densify_cli(current, n_sparse, book, size)
+            added_cliques.append(added_clique)
+            if current.edge_count == edge_count:
+                break  # chosen region is saturated; class of current is already known
+            edges_added += current.edge_count - edge_count
+            found = oracle.predict(current) != y0
         if trace is not None:
             trace.append(
                 CliIteration(

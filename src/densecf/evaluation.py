@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import CoverageError, DatasetFormatError, RegionPartition, read_csv_rows
+from .data import CoverageError, DatasetFormatError, RegionPartition, read_csv_rows, write_csv_rows
 from .graph import EditList, Graph
 
 REGION_CSV_COLUMNS = ["region", "added_pct", "removed_pct"]
@@ -154,13 +153,13 @@ def region_change_summary(
 
 
 def write_records_csv(summaries: Iterable[MethodRunSummary], path: Path | str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORDS_CSV_COLUMNS)
-        for summary in summaries:
-            for r in summary.records:
-                cells = [write(getattr(r, name)) for name, (write, _) in _RECORD_CELLS.items()]
-                writer.writerow([summary.method, summary.dataset, *cells])
+    columns = _RECORD_CELLS.items()
+    rows = (
+        [s.method, s.dataset, *(write(getattr(r, name)) for name, (write, _) in columns)]
+        for s in summaries
+        for r in s.records
+    )
+    write_csv_rows(path, RECORDS_CSV_COLUMNS, rows)
 
 
 def read_records_csv(path: Path | str) -> list[MethodRunSummary]:
@@ -185,11 +184,8 @@ def read_records_csv(path: Path | str) -> list[MethodRunSummary]:
 
 
 def write_region_csv(summary: RegionChangeSummary, path: Path | str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REGION_CSV_COLUMNS)
-        for row in summary.rows:
-            writer.writerow([row.region, repr(row.added_pct), repr(row.removed_pct)])
+    rows = ([row.region, repr(row.added_pct), repr(row.removed_pct)] for row in summary.rows)
+    write_csv_rows(path, REGION_CSV_COLUMNS, rows)
 
 
 def build_aggregate_report(summaries: Iterable[MethodRunSummary]) -> dict:

@@ -130,22 +130,18 @@ def run_instance(
     )
 
 
-_WORKER_CTX: dict | None = None
+_WORKER_CTX: tuple | None = None  # (oracle spec, dataset, partition, options) in a pool worker
 
 
-def _init_worker(ctx: dict) -> None:
+def _init_worker(*ctx) -> None:
     global _WORKER_CTX
     _WORKER_CTX = ctx
 
 
-def _run_task(task: tuple[str, int]) -> tuple[str, int, InstanceRecord]:
+def _run_task(task: tuple[str, int]) -> InstanceRecord:
+    oracle_spec, dataset, partition, options = _WORKER_CTX
     method, index = task
-    ctx = _WORKER_CTX
-    oracle = ctx["oracle_spec"].build()  # fresh counter per search
-    record = run_instance(
-        method, index, oracle, ctx["dataset"], ctx["partition"], ctx["options"]
-    )
-    return method, index, record
+    return run_instance(method, index, oracle_spec.build(), dataset, partition, options)
 
 
 def run_benchmark(
@@ -166,30 +162,16 @@ def run_benchmark(
     options = options or RunOptions()
     for method in methods:
         _resolve_method(method, True, partition is not None)
-    ctx = {
-        "oracle_spec": oracle_spec,
-        "dataset": dataset,
-        "partition": partition,
-        "options": options,
-    }
     tasks = [(method, index) for method in methods for index in range(len(dataset))]
-    results: dict[tuple[str, int], InstanceRecord] = {}
     if workers <= 1:
-        _init_worker(ctx)
-        for task in tasks:
-            method, index, record = _run_task(task)
-            results[(method, index)] = record
+        build = oracle_spec.build  # a fresh counter per search
+        records = [run_instance(m, i, build(), dataset, partition, options) for m, i in tasks]
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(ctx,)
-        ) as pool:
-            for method, index, record in pool.map(_run_task, tasks, chunksize=4):
-                results[(method, index)] = record
+        ctx = (oracle_spec, dataset, partition, options)
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=ctx) as pool:
+            records = list(pool.map(_run_task, tasks, chunksize=4))  # in task order
+    n = len(dataset)
     return [
-        MethodRunSummary(
-            method=method,
-            dataset=dataset_name,
-            records=tuple(results[(method, index)] for index in range(len(dataset))),
-        )
-        for method in methods
+        MethodRunSummary(method, dataset_name, tuple(records[k * n : (k + 1) * n]))
+        for k, method in enumerate(methods)
     ]

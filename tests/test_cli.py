@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -68,6 +69,13 @@ class TestSynth:
         assert run(
             "synth", "--nodes", 20, "--num-graphs", 5, "--out-dir", tmp_path / "x",
         ) == 1
+
+    def test_negative_clique_count_exits_one_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run("synth", "--nodes", 20, "--num-graphs", 4, "--cliques", -1, "--out-dir", out)
+        assert code == 1
+        assert "cliques_per_graph" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -286,6 +294,30 @@ class TestEmptyDataset:
         assert code == 1
         assert "has no graphs" in capsys.readouterr().err
         assert not out.exists()  # so no records.csv either
+
+
+class TestUnencodableName:
+    @pytest.mark.parametrize(
+        "flags, output",
+        [
+            (["benchmark", "--methods", "tri", "--workers", 1], "records.csv"),
+            (["explain", "--instance", 1, "--method", "tri"], "result.json"),
+        ],
+        ids=["benchmark", "explain"],
+    )
+    def test_exits_two_before_writing(self, synth_dir, tmp_path, flags, output, capsys):
+        # JSON's "\ud800x" loads as a lone surrogate, which UTF-8 cannot encode
+        dataset = tmp_path / "ds"
+        shutil.copytree(synth_dir, dataset)
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        manifest["graphs"][1]["name"] = "\ud800x"
+        (dataset / "manifest.json").write_text(json.dumps(manifest))
+        command, *rest = flags
+        out = tmp_path / "out"
+        code = run(command, "--dataset", dataset, "--whitebox", *rest, "--out-dir", out)
+        assert code == 2
+        assert "not UTF-8 encodable" in capsys.readouterr().err
+        assert not (out / output).exists()
 
 
 class TestIngestCommand:

@@ -1,3 +1,4 @@
+import json
 import random
 import statistics
 import sys
@@ -141,6 +142,12 @@ class TestSyntheticGeneration:
         with pytest.raises(ValueError):
             SyntheticSpec(node_count=40, num_graphs=10, subgroups_per_class=3).resolved()
 
+    def test_negative_clique_count_rejected(self):
+        with pytest.raises(ValueError, match="cliques_per_graph"):
+            SyntheticSpec(node_count=40, num_graphs=10, cliques_per_graph=-1).resolved()
+        spec = SyntheticSpec(node_count=40, num_graphs=10, cliques_per_graph=0).resolved()
+        assert spec.cliques_per_graph == 0
+
 
 class TestWhitebox:
     def test_dense_half_detected(self):
@@ -267,6 +274,20 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match="node id"):
             save_dataset(dataset, tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("field", ["node id", "graph name"])
+    def test_unencodable_text_is_rejected_at_load(self, tmp_path, field):
+        # JSON's "\ud800x" loads as a lone surrogate, which no output file can hold
+        dataset = self.make_dataset(with_partition=False)
+        manifest = save_dataset(dataset, tmp_path / "ds")
+        payload = json.loads(manifest.read_text())
+        if field == "node id":
+            payload["node_ids"].append("\ud800x")
+        else:
+            payload["graphs"][0]["name"] = "\ud800x"
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(DatasetFormatError, match=f"{field} .* is not UTF-8 encodable"):
+            load_dataset(manifest)
 
     def test_unknown_node_id_diagnosed(self, tmp_path):
         dataset = self.make_dataset(with_partition=False)

@@ -19,12 +19,13 @@ from densecf import (
     rank_nodes_regional,
     rcli_search,
     sparsify_cli,
+    symmetric_difference_distance,
     tri_search,
     triangle_counts,
     triangle_score_lists,
 )
 
-from conftest import CountingClassifier, random_graph
+from conftest import CountingClassifier, brute_force_maximal_cliques, random_graph
 
 
 def edge_score(g, edge):
@@ -240,6 +241,35 @@ class TestSparsify:
         assert clique == frozenset({3})
         assert book.usage[3] == 1
 
+    def test_choice_is_the_brute_force_minimum_of_one_key(self):
+        # the key, restated: least overlap with any removed clique (0 with no
+        # history), then the largest clique, then the smallest sorted node list
+        rng = random.Random(61)
+        for trial in range(200):
+            n = rng.randint(2, 8)
+            g_orig = random_graph(n, rng.uniform(0.2, 0.9), rng)
+            g_cur = Graph(n, [e for e in g_orig.edges if rng.random() < 0.7])
+            history = [] if trial % 4 == 0 else [
+                frozenset(rng.sample(range(n), rng.randint(1, n)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            center = rng.randrange(n)
+            book = CliqueBookkeeping(removed=list(history), usage=[0] * n)
+
+            def key(c):
+                overlap = max([len(c & r) for r in history] or [0])
+                return (overlap, -len(c), tuple(sorted(c)))
+
+            containing = [c for c in brute_force_maximal_cliques(g_orig) if center in c]
+            expected = min(containing, key=key)
+            updated, clique = sparsify_cli(g_orig, g_cur, center, book)
+            assert clique == expected
+            assert updated.edges == {
+                (u, v) for u, v in g_cur.edges if not (u in clique and v in clique)
+            }
+            assert book.removed == history + [expected]
+            assert book.usage == [int(v in expected) for v in range(n)]
+
     def test_only_still_present_edges_removed(self):
         g_orig = Graph.complete(4)
         g_cur = g_orig.remove_edge(0, 1)  # an earlier step already cut this edge
@@ -355,6 +385,52 @@ class TestCliSearch:
         assert dense == [order[0], order[1]]
         assert sparse == [order[4], order[3]]
         assert not set(dense) & set(sparse)
+
+    def test_trace_sizes_equal_the_steps_symmetric_differences(self, monkeypatch):
+        # record every graph the two steps return; each iteration's traced
+        # sizes must equal the symmetric differences of its steps
+        steps = []
+        sparsify, densify = density.sparsify_cli, density.densify_cli
+
+        def recording_sparsify(g_orig, g_cur, n, book):
+            updated, clique = sparsify(g_orig, g_cur, n, book)
+            steps.append(("sparsify", symmetric_difference_distance(g_cur, updated)))
+            return updated, clique
+
+        def recording_densify(g_cur, n, book, s):
+            updated, clique = densify(g_cur, n, book, s)
+            steps.append(("densify", symmetric_difference_distance(g_cur, updated)))
+            return updated, clique
+
+        monkeypatch.setattr(density, "sparsify_cli", recording_sparsify)
+        monkeypatch.setattr(density, "densify_cli", recording_densify)
+        rng = random.Random(67)
+        iterations = 0
+        for trial in range(40):
+            n = rng.randint(4, 14)
+            g = random_graph(n, rng.uniform(0.2, 0.8), rng)
+            modulus = rng.choice([2, 3, 7, 1000])  # 1000: the class never flips
+            oracle = Oracle(lambda h: int(h.edge_count % modulus == 0))
+            steps.clear()
+            trace = []
+            if trial % 2:
+                partition = RegionPartition(tuple(rng.choice("abc") for _ in range(n)))
+                rcli_search(oracle, g, partition, trace=trace)
+            else:
+                cli_search(oracle, g, trace=trace)
+            per_iteration = []
+            for kind, size in steps:
+                if kind == "sparsify":
+                    per_iteration.append((size, []))
+                else:
+                    per_iteration[-1][1].append(size)
+            assert len(per_iteration) == len(trace)
+            for step, (removed, added) in zip(trace, per_iteration):
+                assert step.edges_removed == removed
+                assert step.edges_added == sum(added)
+                assert len(step.added_cliques) == len(added)
+            iterations += len(trace)
+        assert iterations > 50
 
     def test_max_iterations_respected(self):
         g = random_graph(12, 0.5, random.Random(23))

@@ -1,6 +1,6 @@
 """The package's import layering, read from the source with ``ast``: ``data``
-is the bottom file layer above ``graph``, and no two modules import each
-other, directly or through others."""
+is the bottom file layer above ``graph`` and the only module that imports
+``csv``, and no two modules import each other, directly or through others."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -34,6 +34,22 @@ def package_imports() -> dict[str, set[str]]:
 
 def test_data_imports_only_graph_from_the_package():
     assert package_imports()["data"] == {"graph"}
+
+
+def test_only_data_imports_csv():
+    # one owner reads and writes every CSV file: data.read_csv_rows and write_csv_rows
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "csv" for name in names):
+                importers.add(path.stem)
+    assert importers == {"data"}
 
 
 def test_package_imports_have_no_cycle():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -114,6 +116,17 @@ class TestBenchmark:
             serial = run_benchmark(spec, workers=1, **kwargs)
             parallel = run_benchmark(spec, workers=2, **kwargs)
             assert serial == parallel
+
+    def test_serial_run_keeps_no_reference_to_its_dataset(self):
+        dataset = small_dataset(count=3)
+        summaries = run_benchmark(
+            whitebox_spec(dataset), dataset, ["tri", "cli"], dataset_name="demo", workers=1
+        )
+        alive = weakref.ref(dataset)
+        del dataset
+        gc.collect()
+        assert alive() is None
+        assert [len(s) for s in summaries] == [3, 3]
 
     def test_per_instance_seed_is_schedule_independent(self):
         assert derive_seed(3, 5) == derive_seed(3, 5)
