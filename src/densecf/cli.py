@@ -231,6 +231,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigurationError(f"--workers must be at least 1, got {args.workers}")
     dataset, partition = _load_dataset_and_partition(args)
     spec = _oracle_spec(args, dataset)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]

@@ -121,8 +121,8 @@ def threshold_correlations(matrix, percentile: float) -> Graph:
         threshold = float(np.percentile(values, percentile))
     if not np.isfinite(threshold):  # interpolating between neighbours overflowed
         raise DatasetFormatError("correlation values too far apart to take their percentile")
-    edges = [(int(u), int(v)) for u, v in zip(iu, iv) if m[u, v] > threshold]
-    return Graph(n, edges)
+    keep = values > threshold
+    return Graph(n, zip(iu[keep].tolist(), iv[keep].tolist()))
 
 
 @dataclass(frozen=True)
@@ -192,6 +192,9 @@ def generate_synthetic(spec: SyntheticSpec) -> GraphDataset:
     each background edge is redirected across the half boundary with
     probability ``cross_probability``. Each graph draws from its own RNG
     stream (seed, index), so generation order cannot change the output.
+    A uniform pick from a sequence is the index draw
+    ``seq[rng.integers(len(seq))]``, the same draw ``rng.choice(seq)`` makes,
+    so every seed regenerates the datasets it gave when picks used ``choice``.
     """
     spec = spec.resolved()
     s0, s1 = node_halves(spec.node_count)
@@ -242,26 +245,24 @@ def _generate_one(
 
     # preferential-attachment background over the opposite half; the seed
     # nodes start unconnected, as in the usual growth formulation
-    own_arr = np.asarray(own)
     seed_count = min(spec.attachment, len(other))
     active: list[int] = list(other[:seed_count])
     for w in other[seed_count:]:
         weights = np.asarray([degree[a] + 1 for a in active], dtype=float)
         k = min(spec.attachment, len(active))
         targets = rng.choice(active, size=k, replace=False, p=weights / weights.sum())
-        for t in targets:
-            v = int(t)
+        for v in targets.tolist():
             if rng.random() < spec.cross_probability:
-                v = int(rng.choice(own_arr))
+                v = own[rng.integers(len(own))]
             add(w, v)
         candidates = active + [w]
         for _ in range(spec.extra_edges):
             if len(candidates) < 2:
                 break
-            u = int(rng.choice(candidates))
-            v = int(rng.choice(candidates))
+            u = candidates[rng.integers(len(candidates))]
+            v = candidates[rng.integers(len(candidates))]
             if rng.random() < spec.cross_probability:
-                v = int(rng.choice(own_arr))
+                v = own[rng.integers(len(own))]
             add(u, v)
         active.append(w)
     return Graph(spec.node_count, edges)
@@ -322,14 +323,12 @@ def save_dataset(dataset: GraphDataset, directory: Path | str) -> Path:
         _check_node_id(node_id)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    ids = dataset.node_ids
     graph_entries = []
     for idx, entry in enumerate(dataset.entries):
         filename = f"graph-{idx:04d}.edges"
-        lines = [
-            f"{dataset.node_ids[u]} {dataset.node_ids[v]}\n"
-            for u, v in sorted(entry.graph.edges)
-        ]
-        (directory / filename).write_text("".join(lines), encoding="utf-8")
+        text = "".join([f"{ids[u]} {ids[v]}\n" for u, v in entry.graph.sorted_edges()])
+        (directory / filename).write_text(text, encoding="utf-8")
         graph_entries.append({"file": filename, "label": entry.label, "name": entry.name})
     partition_file = None
     if dataset.partition is not None:
@@ -490,17 +489,15 @@ def _load_edge_list(path: Path, index_of: dict[str, int], node_count: int) -> Gr
     edges = []
     with _open_named(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
+            if not parts or parts[0][0] == "#":  # blank or comment
+                continue
             if len(parts) != 2:
-                raise DatasetFormatError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+                raise DatasetFormatError(f"{path}:{lineno}: expected 'u v', got {line.strip()!r}")
             try:
-                u, v = index_of[parts[0]], index_of[parts[1]]
+                edges.append((index_of[parts[0]], index_of[parts[1]]))
             except KeyError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: unknown node id {exc.args[0]!r}")
-            edges.append((u, v))
     try:
         return Graph(node_count, edges)
     except ValueError as exc:

@@ -54,9 +54,11 @@ class Graph:
             raise ValueError("node_count must be non-negative")
         rows = [0] * node_count
         for u, v in edges:
-            a, b = _normalize_edge(u, v, node_count)
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
+            u, v = index(u), index(v)
+            if u == v or not (0 <= u < node_count and 0 <= v < node_count):
+                _normalize_edge(u, v, node_count)  # raises the edge's error
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         self.node_count = node_count
         self._rows = tuple(rows)
         self._edge_count = sum(row.bit_count() for row in rows) // 2
@@ -81,6 +83,10 @@ class Graph:
     @property
     def edges(self) -> frozenset[Edge]:
         return frozenset(_pairs(self._rows))
+
+    def sorted_edges(self) -> Iterator[Edge]:
+        """The edges as (u, v), u < v, in ascending order, without building a set."""
+        return _pairs(self._rows)
 
     @property
     def edge_count(self) -> int:

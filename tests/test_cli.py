@@ -585,6 +585,17 @@ class TestUsageErrors:
             "--instance", 0, "--method", method, flag, -1, "--out-dir", tmp_path,
         ) == 1
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_exits_one_before_writing(self, synth_dir, tmp_path, workers, capsys):
+        out = tmp_path / "out"
+        code = run(
+            "benchmark", "--dataset", synth_dir / "manifest.json", "--whitebox",
+            "--methods", "tri", "--workers", workers, "--out-dir", out,
+        )
+        assert code == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method_flag(self, synth_dir, tmp_path, capsys):
         for choice in (("--method", "bogus"), ("--method", "cli", "--ranking", "regional")):
             with pytest.raises(SystemExit) as exc:

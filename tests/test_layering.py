@@ -1,6 +1,7 @@
 """The package's import layering, read from the source with ``ast``: ``data``
 is the bottom file layer above ``graph`` and the only module that imports
-``csv``, and no two modules import each other, directly or through others."""
+``csv``, only ``graph`` reaches into a ``Graph``'s private state, and no two
+modules import each other, directly or through others."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -50,6 +51,20 @@ def test_only_data_imports_csv():
             if any(name.split(".")[0] == "csv" for name in names):
                 importers.add(path.stem)
     assert importers == {"data"}
+
+
+def test_only_graph_touches_graph_internals():
+    # the bitmask rows are graph's format: every other module, data's edge
+    # lists included, goes through Graph's public methods
+    private = {"_rows", "_edge_count", "_hash", "_from_rows"}
+    touched = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                touched.add((path.stem, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                touched |= {(path.stem, a.name) for a in node.names if a.name in private}
+    assert {module for module, _ in touched} == {"graph"}, sorted(touched)
 
 
 def test_package_imports_have_no_cycle():

@@ -179,6 +179,77 @@ def test_edits_agree_with_edge_set_model(run):
             assert_agrees(h, EdgeSetModel(n, model.edges - {(u, v)}))
 
 
+# Endpoint types a caller may pass: Python ints and numpy integers, whose
+# shifts would overflow if they reached the bitmask rows unconverted.
+INT_TYPES = st.sampled_from([int, np.int64, np.int32, np.intp, np.uint8])
+
+
+@st.composite
+def edge_inputs(draw):
+    """A node count and a list of its node pairs, each written either way
+    round with endpoints of any integer type, some of them repeated."""
+    n = draw(st.integers(2, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    pairs = draw(st.lists(pair, max_size=30))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+    edges = []
+    for u, v in draw(st.permutations(pairs)):
+        if draw(st.booleans()):
+            u, v = v, u
+        edges.append((draw(INT_TYPES)(u), draw(INT_TYPES)(v)))
+    return n, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_inputs())
+def test_graph_from_edges_agrees_with_edge_set_model(case):
+    n, edges = case
+    g, model = Graph(n, edges), EdgeSetModel(n, [(int(u), int(v)) for u, v in edges])
+    assert_agrees(g, model)
+    assert list(g.sorted_edges()) == sorted(model.edges)
+    assert g == Graph(n, iter(edges)) == Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def first_edge_error(n, edges):
+    """The message of the constructor's error for an edge list: the first
+    edge, in input order, that is a self-loop or leaves 0..n-1."""
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            return f"self-loop ({u},{v}) not allowed"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) outside node range 0..{n - 1}"
+    return None
+
+
+@st.composite
+def bad_edge_inputs(draw):
+    """A node count and a list of edges with at least one self-loop, negative
+    node or node past the end among valid ones, in any position."""
+    n = draw(st.integers(2, 10))
+    node = st.integers(0, n - 1)
+    bad = st.one_of(
+        node.map(lambda u: (u, u)),
+        st.tuples(st.integers(-5, -1), st.integers(-5, n + 5)),
+        st.tuples(st.integers(-5, n + 5), st.integers(n, n + 5)),
+    )
+    good = st.tuples(node, node).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(good, max_size=8)) + draw(st.lists(bad, min_size=1, max_size=3))
+    edges = draw(st.permutations(edges))
+    signed = st.sampled_from([int, np.int64, np.int32])
+    return n, [(draw(signed)(u), draw(signed)(v)) for u, v in edges]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad_edge_inputs())
+def test_graph_rejects_the_first_bad_edge_with_its_message(case):
+    n, edges = case
+    with pytest.raises(ValueError) as exc:
+        Graph(n, edges)
+    assert str(exc.value) == first_edge_error(n, edges)
+
+
 @settings(max_examples=150, deadline=None)
 @given(graph_pairs())
 def test_equality_edits_and_distances_agree_with_edge_sets(pair):
@@ -332,6 +403,51 @@ def test_edit_list_between_reproduces_target(pair):
 def test_save_load_round_trip(dataset):
     with tempfile.TemporaryDirectory() as tmp:
         assert load_dataset(save_dataset(dataset, tmp)) == dataset
+
+
+# Pieces of an edge-list file: edges, blanks and comments whose tokens may be
+# split by characters that str.splitlines() treats as line breaks but file
+# iteration does not (form feed, NEL, LINE SEPARATOR), ended by "\n", "\r\n"
+# or a lone "\r"; and the lines, each holding the unknown id "zz", that stop
+# the load with a numbered error.
+SPACES = st.sampled_from([" ", "\t", "\x0c", "\x85", "\u2028", " \x0c "])
+EDGE_LINES = st.one_of(
+    st.tuples(st.sampled_from("abc"), SPACES, st.sampled_from("abc")).map("".join),
+    SPACES,
+    st.just(""),
+    st.tuples(SPACES, st.just("# a\x85b \u2028c")).map("".join),
+)
+BAD_LINES = st.sampled_from(["a zz", "zz\x85a", "a\x0cb\u2028zz", "zz"])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def numbered_edge_files(draw):
+    lines = draw(st.lists(EDGE_LINES, max_size=8))
+    lines.insert(draw(st.integers(0, len(lines))), draw(BAD_LINES))
+    return "".join(line + draw(ENDINGS) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(numbered_edge_files())
+def test_edge_list_errors_name_the_physical_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        path = base / "g.edges"
+        path.write_bytes(text.encode("utf-8"))
+        manifest = {
+            "format": DATASET_FORMAT,
+            "version": DATASET_VERSION,
+            "node_ids": ["a", "b", "c"],
+            "graphs": [{"file": "g.edges", "label": 0}],
+        }
+        (base / "manifest.json").write_text(json.dumps(manifest))
+        # the reference numbering: the file read one line at a time, as open() splits it
+        with open(path, newline="", encoding="utf-8") as fh:
+            lineno = next(i for i, line in enumerate(fh, start=1) if "zz" in line)
+        with pytest.raises(DatasetFormatError) as exc:
+            load_dataset(base / "manifest.json")
+        assert str(exc.value).startswith(f"{path}:{lineno}: ")
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
