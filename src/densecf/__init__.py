@@ -29,7 +29,6 @@ from .data import (
     whitebox_classify,
 )
 from .density import (
-    CliqueBookkeeping,
     ConfigurationError,
     CounterfactualResult,
     RunOptions,

@@ -8,7 +8,7 @@ import random
 from itertools import combinations
 
 from .data import GraphDataset
-from .density import CounterfactualResult, RunOptions, _finish
+from .density import CounterfactualResult, RunOptions, finish_result
 from .graph import EditList, Graph, symmetric_difference_distance
 from .spectral import Oracle
 
@@ -39,7 +39,7 @@ def edg_search(
     y0 = oracle.predict(g)
     pairs = list(combinations(range(g.node_count), 2))
     if not pairs:
-        return _finish(oracle, g, y0, g, False, 0, calls_before, note="graph has no node pairs")
+        return finish_result(oracle, g, y0, g, False, 0, calls_before, "graph has no node pairs")
     rng = random.Random(options.seed)
     current = g
     found = False
@@ -55,7 +55,7 @@ def edg_search(
             found = True
             current = backward_search(oracle, g, current, input_class=y0, candidate_class=1 - y0)
             break
-    return _finish(oracle, g, y0, current, found, iterations, calls_before)
+    return finish_result(oracle, g, y0, current, found, iterations, calls_before)
 
 
 def dat_search(oracle: Oracle, g: Graph, dataset: GraphDataset) -> CounterfactualResult:
@@ -80,8 +80,8 @@ def dat_search(oracle: Oracle, g: Graph, dataset: GraphDataset) -> Counterfactua
     if best is None:
         note = f"no graph among {len(dataset)} classifies opposite to the input"
         logger.warning(note)
-        return _finish(oracle, g, y0, g, False, iterations, calls_before, note=note)
-    return _finish(oracle, g, y0, best[2], True, iterations, calls_before)
+        return finish_result(oracle, g, y0, g, False, iterations, calls_before, note=note)
+    return finish_result(oracle, g, y0, best[2], True, iterations, calls_before)
 
 
 def backward_search(
@@ -142,4 +142,4 @@ def refine_with_backward(
     refined = backward_search(
         oracle, g, base.counterfactual, input_class=y0, candidate_class=1 - y0
     )
-    return _finish(oracle, g, y0, refined, True, base.iterations, calls_before)
+    return finish_result(oracle, g, y0, refined, True, base.iterations, calls_before)

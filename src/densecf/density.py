@@ -10,7 +10,6 @@ flips or an iteration budget runs out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import isqrt
 from typing import Sequence
 
@@ -29,6 +28,7 @@ from .graph import (
     maximal_cliques_containing,
     triangle_counts,
     two_hop_neighborhood,
+    with_clique,
 )
 from .spectral import Oracle
 
@@ -86,7 +86,7 @@ class CounterfactualResult:
     note: str | None = None
 
 
-def _finish(
+def finish_result(
     oracle: Oracle,
     original: Graph,
     original_class: int,
@@ -96,6 +96,8 @@ def _finish(
     calls_before: int,
     note: str | None = None,
 ) -> CounterfactualResult:
+    """The search's result: its charged calls since ``calls_before`` and, when
+    ``found``, the edits to ``final`` after an uncharged check that it flips."""
     calls = oracle.call_count - calls_before
     edits, counterfactual, ratio = EditList.empty(), None, None
     if found:
@@ -164,7 +166,7 @@ def tri_search(
         if oracle.predict(current) != y0:
             found = True
             break
-    return _finish(oracle, g, y0, current, found, i, calls_before)
+    return finish_result(oracle, g, y0, current, found, i, calls_before)
 
 
 def rank_nodes(g: Graph, strategy: str = "triangles") -> tuple[int, ...]:
@@ -198,88 +200,53 @@ def rank_nodes_regional(g: Graph, partition: RegionPartition) -> tuple[int, ...]
     )
 
 
-@dataclass
-class CliqueBookkeeping:
-    """Memory of the clique rewrites performed so far.
-
-    ``usage`` goes up for nodes whose clique was removed and down for nodes
-    included in an added clique (it may go negative). Densification prefers
-    low-usage nodes, steering additions away from freshly sparsified regions;
-    within the two-hop block of the densify center it ranks adjacency to the
-    center above usage (see ``densify_cli``).
-    """
-
-    removed: list[frozenset[int]]
-    usage: list[int]
-
-    @classmethod
-    def fresh(cls, node_count: int) -> "CliqueBookkeeping":
-        return cls(removed=[], usage=[0] * node_count)
-
-
 def sparsify_cli(
-    g_orig: Graph, g_cur: Graph, n: int, book: CliqueBookkeeping
+    g_orig: Graph, g_cur: Graph, n: int, removed: list[frozenset[int]], usage: list[int]
 ) -> tuple[Graph, frozenset[int]]:
     """Remove one maximal clique around ``n`` from the current graph.
 
     Cliques are enumerated in the ORIGINAL graph, so edges already dropped in
     earlier iterations may be gone; only still-present edges are removed. The
-    chosen clique minimizes (largest overlap with any previously removed
-    clique, 0 with none; minus its size; its sorted nodes): the least
-    overlapping, then the largest, then the lexicographically smallest. With
-    no history every overlap is 0, so the first call takes the largest clique.
+    chosen clique minimizes (largest overlap with any clique in ``removed``,
+    0 with none; minus its size; its sorted nodes): the least overlapping,
+    then the largest, then the lexicographically smallest. With no history
+    every overlap is 0, so the first call takes the largest clique. The
+    chosen clique is appended to ``removed`` and the ``usage`` count of each
+    of its nodes goes up by one, which steers ``densify_cli`` away from it.
     """
     chosen = min(
         maximal_cliques_containing(g_orig, n),
-        key=lambda c: (
-            max((len(c & removed) for removed in book.removed), default=0),
-            -len(c),
-            sorted(c),
-        ),
+        key=lambda c: (max((len(c & r) for r in removed), default=0), -len(c), sorted(c)),
     )
-    still_present = tuple(
-        edge for edge in combinations(sorted(chosen), 2) if g_cur.has_edge(*edge)
-    )
-    updated = apply_edits(g_cur, EditList(removals=still_present, additions=()))
-    book.removed.append(chosen)
+    removed.append(chosen)
     for v in chosen:
-        book.usage[v] += 1
-    return updated, chosen
+        usage[v] += 1
+    return with_clique(g_cur, chosen, present=False), chosen
 
 
-def densify_cli(
-    g_cur: Graph, n: int, book: CliqueBookkeeping, s: int
-) -> tuple[Graph, frozenset[int]]:
+def densify_cli(g_cur: Graph, n: int, usage: list[int], s: int) -> tuple[Graph, frozenset[int]]:
     """Add a clique of up to ``s`` nodes near ``n``.
 
     Candidates are the two-hop neighborhood of ``n`` followed by the remaining
     nodes. Within the two-hop block, direct neighbors of ``n`` come first, then
-    ascending usage count, then ascending triangle count in ``g_cur`` (the
-    sparsest surroundings first), then node index. The remaining nodes are
-    sorted by ascending usage count (ties: node index). All absent edges among
-    the chosen nodes are added and their usage counts are decremented. With
-    fewer than two nodes to pick this is a no-op.
+    ascending ``usage`` count, then ascending triangle count in ``g_cur`` (the
+    sparsest surroundings first), then node index. The remaining nodes, ``n``
+    among them, are sorted by ascending usage count (ties: node index). All
+    absent edges among the chosen nodes are added and their usage counts go
+    down by one (they may go negative). With fewer than two nodes to pick
+    this is a no-op.
     """
     if s < 2:
         return g_cur, frozenset()
-    neighborhood = two_hop_neighborhood(g_cur, n)
-    adjacent = g_cur.neighbors(n)
-    triangles = triangle_counts(g_cur)
-    near = sorted(
-        neighborhood, key=lambda v: (v not in adjacent, book.usage[v], triangles[v], v)
-    )
-    far = sorted(
-        (v for v in range(g_cur.node_count) if v not in neighborhood),
-        key=lambda v: (book.usage[v], v),
-    )
-    chosen = (near + far)[:s]
-    additions = tuple(
-        edge for edge in combinations(sorted(chosen), 2) if not g_cur.has_edge(*edge)
-    )
-    updated = apply_edits(g_cur, EditList(removals=(), additions=additions))
+    near, adjacent = two_hop_neighborhood(g_cur, n), g_cur.neighbors(n)
+    tri = triangle_counts(g_cur)
+    chosen = sorted(
+        range(g_cur.node_count),
+        key=lambda v: (v not in near, v not in adjacent, usage[v], tri[v] if v in near else 0, v),
+    )[:s]
     for v in chosen:
-        book.usage[v] -= 1
-    return updated, frozenset(chosen)
+        usage[v] -= 1
+    return with_clique(g_cur, chosen, present=True), frozenset(chosen)
 
 
 def _clique_size_within(edges: int) -> int:
@@ -327,42 +294,39 @@ def cli_search(
     max_iterations = (
         options.max_iterations if options.max_iterations is not None else DEFAULT_MAX_ITERATIONS
     )
-    book = CliqueBookkeeping.fresh(g.node_count)
+    removed: list[frozenset[int]] = []
+    usage = [0] * g.node_count
     current = g
     found = False
     i = 0
-    while i < min(max_iterations, len(order) // 2):
+    while not found and i < min(max_iterations, len(order) // 2):
         n_dense, n_sparse = order[i], order[-1 - i]
-        # sparsify only removes edges and densify only adds them, so each
-        # step's edit size is its change in edge count
-        edge_count = current.edge_count
-        current, removed_clique = sparsify_cli(g, current, n_dense, book)
+        # sparsify only removes edges and densify only adds them, so the
+        # rounds refill up to the edge count the iteration started with
+        target = current.edge_count
+        current, removed_clique = sparsify_cli(g, current, n_dense, removed, usage)
         i += 1
-        edges_removed = edge_count - current.edge_count
+        sparsified = current.edge_count
         added_cliques: list[frozenset[int]] = []
-        edges_added = 0
         found = oracle.predict(current) != y0
-        while not found and edges_added < edges_removed:
-            size = _clique_size_within(edges_removed - edges_added)
-            edge_count = current.edge_count
-            current, added_clique = densify_cli(current, n_sparse, book, size)
+        while not found and current.edge_count < target:
+            size = _clique_size_within(target - current.edge_count)
+            grown, added_clique = densify_cli(current, n_sparse, usage, size)
             added_cliques.append(added_clique)
-            if current.edge_count == edge_count:
+            if grown.edge_count == current.edge_count:
                 break  # chosen region is saturated; class of current is already known
-            edges_added += current.edge_count - edge_count
+            current = grown
             found = oracle.predict(current) != y0
         if trace is not None:
             trace.append(
                 CliIteration(
                     removed_clique=removed_clique,
                     added_cliques=tuple(added_cliques),
-                    edges_removed=edges_removed,
-                    edges_added=edges_added,
+                    edges_removed=target - sparsified,
+                    edges_added=current.edge_count - sparsified,
                 )
             )
-        if found:
-            break
-    return _finish(oracle, g, y0, current, found, i, calls_before)
+    return finish_result(oracle, g, y0, current, found, i, calls_before)
 
 
 def rcli_search(

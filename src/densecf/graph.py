@@ -300,6 +300,22 @@ def within_deltas(before: Graph, after: Graph, masks: Sequence[int]) -> list | N
     return deltas
 
 
+def with_clique(g: Graph, nodes: int | Iterable[int], present: bool) -> Graph:
+    """``g`` with every pair among ``nodes`` (node indices, or their
+    ``node_mask``) made an edge when ``present``, else a non-edge. Only the
+    rows of ``nodes`` are rebuilt; the others are ``g``'s own row objects,
+    which ``within_deltas`` relies on."""
+    mask = node_mask(nodes)
+    if mask >> g.node_count:
+        raise ValueError(f"nodes outside node range 0..{g.node_count - 1}")
+    rows, change = list(g._rows), 0
+    for u in _members(mask):
+        row = (rows[u] | mask) & ~(1 << u) if present else rows[u] & ~mask
+        change += row.bit_count() - rows[u].bit_count()
+        rows[u] = row
+    return Graph._from_rows(tuple(rows), g._edge_count + change // 2)
+
+
 def maximal_cliques_containing(g: Graph, v: int) -> set[frozenset[int]]:
     """All maximal cliques of ``g`` that contain node ``v``.
 

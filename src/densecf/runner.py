@@ -160,8 +160,10 @@ def run_benchmark(
     scheduling, and output order is fixed to (method, instance index).
     """
     options = options or RunOptions()
-    for method in methods:
+    for k, method in enumerate(methods):
         _resolve_method(method, True, partition is not None)
+        if method in methods[:k]:
+            raise ConfigurationError(f"method {method!r} is given twice")
     tasks = [(method, index) for method in methods for index in range(len(dataset))]
     if workers <= 1:
         build = oracle_spec.build  # a fresh counter per search

@@ -205,6 +205,9 @@ def train_sf_knn(
         raise DegenerateLabelsError("training requires both classes to be present")
     if not neighbor_grid or not eig_grid:
         raise ValueError("parameter grid must be nonempty")
+    for name, grid in (("neighbor", neighbor_grid), ("eigenvalue", eig_grid)):
+        if min(grid) < 1:
+            raise ValueError(f"{name} counts must be positive, got {min(grid)}")
 
     order = list(range(n))
     random.Random(seed).shuffle(order)

@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from densecf import spectral
 from densecf.cli import main
 from densecf.evaluation import RECORDS_CSV_COLUMNS
 
@@ -118,6 +119,22 @@ class TestTrain:
             "train", "--dataset", synth_dir, "--folds", folds, "--out-dir", tmp_path / "x",
         ) == 1
         assert f"got {folds}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--neighbors", "0"), ("--neighbors", "3,-2"), ("--eigs", "-1")]
+    )
+    def test_non_positive_grid_value_exits_one_before_any_work(
+        self, synth_dir, tmp_path, flag, value, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            spectral, "positive_laplacian_eigenvalues", lambda g: pytest.fail("work was done")
+        )
+        assert run(
+            "train", "--dataset", synth_dir, flag, value, "--out-dir", tmp_path / "x",
+        ) == 1
+        assert f"got {min(map(int, value.split(',')))}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
 
@@ -594,6 +611,16 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_method_exits_one_before_writing(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(
+            "benchmark", "--dataset", synth_dir / "manifest.json", "--whitebox",
+            "--methods", "tri,tri", "--workers", 1, "--out-dir", out,
+        )
+        assert code == 1
+        assert "'tri' is given twice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_method_flag(self, synth_dir, tmp_path, capsys):

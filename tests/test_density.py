@@ -5,7 +5,6 @@ import pytest
 
 from densecf import density
 from densecf import (
-    CliqueBookkeeping,
     ConfigurationError,
     CoverageError,
     Graph,
@@ -211,35 +210,35 @@ class TestRankNodesRegional:
 class TestSparsify:
     def test_largest_clique_when_no_history(self):
         g = Graph(5, list(combinations(range(4), 2)) + [(3, 4)])
-        book = CliqueBookkeeping.fresh(5)
-        updated, clique = sparsify_cli(g, g, 0, book)
+        removed, usage = [], [0] * 5
+        updated, clique = sparsify_cli(g, g, 0, removed, usage)
         assert clique == frozenset({0, 1, 2, 3})
         assert updated.edges == {(3, 4)}
-        assert book.removed == [frozenset({0, 1, 2, 3})]
-        assert book.usage == [1, 1, 1, 1, 0]
+        assert removed == [frozenset({0, 1, 2, 3})]
+        assert usage == [1, 1, 1, 1, 0]
 
     def test_lowest_overlap_clique_chosen(self):
         # node 0 sits in K4 {0,1,2,3} and in triangle {0,4,5}
         g = Graph(6, list(combinations(range(4), 2)) + [(0, 4), (0, 5), (4, 5)])
-        book = CliqueBookkeeping.fresh(6)
-        book.removed.append(frozenset({1, 2, 3}))
+        removed, usage = [], [0] * 6
+        removed.append(frozenset({1, 2, 3}))
         # brute-force the expected choice, independently
         candidates = {frozenset({0, 1, 2, 3}), frozenset({0, 4, 5})}
         expected = min(
             candidates,
-            key=lambda c: (max(len(c & r) for r in book.removed), -len(c), tuple(sorted(c))),
+            key=lambda c: (max(len(c & r) for r in removed), -len(c), tuple(sorted(c))),
         )
         assert expected == frozenset({0, 4, 5})
-        _, clique = sparsify_cli(g, g, 0, book)
+        _, clique = sparsify_cli(g, g, 0, removed, usage)
         assert clique == expected
 
     def test_isolated_node_degenerates(self):
         g = Graph(4, [(0, 1)])
-        book = CliqueBookkeeping.fresh(4)
-        updated, clique = sparsify_cli(g, g, 3, book)
+        removed, usage = [], [0] * 4
+        updated, clique = sparsify_cli(g, g, 3, removed, usage)
         assert updated == g
         assert clique == frozenset({3})
-        assert book.usage[3] == 1
+        assert usage[3] == 1
 
     def test_choice_is_the_brute_force_minimum_of_one_key(self):
         # the key, restated: least overlap with any removed clique (0 with no
@@ -254,7 +253,7 @@ class TestSparsify:
                 for _ in range(rng.randint(1, 3))
             ]
             center = rng.randrange(n)
-            book = CliqueBookkeeping(removed=list(history), usage=[0] * n)
+            removed, usage = list(history), [0] * n
 
             def key(c):
                 overlap = max([len(c & r) for r in history] or [0])
@@ -262,19 +261,19 @@ class TestSparsify:
 
             containing = [c for c in brute_force_maximal_cliques(g_orig) if center in c]
             expected = min(containing, key=key)
-            updated, clique = sparsify_cli(g_orig, g_cur, center, book)
+            updated, clique = sparsify_cli(g_orig, g_cur, center, removed, usage)
             assert clique == expected
             assert updated.edges == {
                 (u, v) for u, v in g_cur.edges if not (u in clique and v in clique)
             }
-            assert book.removed == history + [expected]
-            assert book.usage == [int(v in expected) for v in range(n)]
+            assert removed == history + [expected]
+            assert usage == [int(v in expected) for v in range(n)]
 
     def test_only_still_present_edges_removed(self):
         g_orig = Graph.complete(4)
         g_cur = g_orig.remove_edge(0, 1)  # an earlier step already cut this edge
-        book = CliqueBookkeeping.fresh(4)
-        updated, clique = sparsify_cli(g_orig, g_cur, 0, book)
+        removed, usage = [], [0] * 4
+        updated, clique = sparsify_cli(g_orig, g_cur, 0, removed, usage)
         assert clique == frozenset({0, 1, 2, 3})
         assert updated.edge_count == 0
 
@@ -282,47 +281,45 @@ class TestSparsify:
 class TestDensify:
     def test_empty_graph_takes_lowest_index_nodes(self):
         g = Graph(6)
-        book = CliqueBookkeeping.fresh(6)
-        updated, clique = densify_cli(g, 0, book, s=3)
+        usage = [0] * 6
+        updated, clique = densify_cli(g, 0, usage, s=3)
         assert clique == frozenset({0, 1, 2})
         assert updated.edges == {(0, 1), (0, 2), (1, 2)}
-        assert book.usage == [-1, -1, -1, 0, 0, 0]
+        assert usage == [-1, -1, -1, 0, 0, 0]
 
     def test_two_hop_block_precedes_rest(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        book = CliqueBookkeeping.fresh(4)
+        usage = [0] * 4
         # 2-hop of 0 is {1, 2}; rest is {0, 3}
-        _, clique = densify_cli(g, 0, book, s=3)
+        _, clique = densify_cli(g, 0, usage, s=3)
         assert clique == frozenset({1, 2, 0})
 
     def test_usage_orders_candidates(self):
         g = Graph(5)
-        book = CliqueBookkeeping.fresh(5)
-        book.usage[0] = 2
-        book.usage[1] = 1
-        _, clique = densify_cli(g, 4, book, s=2)
+        usage = [2, 1, 0, 0, 0]
+        _, clique = densify_cli(g, 4, usage, s=2)
         assert clique == frozenset({2, 3})
 
     def test_saturated_choice_adds_nothing(self):
         g = Graph.complete(3)
-        book = CliqueBookkeeping.fresh(3)
-        updated, clique = densify_cli(g, 0, book, s=3)
+        usage = [0] * 3
+        updated, clique = densify_cli(g, 0, usage, s=3)
         assert updated == g
         assert clique == frozenset({1, 2, 0})
-        assert book.usage == [-1, -1, -1]
+        assert usage == [-1, -1, -1]
 
     def test_below_two_nodes_is_noop(self):
         g = Graph(4)
-        book = CliqueBookkeeping.fresh(4)
-        updated, clique = densify_cli(g, 0, book, s=1)
+        usage = [0] * 4
+        updated, clique = densify_cli(g, 0, usage, s=1)
         assert updated == g
         assert clique == frozenset()
-        assert book.usage == [0, 0, 0, 0]
+        assert usage == [0, 0, 0, 0]
 
     def test_node_cap_limits_clique(self):
         g = Graph(8)
-        book = CliqueBookkeeping.fresh(8)
-        _, clique = densify_cli(g, 0, book, s=3)
+        usage = [0] * 8
+        _, clique = densify_cli(g, 0, usage, s=3)
         assert len(clique) == 3
 
     def test_two_hop_order_neighbors_then_usage_then_triangles(self):
@@ -334,8 +331,8 @@ class TestDensify:
         # despite its low usage; the far block keeps (usage, index)
         order = [2, 3, 1, 4, 5, 0, 6]
         for size in range(2, 8):
-            book = CliqueBookkeeping(removed=[], usage=list(usage))
-            _, clique = densify_cli(g, 0, book, s=size)
+            counts = list(usage)
+            _, clique = densify_cli(g, 0, counts, s=size)
             assert clique == frozenset(order[:size])
 
 
@@ -367,13 +364,13 @@ class TestCliSearch:
         dense, sparse = [], []
         sparsify, densify = density.sparsify_cli, density.densify_cli
 
-        def recording_sparsify(g_orig, g_cur, n, book):
+        def recording_sparsify(g_orig, g_cur, n, removed, usage):
             dense.append(n)
-            return sparsify(g_orig, g_cur, n, book)
+            return sparsify(g_orig, g_cur, n, removed, usage)
 
-        def recording_densify(g_cur, n, book, s):
+        def recording_densify(g_cur, n, usage, s):
             sparse.append(n)
-            return densify(g_cur, n, book, s)
+            return densify(g_cur, n, usage, s)
 
         monkeypatch.setattr(density, "sparsify_cli", recording_sparsify)
         monkeypatch.setattr(density, "densify_cli", recording_densify)
@@ -392,13 +389,13 @@ class TestCliSearch:
         steps = []
         sparsify, densify = density.sparsify_cli, density.densify_cli
 
-        def recording_sparsify(g_orig, g_cur, n, book):
-            updated, clique = sparsify(g_orig, g_cur, n, book)
+        def recording_sparsify(g_orig, g_cur, n, removed, usage):
+            updated, clique = sparsify(g_orig, g_cur, n, removed, usage)
             steps.append(("sparsify", symmetric_difference_distance(g_cur, updated)))
             return updated, clique
 
-        def recording_densify(g_cur, n, book, s):
-            updated, clique = densify(g_cur, n, book, s)
+        def recording_densify(g_cur, n, usage, s):
+            updated, clique = densify(g_cur, n, usage, s)
             steps.append(("densify", symmetric_difference_distance(g_cur, updated)))
             return updated, clique
 
@@ -553,11 +550,11 @@ class TestFinish:
         classify = CountingClassifier(lambda h: h.edge_count % 2)
         oracle = Oracle(classify)
         with pytest.raises(RuntimeError, match="unchanged"):
-            density._finish(oracle, g, 0, g, True, 1, 0)
+            density.finish_result(oracle, g, 0, g, True, 1, 0)
         assert classify.calls == 0
 
     def test_candidate_that_does_not_flip_is_rejected(self):
         g = Graph(4, [(0, 1), (1, 2)])
         oracle = Oracle(lambda h: 0)
         with pytest.raises(RuntimeError, match="flip"):
-            density._finish(oracle, g, 0, g.add_edge(2, 3), True, 1, 0)
+            density.finish_result(oracle, g, 0, g.add_edge(2, 3), True, 1, 0)

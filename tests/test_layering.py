@@ -1,7 +1,8 @@
 """The package's import layering, read from the source with ``ast``: ``data``
 is the bottom file layer above ``graph`` and the only module that imports
-``csv``, only ``graph`` reaches into a ``Graph``'s private state, and no two
-modules import each other, directly or through others."""
+``csv``, only ``graph`` reaches into a ``Graph``'s private state, no module
+imports another's underscore names, and no two modules import each other,
+directly or through others."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -65,6 +66,20 @@ def test_only_graph_touches_graph_internals():
             elif isinstance(node, ast.ImportFrom):
                 touched |= {(path.stem, a.name) for a in node.names if a.name in private}
     assert {module for module, _ in touched} == {"graph"}, sorted(touched)
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a name two modules share is public: an underscore name stays in its
+    # module (dunder names such as ``__version__`` are public)
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("densecf")
+            ):
+                private = {a.name for a in node.names if a.name.startswith("_")}
+                imported |= {(path.stem, name) for name in private if name[:2] != "__"}
+    assert not imported, sorted(imported)
 
 
 def test_package_imports_have_no_cycle():

@@ -46,6 +46,7 @@ from densecf.graph import (
     edges_within,
     node_mask,
     triangles_within,
+    with_clique,
     within_deltas,
 )
 from densecf.spectral import KNN_METRICS, MODEL_FORMAT, MODEL_VERSION
@@ -327,6 +328,33 @@ def test_within_deltas_equal_the_change_in_counts(pair, data):
             for m in masks
         ]
     assert within_deltas(Graph(after.node_count + 1), after, masks) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_pairs(), st.data())
+def test_with_clique_sets_exactly_the_pairs_among_its_nodes(pair, data):
+    g, _ = pair
+    n = g.node_count
+    nodes = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+    present = data.draw(st.booleans())
+    h = with_clique(g, nodes, present)
+    among = set(combinations(sorted(nodes), 2))
+    assert_agrees(h, EdgeSetModel(n, g.edges | among if present else g.edges - among))
+    assert with_clique(g, node_mask(nodes), present) == h
+    assert all(h._rows[u] is g._rows[u] for u in range(n) if u not in nodes)
+    masks = disjoint_masks(data.draw, n, data.draw(st.integers(1, 3)))
+    deltas = within_deltas(g, h, masks)
+    assert (deltas is None) == (symmetric_difference_distance(g, h) >= h.edge_count)
+    if deltas is not None:
+        assert deltas == [
+            (
+                triangles_within(h, m) - triangles_within(g, m),
+                edges_within(h, m) - edges_within(g, m),
+            )
+            for m in masks
+        ]
+    with pytest.raises(ValueError):
+        with_clique(g, nodes | {n}, present)
 
 
 @st.composite

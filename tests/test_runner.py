@@ -17,6 +17,7 @@ from densecf import (
     run_method,
     spectral_features,
 )
+from densecf import runner
 from densecf.data import DatasetEntry
 from densecf.runner import derive_seed, run_instance
 
@@ -138,6 +139,14 @@ class TestBenchmark:
         with pytest.raises(ConfigurationError):
             run_benchmark(
                 whitebox_spec(dataset), dataset, ["rcli"], dataset_name="demo", workers=1
+            )
+
+    def test_repeated_method_rejected_before_any_search(self, monkeypatch):
+        dataset = small_dataset()
+        monkeypatch.setattr(runner, "run_instance", lambda *args: pytest.fail("a search ran"))
+        with pytest.raises(ConfigurationError, match="'tri' is given twice"):
+            run_benchmark(
+                whitebox_spec(dataset), dataset, ["tri", "cli", "tri"], dataset_name="demo"
             )
 
     def test_records_carry_exact_call_counts(self):
