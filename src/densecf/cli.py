@@ -16,7 +16,7 @@ import hashlib
 import logging
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,7 +44,7 @@ from .evaluation import (
     write_records_csv,
     write_region_csv,
 )
-from .runner import METHODS, OracleSpec, RunOptions, derive_seed, run_benchmark, run_method
+from .runner import METHODS, OracleSpec, RunOptions, run_benchmark, search_instance
 from .spectral import DegenerateLabelsError, load_model, save_model, train_sf_knn
 
 logger = logging.getLogger(__name__)
@@ -182,10 +182,7 @@ def cmd_explain(args) -> int:
     oracle = spec.build()
     index = _select_instance(dataset, args.instance)
     entry = dataset.entries[index]
-    options = replace(_run_options(args), seed=derive_seed(args.seed, index))
-    result = run_method(
-        args.method, oracle, entry.graph, dataset=dataset, partition=partition, options=options
-    )
+    result = search_instance(args.method, index, oracle, dataset, partition, _run_options(args))
 
     out = _out_dir(args)
     ids = dataset.node_ids
@@ -302,8 +299,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_report(args) -> int:
     summaries = read_records_csv(args.records)
+    report = build_aggregate_report(summaries)
     out = _out_dir(args)
-    write_json(build_aggregate_report(summaries), out / "aggregates.json")
+    write_json(report, out / "aggregates.json")
     _write_manifest(out, args, [Path(args.records)])
     print(f"aggregated {sum(len(s) for s in summaries)} records from {len(summaries)} runs")
     return EXIT_OK

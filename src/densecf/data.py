@@ -517,6 +517,8 @@ def load_partition(path: Path | str, node_ids: Sequence[str]) -> RegionPartition
         node_id, region = row[0].strip(), row[1].strip()
         if node_id not in index_of:
             raise DatasetFormatError(f"{path}:{lineno}: unknown node id {node_id!r}")
+        if labels[index_of[node_id]] is not None:
+            raise DatasetFormatError(f"{path}:{lineno}: node id {node_id!r} listed twice")
         labels[index_of[node_id]] = region
     missing = [node_ids[i] for i, label in enumerate(labels) if label is None]
     if missing:

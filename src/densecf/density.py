@@ -254,22 +254,11 @@ def _clique_size_within(edges: int) -> int:
     return (1 + isqrt(1 + 8 * edges)) // 2
 
 
-@dataclass(frozen=True)
-class CliIteration:
-    """Per-iteration record of one clique-rewrite step (for instrumentation)."""
-
-    removed_clique: frozenset[int]
-    added_cliques: tuple[frozenset[int], ...]
-    edges_removed: int
-    edges_added: int
-
-
 def cli_search(
     oracle: Oracle,
     g: Graph,
     order: Sequence[int] | None = None,
     options: RunOptions | None = None,
-    trace: list[CliIteration] | None = None,
 ) -> CounterfactualResult:
     """Rewrite cliques: sparsify around top-ranked nodes, densify around
     bottom-ranked ones.
@@ -304,28 +293,16 @@ def cli_search(
         # sparsify only removes edges and densify only adds them, so the
         # rounds refill up to the edge count the iteration started with
         target = current.edge_count
-        current, removed_clique = sparsify_cli(g, current, n_dense, removed, usage)
+        current, _ = sparsify_cli(g, current, n_dense, removed, usage)
         i += 1
-        sparsified = current.edge_count
-        added_cliques: list[frozenset[int]] = []
         found = oracle.predict(current) != y0
         while not found and current.edge_count < target:
             size = _clique_size_within(target - current.edge_count)
-            grown, added_clique = densify_cli(current, n_sparse, usage, size)
-            added_cliques.append(added_clique)
+            grown, _ = densify_cli(current, n_sparse, usage, size)
             if grown.edge_count == current.edge_count:
                 break  # chosen region is saturated; class of current is already known
             current = grown
             found = oracle.predict(current) != y0
-        if trace is not None:
-            trace.append(
-                CliIteration(
-                    removed_clique=removed_clique,
-                    added_cliques=tuple(added_cliques),
-                    edges_removed=target - sparsified,
-                    edges_added=current.edge_count - sparsified,
-                )
-            )
     return finish_result(oracle, g, y0, current, found, i, calls_before)
 
 
@@ -334,10 +311,9 @@ def rcli_search(
     g: Graph,
     partition: RegionPartition,
     options: RunOptions | None = None,
-    trace: list[CliIteration] | None = None,
 ) -> CounterfactualResult:
     """Clique rewriting driven by the region-aware two-level node ranking."""
     if partition is None:
         raise ConfigurationError("rcli requires a region partition")
     order = rank_nodes_regional(g, partition)
-    return cli_search(oracle, g, order=order, options=options, trace=trace)
+    return cli_search(oracle, g, order=order, options=options)

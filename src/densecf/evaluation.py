@@ -192,12 +192,18 @@ def build_aggregate_report(summaries: Iterable[MethodRunSummary]) -> dict:
     """Aggregate metrics recomputable from the per-instance records.
 
     Distance-ratio quartiles cover found instances only; the found counts are
-    reported alongside so the omission is visible.
+    reported alongside so the omission is visible. The report keys its entries
+    by method, so a method run on two datasets is a DatasetFormatError.
     """
     per_method: dict[str, dict] = {}
-    datasets = set()
+    dataset_of: dict[str, str] = {}
     for summary in summaries:
-        datasets.add(summary.dataset)
+        first = dataset_of.setdefault(summary.method, summary.dataset)
+        if summary.method in per_method:
+            raise DatasetFormatError(
+                f"method {summary.method!r} has records on datasets {first!r} and "
+                f"{summary.dataset!r}; aggregate one dataset at a time"
+            )
         fr0, fr1 = flip_rate(summary)
         found = [r for r in summary.records if r.found]
         ratios = [r.distance_ratio for r in found if r.distance_ratio is not None]
@@ -214,7 +220,7 @@ def build_aggregate_report(summaries: Iterable[MethodRunSummary]) -> dict:
         per_method[summary.method] = entry
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "datasets": sorted(datasets),
+        "datasets": sorted(set(dataset_of.values())),
         "settings": {
             "distance_ratio_excludes_not_found": True,
             "calls_include_backward_search": True,

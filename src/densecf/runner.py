@@ -103,6 +103,21 @@ def run_method(
     return entry.search(oracle, g, dataset, partition, options)
 
 
+def search_instance(
+    method: str,
+    index: int,
+    oracle: Oracle,
+    dataset: GraphDataset,
+    partition: RegionPartition | None,
+    options: RunOptions,
+) -> CounterfactualResult:
+    """Run one method on one dataset instance, with the instance's own seed
+    derived from ``options.seed``."""
+    options = replace(options, seed=derive_seed(options.seed, index))
+    g = dataset.entries[index].graph
+    return run_method(method, oracle, g, dataset=dataset, partition=partition, options=options)
+
+
 def run_instance(
     method: str,
     index: int,
@@ -113,10 +128,7 @@ def run_instance(
 ) -> InstanceRecord:
     """Run one method on one dataset instance and record the outcome."""
     entry = dataset.entries[index]
-    options = replace(options, seed=derive_seed(options.seed, index))
-    result = run_method(
-        method, oracle, entry.graph, dataset=dataset, partition=partition, options=options
-    )
+    result = search_instance(method, index, oracle, dataset, partition, options)
     return InstanceRecord(
         instance=index,
         name=entry.name,

@@ -72,6 +72,11 @@ def _first_k(positives: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _check_metric(metric: str) -> None:
+    if metric not in KNN_METRICS:
+        raise ValueError(f"metric must be one of {KNN_METRICS}")
+
+
 @dataclass(frozen=True)
 class SFKnnModel:
     """KNN classifier over spectral-feature vectors.
@@ -103,8 +108,7 @@ class SFKnnModel:
             raise ValueError("n_neighbors exceeds training-set size")
         if self.n_eigs < 1:
             raise ValueError("n_eigs must be positive")
-        if self.metric not in KNN_METRICS:
-            raise ValueError(f"metric must be one of {KNN_METRICS}")
+        _check_metric(self.metric)
         if any(len(f) != self.n_eigs for f in self.training_features):
             raise ValueError("every feature vector must have length n_eigs")
         matrix = np.asarray(self.training_features)
@@ -208,6 +212,7 @@ def train_sf_knn(
     for name, grid in (("neighbor", neighbor_grid), ("eigenvalue", eig_grid)):
         if min(grid) < 1:
             raise ValueError(f"{name} counts must be positive, got {min(grid)}")
+    _check_metric(metric)
 
     order = list(range(n))
     random.Random(seed).shuffle(order)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from itertools import combinations
+from unittest.mock import patch
 
-from densecf import Graph
+from densecf import Graph, density
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -57,3 +60,44 @@ class CountingClassifier:
     def __call__(self, g: Graph) -> int:
         self.calls += 1
         return self.fn(g)
+
+
+@dataclass(frozen=True)
+class CliqueStep:
+    """One ``cli``/``rcli`` outer iteration, as its two steps saw it."""
+
+    removed_clique: frozenset[int]
+    added_cliques: tuple[frozenset[int], ...]  # one per densify round, saturated ones too
+    edges_removed: int
+    edges_added: int  # the summed edge growth of the densify rounds
+
+
+@contextmanager
+def recorded_clique_steps():
+    """Yield a list that gets one ``CliqueStep`` per ``cli``/``rcli``
+    iteration run inside the block, from wrapped ``sparsify_cli`` and
+    ``densify_cli`` (``cli_search`` calls both through module globals).
+    ``patch.object`` rather than pytest's ``monkeypatch``, so hypothesis
+    tests can use it per example."""
+    steps = []
+    sparsify, densify = density.sparsify_cli, density.densify_cli
+
+    def recording_sparsify(g_orig, g_cur, n, removed, usage):
+        updated, clique = sparsify(g_orig, g_cur, n, removed, usage)
+        steps.append(CliqueStep(clique, (), g_cur.edge_count - updated.edge_count, 0))
+        return updated, clique
+
+    def recording_densify(g_cur, n, usage, s):
+        updated, clique = densify(g_cur, n, usage, s)
+        step = steps[-1]
+        steps[-1] = replace(
+            step,
+            added_cliques=step.added_cliques + (clique,),
+            edges_added=step.edges_added + updated.edge_count - g_cur.edge_count,
+        )
+        return updated, clique
+
+    with patch.object(density, "sparsify_cli", recording_sparsify), patch.object(
+        density, "densify_cli", recording_densify
+    ):
+        yield steps

@@ -41,7 +41,12 @@ from densecf.graph import EditList
 from densecf.runner import METHODS, run_instance
 from densecf.spectral import POSITIVE_EIGENVALUE_TOL, normalized_laplacian
 
-from conftest import CountingClassifier, brute_force_maximal_cliques, random_graph
+from conftest import (
+    CountingClassifier,
+    brute_force_maximal_cliques,
+    random_graph,
+    recorded_clique_steps,
+)
 from test_spectral import triangle_class_dataset
 
 
@@ -368,13 +373,13 @@ def test_10_clique_budget_feasibility():
         n = rng.randrange(8, 16)
         g = random_graph(n, rng.uniform(0.3, 0.8), rng)
         rng.choice([0, 5, 10])  # unused draw, kept so the same 40 graphs are checked
-        trace = []
         fn = rng.choice([lambda h: 0, lambda h: int(h.edge_count % 9 == 0)])
         partition = RegionPartition(tuple("abc"[i % 3] for i in range(n)))
-        if rng.random() < 0.5:
-            cli_search(Oracle(fn), g, trace=trace)
-        else:
-            rcli_search(Oracle(fn), g, partition, trace=trace)
+        with recorded_clique_steps() as trace:
+            if rng.random() < 0.5:
+                cli_search(Oracle(fn), g)
+            else:
+                rcli_search(Oracle(fn), g, partition)
         for step in trace:
             iterations_checked += 1
             cap = len(step.removed_clique)

@@ -5,15 +5,22 @@ import shutil
 import numpy as np
 import pytest
 
-from densecf import spectral
+from densecf import METHODS, spectral
 from densecf.cli import main
-from densecf.evaluation import RECORDS_CSV_COLUMNS
+from densecf.evaluation import RECORDS_CSV_COLUMNS, read_records_csv
 
 RECORDS_HEADER = ",".join(RECORDS_CSV_COLUMNS)
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def write_partition(path, *extra_rows):
+    """Nodes 0-11 in region front, 12-23 in back, then ``extra_rows``."""
+    lines = ["node_id,region_name"] + [f"{i},{'front' if i < 12 else 'back'}" for i in range(24)]
+    path.write_text("\n".join([*lines, *extra_rows]) + "\n")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -189,9 +196,7 @@ class TestExplain:
         ) == 1
 
     def test_rcli_with_partition_writes_region_csv(self, synth_dir, tmp_path):
-        partition = tmp_path / "partition.csv"
-        lines = ["node_id,region_name"] + [f"{i},{'front' if i < 12 else 'back'}" for i in range(24)]
-        partition.write_text("\n".join(lines) + "\n")
+        partition = write_partition(tmp_path / "partition.csv")
         out = tmp_path / "rcli"
         code = run(
             "explain", "--dataset", synth_dir / "manifest.json", "--whitebox",
@@ -204,6 +209,19 @@ class TestExplain:
             regions = (out / "regions.csv").read_text().splitlines()
             assert regions[0] == "region,added_pct,removed_pct"
             assert len(regions) == 3
+
+    def test_duplicate_partition_row_exits_two(self, synth_dir, tmp_path, capsys):
+        partition = write_partition(tmp_path / "partition.csv", "0,back")
+        out = tmp_path / "dup"
+        code = run(
+            "explain", "--dataset", synth_dir / "manifest.json", "--whitebox",
+            "--instance", 0, "--method", "rcli", "--partition", partition,
+            "--out-dir", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{partition}:26:" in err and "'0'" in err
+        assert not (out / "result.json").exists()
 
     def test_format_json_only(self, synth_dir, tmp_path):
         out = tmp_path / "fj"
@@ -265,6 +283,31 @@ class TestBenchmarkAndReport:
         rep = tmp_path / "rep"
         assert run("report", "--records", out / "records.csv", "--out-dir", rep) == 0
         assert json.loads((rep / "aggregates.json").read_text()) == aggregates
+
+    def test_explain_matches_the_benchmark_row_for_every_method(self, synth_dir, tmp_path):
+        partition = write_partition(tmp_path / "partition.csv")
+        common = [
+            "--dataset", synth_dir / "manifest.json", "--whitebox", "--partition", partition,
+            "--max-iters", 40, "--seed", 5,
+        ]
+        bench = tmp_path / "bench"
+        assert run(
+            "benchmark", *common, "--methods", ",".join(METHODS), "--workers", 1,
+            "--out-dir", bench,
+        ) == 0
+        summaries = read_records_csv(bench / "records.csv")
+        assert [s.method for s in summaries] == list(METHODS)
+        fields = ["found", "iterations", "oracle_calls", "distance", "distance_ratio"]
+        for summary in summaries:
+            for index in (0, 7):
+                out = tmp_path / f"{summary.method}-{index}"
+                assert run(
+                    "explain", *common, "--method", summary.method, "--instance", index,
+                    "--out-dir", out,
+                ) == 0
+                payload = json.loads((out / "result.json").read_text())
+                record = summary.records[index]
+                assert [payload[f] for f in fields] == [getattr(record, f) for f in fields]
 
     def test_manifest_records_args_and_resolved_workers(self, synth_dir, tmp_path):
         out = tmp_path / "bench"
@@ -426,6 +469,17 @@ class TestMalformedRecords:
         err = capsys.readouterr().err
         assert "data error" in err and str(path) in err
         assert not (tmp_path / "x").exists()
+
+    def test_method_on_two_datasets_exits_two(self, tmp_path, capsys):
+        # aggregates are keyed by method, so the second dataset's run of tri
+        # would replace the first's
+        on_b = GOOD_RECORD.replace("tri,d,", "tri,b,")
+        path = tmp_path / "records.csv"
+        path.write_text("\n".join([RECORDS_HEADER, GOOD_RECORD, GOOD_RECORD, on_b]) + "\n")
+        assert run("report", "--records", path, "--out-dir", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "'tri'" in err and "'d'" in err and "'b'" in err
+        assert not (tmp_path / "x" / "aggregates.json").exists()
 
     def test_row_error_names_its_line(self, tmp_path, capsys):
         # the name spans lines 2-3 and line 4 is blank: the short row is line 5

@@ -1,7 +1,7 @@
 """A slow reference for the clique-rewrite searches ``cli`` and ``rcli``,
 written from the docstrings of ``sparsify_cli``, ``densify_cli`` and
 ``cli_search`` on plain edge sets, and the property that the package's
-searches agree with it on every outcome and every traced iteration."""
+searches agree with it on every outcome and every recorded iteration."""
 
 import hashlib
 from itertools import combinations
@@ -22,6 +22,8 @@ from densecf import (
     rcli_search,
     whitebox_classify,
 )
+
+from conftest import recorded_clique_steps
 
 DEFAULT_MAX_ITERATIONS = 200
 
@@ -159,16 +161,16 @@ def clique_searches(draw):
 @given(clique_searches())
 def test_clique_searches_equal_the_reference(case):
     g, max_iterations, entry, partition, classify, package_classify = case
-    trace = []
     oracle = Oracle(package_classify)
-    if entry == "regional":
-        options = RunOptions(max_iterations=max_iterations)
-        result = rcli_search(oracle, g, partition, options=options, trace=trace)
-        order = rank_nodes_regional(g, partition)
-    else:
-        options = RunOptions(max_iterations=max_iterations, ranking=entry)
-        result = cli_search(oracle, g, options=options, trace=trace)
-        order = rank_nodes(g, entry)
+    with recorded_clique_steps() as trace:
+        if entry == "regional":
+            options = RunOptions(max_iterations=max_iterations)
+            result = rcli_search(oracle, g, partition, options=options)
+            order = rank_nodes_regional(g, partition)
+        else:
+            options = RunOptions(max_iterations=max_iterations, ranking=entry)
+            result = cli_search(oracle, g, options=options)
+            order = rank_nodes(g, entry)
     cap = DEFAULT_MAX_ITERATIONS if max_iterations is None else max_iterations
     found, final, iterations, calls, records = reference_search(classify, g, order, cap)
 

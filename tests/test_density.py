@@ -24,7 +24,12 @@ from densecf import (
     triangle_score_lists,
 )
 
-from conftest import CountingClassifier, brute_force_maximal_cliques, random_graph
+from conftest import (
+    CountingClassifier,
+    brute_force_maximal_cliques,
+    random_graph,
+    recorded_clique_steps,
+)
 
 
 def edge_score(g, edge):
@@ -343,8 +348,8 @@ class TestCliSearch:
         oracle = Oracle(
             lambda h: int(all(h.has_edge(u, v) for u, v in combinations(range(4), 2)))
         )
-        trace = []
-        result = cli_search(oracle, g, trace=trace)
+        with recorded_clique_steps() as trace:
+            result = cli_search(oracle, g)
         assert result.found
         assert result.iterations == 1
         assert trace[0].added_cliques == ()  # no densify round ran
@@ -384,7 +389,7 @@ class TestCliSearch:
         assert not set(dense) & set(sparse)
 
     def test_trace_sizes_equal_the_steps_symmetric_differences(self, monkeypatch):
-        # record every graph the two steps return; each iteration's traced
+        # record every graph the two steps return; each iteration's recorded
         # sizes must equal the symmetric differences of its steps
         steps = []
         sparsify, densify = density.sparsify_cli, density.densify_cli
@@ -409,12 +414,12 @@ class TestCliSearch:
             modulus = rng.choice([2, 3, 7, 1000])  # 1000: the class never flips
             oracle = Oracle(lambda h: int(h.edge_count % modulus == 0))
             steps.clear()
-            trace = []
-            if trial % 2:
-                partition = RegionPartition(tuple(rng.choice("abc") for _ in range(n)))
-                rcli_search(oracle, g, partition, trace=trace)
-            else:
-                cli_search(oracle, g, trace=trace)
+            with recorded_clique_steps() as trace:
+                if trial % 2:
+                    partition = RegionPartition(tuple(rng.choice("abc") for _ in range(n)))
+                    rcli_search(oracle, g, partition)
+                else:
+                    cli_search(oracle, g)
             per_iteration = []
             for kind, size in steps:
                 if kind == "sparsify":
@@ -440,9 +445,9 @@ class TestCliSearch:
         for _ in range(25):
             g = random_graph(12, rng.uniform(0.3, 0.8), rng)
             rng.choice([0, 2, 10])  # unused draw, kept so the same 25 graphs are checked
-            trace = []
             oracle = Oracle(lambda h: 0)
-            cli_search(oracle, g, trace=trace)
+            with recorded_clique_steps() as trace:
+                cli_search(oracle, g)
             for step in trace:
                 for added in step.added_cliques:
                     assert len(added) <= len(step.removed_clique)
@@ -451,9 +456,9 @@ class TestCliSearch:
         rng = random.Random(31)
         for _ in range(15):
             g = random_graph(10, 0.6, rng)
-            trace = []
             oracle = Oracle(lambda h: 0)
-            result = cli_search(oracle, g, trace=trace)
+            with recorded_clique_steps() as trace:
+                result = cli_search(oracle, g)
             assert not result.found
             total = sum(s.edges_removed + s.edges_added for s in trace)
             assert total >= 0
@@ -467,8 +472,8 @@ class TestCliSearch:
         iterations = 0
         for _ in range(100):
             g = random_graph(rng.randrange(6, 30), rng.uniform(0.2, 0.8), rng)
-            trace = []
-            cli_search(Oracle(lambda h: 0), g, trace=trace)
+            with recorded_clique_steps() as trace:
+                cli_search(Oracle(lambda h: 0), g)
             iterations += len(trace)
             for step in trace:
                 assert step.edges_added <= step.edges_removed
@@ -478,9 +483,9 @@ class TestCliSearch:
         rng = random.Random(53)
         for _ in range(20):
             g = random_graph(11, rng.uniform(0.3, 0.8), rng)
-            trace = []
             fn = lambda h: int(h.edge_count % 8 == 0)
-            result = cli_search(Oracle(fn), g, trace=trace)
+            with recorded_clique_steps() as trace:
+                result = cli_search(Oracle(fn), g)
             volume = sum(s.edges_removed + s.edges_added for s in trace)
             if result.found:
                 assert result.distance <= volume
@@ -531,9 +536,9 @@ class TestRcliSearch:
         # a clique fully inside "a"
         g = Graph(8, list(combinations(range(4), 2)))
         partition = RegionPartition(("a",) * 4 + ("b",) * 4)
-        trace = []
         oracle = Oracle(lambda h: 0)
-        rcli_search(oracle, g, partition, trace=trace)
+        with recorded_clique_steps() as trace:
+            rcli_search(oracle, g, partition)
         assert trace[0].removed_clique <= {0, 1, 2, 3}
 
     def test_partition_must_cover_all_nodes(self):

@@ -1,8 +1,9 @@
 """The package's import layering, read from the source with ``ast``: ``data``
 is the bottom file layer above ``graph`` and the only module that imports
 ``csv``, only ``graph`` reaches into a ``Graph``'s private state, no module
-imports another's underscore names, and no two modules import each other,
-directly or through others."""
+imports another's underscore names, no two modules import each other,
+directly or through others, and no search-layer parameter with a default
+goes unused by the program."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -11,6 +12,7 @@ from pathlib import Path
 import densecf
 
 PACKAGE = Path(densecf.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def package_imports() -> dict[str, set[str]]:
@@ -88,3 +90,49 @@ def test_package_imports_have_no_cycle():
     except CycleError as exc:
         raise AssertionError(f"import cycle: {exc.args[1]}") from None
     assert order.index("graph") < order.index("data") < order.index("evaluation")
+
+
+def passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` may pass the parameter ``name``, which sits at
+    ``position`` among the positional parameters (None: keyword-only)."""
+    if any(k.arg in (name, None) for k in call.keywords):  # None: a **mapping
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    # a parameter with a default that no caller in the package or perfbench
+    # ever sets (tests do not count) is an option only tests can reach
+    calls = [
+        node
+        for path in [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    ]
+
+    def called_name(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    unused = []
+    for module in ("density", "baselines", "runner"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            sites = [c for c in calls if called_name(c) == fn.name]
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)  # defaults pair with the last ones
+            defaulted = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+            defaulted += [
+                (a.arg, None)
+                for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None
+            ]
+            unused += [
+                f"{module}.{fn.name}({name}=)"
+                for name, position in defaulted
+                if not any(passes(c, name, position) for c in sites)
+            ]
+    assert not unused, unused

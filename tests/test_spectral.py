@@ -13,6 +13,7 @@ from densecf import (
     knn_predict,
     load_model,
     save_model,
+    spectral,
     spectral_features,
     train_sf_knn,
 )
@@ -280,6 +281,15 @@ class TestTraining:
         dataset = triangle_class_dataset(num_graphs=4)
         with pytest.raises(ValueError):
             train_sf_knn(dataset, folds=5)
+
+    def test_unknown_metric_rejected_before_any_eigenvalue(self, monkeypatch):
+        def no_laplacian(g):
+            raise AssertionError("eigenvalues computed for an unusable metric")
+
+        monkeypatch.setattr(spectral, "positive_laplacian_eigenvalues", no_laplacian)
+        dataset = triangle_class_dataset(num_graphs=10)
+        with pytest.raises(ValueError, match=r"metric must be one of \('euclidean', 'manhattan'\)"):
+            train_sf_knn(dataset, folds=2, metric="cosine")
 
     def test_same_seed_reproduces_report(self):
         dataset = triangle_class_dataset(num_graphs=24)
