@@ -25,7 +25,7 @@ from .graph import (
     edges_within,
     edit_distance_ratio,
     eigenvector_centrality,
-    maximal_cliques_containing,
+    least_overlapping_clique,
     triangle_counts,
     two_hop_neighborhood,
     with_clique,
@@ -214,10 +214,7 @@ def sparsify_cli(
     chosen clique is appended to ``removed`` and the ``usage`` count of each
     of its nodes goes up by one, which steers ``densify_cli`` away from it.
     """
-    chosen = min(
-        maximal_cliques_containing(g_orig, n),
-        key=lambda c: (max((len(c & r) for r in removed), default=0), -len(c), sorted(c)),
-    )
+    chosen = least_overlapping_clique(g_orig, n, removed)
     removed.append(chosen)
     for v in chosen:
         usage[v] += 1

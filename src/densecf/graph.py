@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, compress, count
 from operator import index, is_not
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -316,24 +316,31 @@ def with_clique(g: Graph, nodes: int | Iterable[int], present: bool) -> Graph:
     return Graph._from_rows(tuple(rows), g._edge_count + change // 2)
 
 
-def maximal_cliques_containing(g: Graph, v: int) -> set[frozenset[int]]:
-    """All maximal cliques of ``g`` that contain node ``v``.
-
-    Pivoted Bron-Kerbosch seeded with {v}, so only the closed neighborhood of
-    ``v`` is explored. An isolated node yields the 1-clique {v}.
-    """
+def _check_node(g: Graph, v: int) -> None:
     if not 0 <= v < g.node_count:
         raise ValueError(f"node {v} outside node range 0..{g.node_count - 1}")
-    # node sets are bitmasks, neighborhoods restricted to N(v)
+
+
+def _bron_kerbosch(
+    g: Graph,
+    v: int,
+    visit: Callable[[int], None],
+    prune: Callable[[int, int], bool] = lambda clique, candidates: False,
+) -> None:
+    """Pivoted Bron-Kerbosch seeded with {v}, so only the closed neighborhood
+    of ``v`` is explored; node sets are bitmasks. ``visit`` gets each maximal
+    clique containing ``v``. A branch whose clique so far and candidate set
+    make ``prune`` true is dropped with every clique below it."""
     around = g._rows[v]
-    nbr = [0] * g.node_count
+    nbr = [0] * g.node_count  # neighborhoods restricted to N(v)
     for u in _members(around):
         nbr[u] = g._rows[u] & around
-    out: set[frozenset[int]] = set()
 
-    def expand(clique: tuple[int, ...], candidates: int, excluded: int) -> None:
+    def expand(clique: int, candidates: int, excluded: int) -> None:
+        if prune(clique, candidates):
+            return
         if not candidates and not excluded:
-            out.add(frozenset(clique))
+            visit(clique)
             return
         # pivot: the node of candidates | excluded with most candidate
         # neighbors, lowest index on ties
@@ -350,19 +357,61 @@ def maximal_cliques_containing(g: Graph, v: int) -> set[frozenset[int]]:
         while rest:
             low = rest & -rest
             u = low.bit_length() - 1
-            expand(clique + (u,), candidates & nbr[u], excluded & nbr[u])
+            expand(clique | low, candidates & nbr[u], excluded & nbr[u])
             candidates ^= low
             excluded |= low
             rest ^= low
 
-    expand((v,), around, 0)
+    expand(1 << v, around, 0)
+
+
+def maximal_cliques_containing(g: Graph, v: int) -> set[frozenset[int]]:
+    """All maximal cliques of ``g`` that contain node ``v``.
+
+    Pivoted Bron-Kerbosch seeded with {v}, so only the closed neighborhood of
+    ``v`` is explored. An isolated node yields the 1-clique {v}.
+    """
+    _check_node(g, v)
+    out: set[frozenset[int]] = set()
+    _bron_kerbosch(g, v, lambda clique: out.add(frozenset(_members(clique))))
     return out
+
+
+def least_overlapping_clique(g: Graph, v: int, removed: Iterable[Iterable[int]]) -> frozenset[int]:
+    """The maximal clique of ``g`` around ``v`` that minimizes (largest
+    overlap with any of the ``removed`` node sets, 0 with none; minus its
+    size; its sorted nodes).
+
+    The same search as ``maximal_cliques_containing``, by branch and bound: a
+    branch is dropped when its clique's overlap and the size it can still
+    reach already make a key greater than the best one's first two parts,
+    never on a tie. Of two equal-size cliques, the one holding the lowest node
+    in which they differ has the smaller sorted node list.
+    """
+    _check_node(g, v)
+    masks = [node_mask(m) for m in removed]
+    best = (g.node_count + 1, 0, 0)  # (overlap, -size, mask): above every clique's key
+
+    def overlap(clique: int) -> int:
+        return max([(clique & m).bit_count() for m in masks], default=0)
+
+    def visit(clique: int) -> None:
+        nonlocal best
+        key = (overlap(clique), -clique.bit_count())
+        differ = clique ^ best[2]
+        if key < best[:2] or (key == best[:2] and differ & -differ & clique):
+            best = (*key, clique)
+
+    def prune(clique: int, candidates: int) -> bool:
+        return (overlap(clique), -(clique | candidates).bit_count()) > best[:2]
+
+    _bron_kerbosch(g, v, visit, prune)
+    return frozenset(_members(best[2]))
 
 
 def two_hop_neighborhood(g: Graph, v: int) -> frozenset[int]:
     """Nodes at shortest-path distance 1 or 2 from ``v``, excluding ``v``."""
-    if not 0 <= v < g.node_count:
-        raise ValueError(f"node {v} outside node range 0..{g.node_count - 1}")
+    _check_node(g, v)
     reach = g._rows[v]
     for u in _members(g._rows[v]):
         reach |= g._rows[u]

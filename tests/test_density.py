@@ -1,7 +1,9 @@
 import random
-from itertools import combinations
+from itertools import combinations, compress
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from densecf import density
 from densecf import (
@@ -11,9 +13,12 @@ from densecf import (
     Oracle,
     RegionPartition,
     RunOptions,
+    SyntheticSpec,
     apply_edits,
     cli_search,
     densify_cli,
+    generate_synthetic,
+    maximal_cliques_containing,
     rank_nodes,
     rank_nodes_regional,
     rcli_search,
@@ -212,6 +217,34 @@ class TestRankNodesRegional:
             rank_nodes_regional(Graph(6), RegionPartition(("a",) * 5))
 
 
+def documented_key(removed):
+    """sparsify_cli's key over ``removed``, as its docstring states it."""
+    return lambda c: (max([len(c & r) for r in removed] or [0]), -len(c), sorted(c))
+
+
+@st.composite
+def clique_choices(draw):
+    """A graph of up to 20 nodes, a center and a removal history. Half the
+    graphs are unions of equal-size cliques through the center, so keys often
+    tie on overlap and size and the sorted node lists decide."""
+    n = draw(st.integers(2, 20))
+    nodes = st.integers(0, n - 1)
+    center = draw(nodes)
+    if draw(st.booleans()):
+        size = draw(st.integers(2, n))
+        cliques = draw(st.lists(st.sets(nodes, min_size=size - 1, max_size=size - 1), max_size=6))
+        edges = {pair for c in cliques for pair in combinations(sorted(c | {center}), 2)}
+    else:
+        pairs = list(combinations(range(n), 2))
+        present = st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+        edges = compress(pairs, draw(present))
+    removed = [
+        frozenset(v for v in range(n) if mask >> v & 1)
+        for mask in draw(st.lists(st.integers(0, 2**n - 1), max_size=5))
+    ]
+    return Graph(n, edges), center, removed
+
+
 class TestSparsify:
     def test_largest_clique_when_no_history(self):
         g = Graph(5, list(combinations(range(4), 2)) + [(3, 4)])
@@ -273,6 +306,40 @@ class TestSparsify:
             }
             assert removed == history + [expected]
             assert usage == [int(v in expected) for v in range(n)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(clique_choices())
+    def test_choice_is_the_minimum_of_the_key_over_every_maximal_clique(self, case):
+        g, center, history = case
+        cliques = maximal_cliques_containing(g, center)
+        key = documented_key(history)
+        expected = min(cliques, key=key)
+        best = key(expected)[:2]
+        if sum(key(c)[:2] == best for c in cliques) > 1:
+            event("tie on overlap and size")
+        removed, usage = list(history), [0] * g.node_count
+        _, clique = sparsify_cli(g, g, center, removed, usage)
+        assert clique == expected
+
+    def test_choice_at_brain_graph_size_along_the_ranked_centers(self):
+        # each graph's first 50 ranked centers, the history growing as in
+        # cli_search: 200 choices at n = 116, over both subgroup families
+        graphs = [
+            entry.graph
+            for k in (1, 2)
+            for entry in generate_synthetic(SyntheticSpec(116, 2, subgroups_per_class=k))
+        ]
+        ties = 0
+        for g in graphs:
+            removed, usage, current = [], [0] * g.node_count, g
+            for center in rank_nodes(g)[:50]:
+                cliques = maximal_cliques_containing(g, center)
+                key = documented_key(removed)
+                expected = min(cliques, key=key)
+                ties += sum(key(c)[:2] == key(expected)[:2] for c in cliques) > 1
+                current, clique = sparsify_cli(g, current, center, removed, usage)
+                assert clique == expected
+        assert ties  # the sorted node lists decided some choices
 
     def test_only_still_present_edges_removed(self):
         g_orig = Graph.complete(4)
