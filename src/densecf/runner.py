@@ -18,7 +18,7 @@ from .density import (
 )
 from .evaluation import InstanceRecord, MethodRunSummary
 from .graph import Graph
-from .spectral import Oracle, SFKnnModel, knn_predict
+from .spectral import Oracle, SFKnnModel, knn_classifier
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ class OracleSpec:
 
     def build(self) -> Oracle:
         if self.kind == "model":
-            # looked up per call, so rebinding ``runner.knn_predict`` takes effect
-            return Oracle(lambda g: knn_predict(self.model, g))
+            return Oracle(knn_classifier(self.model))
         if self.kind == "whitebox":
             s0, s1 = node_halves(self.node_count)
             return Oracle(make_whitebox(s0, s1))

@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from densecf import (
     Graph,
     GraphDataset,
     Oracle,
+    OracleSpec,
     SFKnnModel,
     knn_predict,
     load_model,
@@ -18,6 +22,7 @@ from densecf import (
     train_sf_knn,
 )
 from densecf.data import DatasetEntry
+from densecf.density import finish_result
 from densecf.graph import adjacency_matrix
 from densecf.spectral import POSITIVE_EIGENVALUE_TOL, normalized_laplacian
 
@@ -177,6 +182,88 @@ class TestKnnPredict:
             dists = sorted(float(np.linalg.norm(np.array(f) - qf)) for f in model.training_features)
             if len(set(dists)) == len(dists):
                 assert knn_predict(model, q) == knn_predict(rev, q)
+
+
+class TestKnnClassifier:
+    """The SF-KNN classifier an ``OracleSpec`` builds keeps its last graph."""
+
+    PAIRS = list(combinations(range(10), 2))
+
+    def model(self):
+        rng = random.Random(3)
+        graphs = [random_graph(10, rng.uniform(0.2, 0.8), rng) for _ in range(12)]
+        return SFKnnModel(
+            training_features=tuple(tuple(spectral_features(g, 4)) for g in graphs),
+            training_labels=tuple(i % 2 for i in range(12)),
+            n_neighbors=1,
+            n_eigs=4,
+        )
+
+    def toggled(self, g, pair):
+        return g.remove_edge(*pair) if g.has_edge(*pair) else g.add_edge(*pair)
+
+    def test_shared_across_threads_equals_knn_predict(self):
+        # each thread walks its own edit chain through one classifier and asks
+        # for every graph ten times, all but the first from the slot unless
+        # another thread got in between; a slot holding one thread's graph
+        # with another's class gives wrong labels
+        model = self.model()
+        classify = OracleSpec(kind="model", model=model).build().classifier
+        walks = []
+        for seed in range(4):
+            rng, steps = random.Random(seed), []
+            g = random_graph(10, 0.5, rng)
+            for _ in range(1000):
+                g = self.toggled(g, rng.choice(self.PAIRS))
+                steps.append((g, knn_predict(model, g)))
+            walks.append(steps)
+        wrong = []
+
+        def walk(steps):
+            for g, expected in steps:
+                if any(classify(g) != expected for _ in range(10)):
+                    wrong.append(g)
+
+        threads = [threading.Thread(target=walk, args=(steps,)) for steps in walks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert {c for steps in walks for _, c in steps} == {0, 1}  # the walks cross classes
+        assert not wrong
+
+    def test_flip_check_classifies_any_other_graph_again(self, monkeypatch):
+        model = self.model()
+        g = random_graph(10, 0.5, random.Random(4))
+        y0 = knn_predict(model, g)
+        edits = [self.toggled(g, pair) for pair in self.PAIRS]
+        flipped = next(h for h in edits if knn_predict(model, h) != y0)
+        kept = next(h for h in edits if knn_predict(model, h) == y0)
+        computed = []
+
+        def counting(model, h):
+            computed.append(h)
+            return knn_predict(model, h)
+
+        monkeypatch.setattr(spectral, "knn_predict", counting)
+        oracle = OracleSpec(kind="model", model=model).build()
+        assert oracle.predict(g) == y0
+        assert oracle.predict(flipped) != y0  # the slot now holds the flipped graph
+        # a candidate that is not the slot's graph is classified, and fails
+        with pytest.raises(RuntimeError, match="does not flip"):
+            finish_result(oracle, g, y0, kept, True, 1, 0)
+        assert computed == [g, flipped, kept]
+        # the graph the search charged last is answered from the slot
+        assert oracle.predict(flipped) != y0
+        result = finish_result(oracle, g, y0, Graph(10, flipped.edges), True, 1, 0)
+        assert result.found and result.oracle_calls == oracle.call_count == 3
+        assert computed == [g, flipped, kept, flipped]
 
 
 class TestOracle:
