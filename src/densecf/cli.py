@@ -44,7 +44,7 @@ from .evaluation import (
     write_records_csv,
     write_region_csv,
 )
-from .runner import METHODS, OracleSpec, RunOptions, run_benchmark, search_instance
+from .runner import METHODS, OracleSpec, RunOptions, pool_size, run_benchmark, search_instance
 from .spectral import DegenerateLabelsError, load_model, save_model, train_sf_knn
 
 logger = logging.getLogger(__name__)
@@ -235,7 +235,10 @@ def cmd_benchmark(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ConfigurationError("no methods given")
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    workers = pool_size(
+        args.workers if args.workers is not None else (os.cpu_count() or 1),
+        len(methods) * len(dataset),
+    )
     summaries = run_benchmark(
         spec,
         dataset,

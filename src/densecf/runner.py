@@ -155,6 +155,14 @@ def _run_task(task: tuple[str, int]) -> InstanceRecord:
     return run_instance(method, index, oracle_spec.build(), dataset, partition, options)
 
 
+def pool_size(workers: int, task_count: int) -> int:
+    """The worker processes a run of ``task_count`` searches uses when asked
+    for ``workers``: never more than it has tasks, at least 1 (serial). A
+    forked pool starts every worker up front, each with a copy of the
+    dataset, so idle workers are not free."""
+    return max(1, min(workers, task_count))
+
+
 def run_benchmark(
     oracle_spec: OracleSpec,
     dataset: GraphDataset,
@@ -166,9 +174,10 @@ def run_benchmark(
 ) -> list[MethodRunSummary]:
     """Run every method on every dataset instance.
 
-    Instances fan out over a process pool when ``workers`` > 1; each task owns
-    a fresh oracle, so per-record call counts are exact regardless of
-    scheduling, and output order is fixed to (method, instance index).
+    Instances fan out over a process pool of ``pool_size(workers, tasks)``
+    processes when that is above 1; each task owns a fresh oracle, so
+    per-record call counts are exact regardless of scheduling, and output
+    order is fixed to (method, instance index).
     """
     options = options or RunOptions()
     for k, method in enumerate(methods):
@@ -176,7 +185,8 @@ def run_benchmark(
         if method in methods[:k]:
             raise ConfigurationError(f"method {method!r} is given twice")
     tasks = [(method, index) for method in methods for index in range(len(dataset))]
-    if workers <= 1:
+    workers = pool_size(workers, len(tasks))
+    if workers == 1:
         build = oracle_spec.build  # a fresh counter per search
         records = [run_instance(m, i, build(), dataset, partition, options) for m, i in tasks]
     else:

@@ -101,3 +101,37 @@ def recorded_clique_steps():
         density, "densify_cli", recording_densify
     ):
         yield steps
+
+
+class SerialPool:
+    """Stands in for ``ProcessPoolExecutor`` in ``runner``: records the pool
+    size asked for and maps in this process, so no process starts."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@contextmanager
+def serial_pool():
+    """Patch ``SerialPool`` into ``runner`` and yield the pool sizes it is
+    asked for; the worker context ``_init_worker`` sets is put back after."""
+    from densecf import runner
+
+    SerialPool.sizes = []
+    with patch.object(runner, "ProcessPoolExecutor", SerialPool), patch.object(
+        runner, "_WORKER_CTX", None
+    ):
+        yield SerialPool.sizes

@@ -9,6 +9,8 @@ from densecf import METHODS, spectral
 from densecf.cli import main
 from densecf.evaluation import RECORDS_CSV_COLUMNS, read_records_csv
 
+from conftest import serial_pool
+
 RECORDS_HEADER = ",".join(RECORDS_CSV_COLUMNS)
 
 
@@ -322,6 +324,18 @@ class TestBenchmarkAndReport:
         assert config["max_iters"] == 3
         assert config["ranking"] == "triangles"
         assert isinstance(config["workers"], int) and config["workers"] >= 1
+
+    def test_manifest_records_the_pool_size_used(self, synth_dir, tmp_path):
+        # 10 graphs and one method are 10 tasks, so 64 workers would idle
+        out = tmp_path / "bench"
+        with serial_pool() as sizes:
+            assert run(
+                "benchmark", "--dataset", synth_dir / "manifest.json", "--whitebox",
+                "--methods", "tri", "--max-iters", 3, "--workers", 64, "--out-dir", out,
+            ) == 0
+        assert sizes == [10]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["workers"] == 10
 
     def test_benchmark_workers_do_not_change_outputs(self, synth_dir, tmp_path):
         outs = [tmp_path / "w1", tmp_path / "w2"]

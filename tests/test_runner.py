@@ -19,9 +19,9 @@ from densecf import (
 )
 from densecf import runner
 from densecf.data import DatasetEntry
-from densecf.runner import derive_seed, run_instance
+from densecf.runner import derive_seed, pool_size, run_instance
 
-from conftest import random_graph
+from conftest import random_graph, serial_pool
 
 
 def small_dataset(n=8, count=6, seed=51, partition=True):
@@ -128,6 +128,29 @@ class TestBenchmark:
         gc.collect()
         assert alive() is None
         assert [len(s) for s in summaries] == [3, 3]
+
+    def test_pool_size_is_capped_at_the_task_count(self):
+        assert pool_size(64, 2) == 2
+        assert pool_size(2, 64) == 2
+        assert pool_size(64, 1) == 1
+        assert pool_size(64, 0) == 1
+
+    def test_pool_never_exceeds_the_tasks(self):
+        dataset = small_dataset(count=2)
+        kwargs = dict(dataset=dataset, methods=["tri"], dataset_name="demo")
+        serial = run_benchmark(whitebox_spec(dataset), workers=1, **kwargs)
+        with serial_pool() as sizes:
+            pooled = run_benchmark(whitebox_spec(dataset), workers=64, **kwargs)
+        assert sizes == [2]
+        assert pooled == serial
+
+    def test_one_task_runs_serially_whatever_the_workers(self):
+        dataset = small_dataset(count=1)
+        with serial_pool() as sizes:
+            run_benchmark(
+                whitebox_spec(dataset), dataset, ["cli"], dataset_name="demo", workers=64
+            )
+        assert sizes == []
 
     def test_per_instance_seed_is_schedule_independent(self):
         assert derive_seed(3, 5) == derive_seed(3, 5)
