@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import logging
 import os
 import sys
@@ -22,6 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import (
+    SUBGROUPS_PER_CLASS,
     DatasetFormatError,
     GraphDataset,
     PartitionError,
@@ -36,7 +38,7 @@ from .data import (
     write_csv_rows,
     write_json,
 )
-from .density import RANKING_STRATEGIES, ConfigurationError
+from .density import RANKING_STRATEGIES, ConfigurationError, RunOptions
 from .evaluation import (
     build_aggregate_report,
     read_records_csv,
@@ -44,8 +46,8 @@ from .evaluation import (
     write_records_csv,
     write_region_csv,
 )
-from .runner import METHODS, OracleSpec, RunOptions, pool_size, run_benchmark, search_instance
-from .spectral import DegenerateLabelsError, load_model, save_model, train_sf_knn
+from .runner import METHODS, OracleSpec, instance_record, pool_size, run_benchmark, search_instance
+from .spectral import KNN_METRICS, DegenerateLabelsError, load_model, save_model, train_sf_knn
 
 logger = logging.getLogger(__name__)
 
@@ -81,7 +83,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, args, inputs: list[Path | None], **resolved) -> None:
+def _write_manifest(out_dir: Path, args, inputs: list[Path], **resolved) -> None:
     """Record the parsed arguments, with ``resolved`` overriding defaults the
     command worked out, plus input hashes."""
     config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
@@ -89,7 +91,7 @@ def _write_manifest(out_dir: Path, args, inputs: list[Path | None], **resolved) 
         "command": args.command,
         "config": {**config, **resolved},
         "toolkit_version": __version__,
-        "inputs": {str(p): _sha256(p) for p in inputs if p is not None},
+        "inputs": {str(p): _sha256(p) for p in inputs},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     write_json(manifest, out_dir / "run_manifest.json")
@@ -113,30 +115,24 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _load_dataset_and_partition(args) -> tuple[GraphDataset, RegionPartition | None]:
+def _search_setup(args) -> tuple[GraphDataset, RegionPartition | None, OracleSpec, list[Path]]:
+    """An explain or benchmark run's dataset, region partition and oracle, and
+    the manifest's inputs: the dataset manifest and the model, if one is read."""
     dataset = load_dataset(args.dataset)
     if not dataset.entries:
         raise ConfigurationError(f"dataset {args.dataset} has no graphs")
     partition = dataset.partition
-    if getattr(args, "partition", None):
+    if args.partition:
         partition = load_partition(args.partition, dataset.node_ids)
-    return dataset, partition
-
-
-def _oracle_spec(args, dataset: GraphDataset) -> OracleSpec:
     if args.whitebox:
-        return OracleSpec(kind="whitebox", node_count=dataset.node_count)
-    if not args.model:
-        raise ConfigurationError("provide --model PATH or --whitebox")
-    return OracleSpec(kind="model", model=load_model(args.model))
+        spec, model = OracleSpec("whitebox", node_count=dataset.node_count), []
+    else:
+        spec, model = OracleSpec("model", model=load_model(args.model)), [Path(args.model)]
+    return dataset, partition, spec, [dataset_manifest(args.dataset), *model]
 
 
 def _run_options(args) -> RunOptions:
-    return RunOptions(
-        max_iterations=args.max_iters,
-        ranking=args.ranking,
-        seed=args.seed,
-    )
+    return RunOptions(max_iterations=args.max_iters, ranking=args.ranking, seed=args.seed)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -177,48 +173,31 @@ def _select_instance(dataset: GraphDataset, selector: str) -> int:
 
 
 def cmd_explain(args) -> int:
-    dataset, partition = _load_dataset_and_partition(args)
-    spec = _oracle_spec(args, dataset)
-    oracle = spec.build()
+    dataset, partition, spec, inputs = _search_setup(args)
     index = _select_instance(dataset, args.instance)
     entry = dataset.entries[index]
+    oracle = spec.build()
     result = search_instance(args.method, index, oracle, dataset, partition, _run_options(args))
 
     out = _out_dir(args)
     ids = dataset.node_ids
-    payload = {
-        "schema_version": RESULT_SCHEMA_VERSION,
-        "method": args.method,
-        "dataset": _dataset_name(args.dataset),
-        "instance": index,
-        "name": entry.name,
-        "true_label": entry.label,
-        "predicted_class": result.input_class,
-        "found": result.found,
-        "iterations": result.iterations,
-        "oracle_calls": result.oracle_calls,
-        "distance": result.distance,
-        "distance_ratio": result.distance_ratio,
-        "removals": [[ids[u], ids[v]] for u, v in result.edits.removals],
-        "additions": [[ids[u], ids[v]] for u, v in result.edits.additions],
-        "note": result.note,
-    }
+    removals = [[ids[u], ids[v]] for u, v in result.edits.removals]
+    additions = [[ids[u], ids[v]] for u, v in result.edits.additions]
     if args.format in ("both", "json"):
+        payload = asdict(instance_record(index, entry, result))
+        payload["predicted_class"] = payload.pop("predicted_label")
+        payload.update(method=args.method, dataset=_dataset_name(args.dataset), note=result.note)
+        payload.update(schema_version=RESULT_SCHEMA_VERSION, removals=removals, additions=additions)
         write_json(payload, out / "result.json")
     if args.format in ("both", "csv"):
-        rows = [
-            *(["remove", ids[u], ids[v]] for u, v in result.edits.removals),
-            *(["add", ids[u], ids[v]] for u, v in result.edits.additions),
-        ]
+        rows = [*(["remove", *e] for e in removals), *(["add", *e] for e in additions)]
         write_csv_rows(out / "edits.csv", EDITS_CSV_COLUMNS, rows)
         if partition is not None and result.found:
             write_region_csv(
                 region_change_summary(entry.graph, result.counterfactual, partition),
                 out / "regions.csv",
             )
-    _write_manifest(
-        out, args, [dataset_manifest(args.dataset), Path(args.model) if args.model else None]
-    )
+    _write_manifest(out, args, inputs)
     status = "found" if result.found else "not found"
     print(
         f"{args.method} on instance {index} ({entry.name}): {status}, "
@@ -230,15 +209,11 @@ def cmd_explain(args) -> int:
 def cmd_benchmark(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ConfigurationError(f"--workers must be at least 1, got {args.workers}")
-    dataset, partition = _load_dataset_and_partition(args)
-    spec = _oracle_spec(args, dataset)
+    dataset, partition, spec, inputs = _search_setup(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ConfigurationError("no methods given")
-    workers = pool_size(
-        args.workers if args.workers is not None else (os.cpu_count() or 1),
-        len(methods) * len(dataset),
-    )
+    workers = pool_size(args.workers or os.cpu_count() or 1, len(methods) * len(dataset))
     summaries = run_benchmark(
         spec,
         dataset,
@@ -253,12 +228,7 @@ def cmd_benchmark(args) -> int:
         write_records_csv(summaries, out / "records.csv")
     if args.format in ("both", "json"):
         write_json(build_aggregate_report(summaries), out / "aggregates.json")
-    _write_manifest(
-        out,
-        args,
-        [dataset_manifest(args.dataset), Path(args.model) if args.model else None],
-        workers=workers,
-    )
+    _write_manifest(out, args, inputs, workers=workers)
     for summary in summaries:
         found = sum(1 for r in summary.records if r.found)
         print(f"{summary.method}: {found}/{len(summary.records)} found")
@@ -313,6 +283,11 @@ def cmd_report(args) -> int:
 # --- parser ---------------------------------------------------------------
 
 
+def _defaults(declaration) -> dict:
+    """The parameter defaults a library function or dataclass declares."""
+    return {name: p.default for name, p in inspect.signature(declaration).parameters.items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="densecf",
@@ -321,33 +296,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"densecf {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    run = _defaults(RunOptions)
+
     def add_common_run_flags(p) -> None:
         p.add_argument("--dataset", required=True, help="dataset manifest path")
-        p.add_argument("--model", help="trained model JSON")
-        p.add_argument(
+        oracle = p.add_mutually_exclusive_group(required=True)
+        oracle.add_argument("--model", help="trained model JSON")
+        oracle.add_argument(
             "--whitebox",
             action="store_true",
             help="use the half-vs-half triangle rule instead of a trained model",
         )
-        p.add_argument("--max-iters", type=int, default=None, help="iteration cap override")
+        p.add_argument(
+            "--max-iters", type=int, default=run["max_iterations"], help="iteration cap override"
+        )
         p.add_argument(
             "--ranking",
             choices=RANKING_STRATEGIES,
-            default="triangles",
+            default=run["ranking"],
             help="node ranking for the cli method (rcli ranks by region)",
         )
         p.add_argument("--partition", help="node_id,region_name CSV overriding the dataset's")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=run["seed"])
         p.add_argument("--out-dir", required=True)
         p.add_argument("--format", choices=["both", "json", "csv"], default="both")
 
     p_train = sub.add_parser("train", help="train the spectral KNN classifier")
     p_train.add_argument("--dataset", required=True)
-    p_train.add_argument("--folds", type=int, default=5)
-    p_train.add_argument("--neighbors", type=_int_list, default=[1, 3, 5, 7])
-    p_train.add_argument("--eigs", type=_int_list, default=[5, 10, 15, 20])
-    p_train.add_argument("--metric", choices=["euclidean", "manhattan"], default="euclidean")
-    p_train.add_argument("--seed", type=int, default=0)
+    train = _defaults(train_sf_knn)
+    p_train.add_argument("--folds", type=int, default=train["folds"])
+    p_train.add_argument("--neighbors", type=_int_list, default=train["neighbor_grid"])
+    p_train.add_argument("--eigs", type=_int_list, default=train["eig_grid"])
+    p_train.add_argument("--metric", choices=KNN_METRICS, default=train["metric"])
+    p_train.add_argument("--seed", type=int, default=train["seed"])
     p_train.add_argument("--out-dir", required=True)
     p_train.set_defaults(func=cmd_train)
 
@@ -368,13 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--nodes", type=int, required=True)
     p_synth.add_argument("--num-graphs", type=int, default=100)
-    p_synth.add_argument("--subgroups", type=int, choices=[1, 2], default=1)
-    p_synth.add_argument("--subgroup-size", type=int, default=None)
-    p_synth.add_argument("--cliques", type=int, default=None)
-    p_synth.add_argument("--attach-m", type=int, default=None)
-    p_synth.add_argument("--extra-p", type=int, default=5)
-    p_synth.add_argument("--cross-q", type=float, default=0.7)
-    p_synth.add_argument("--seed", type=int, default=0)
+    spec = _defaults(SyntheticSpec)
+    p_synth.add_argument(
+        "--subgroups", type=int, choices=SUBGROUPS_PER_CLASS, default=spec["subgroups_per_class"]
+    )
+    p_synth.add_argument("--subgroup-size", type=int, default=spec["subgroup_size"])
+    p_synth.add_argument("--cliques", type=int, default=spec["cliques_per_graph"])
+    p_synth.add_argument("--attach-m", type=int, default=spec["attachment"])
+    p_synth.add_argument("--extra-p", type=int, default=spec["extra_edges"])
+    p_synth.add_argument("--cross-q", type=float, default=spec["cross_probability"])
+    p_synth.add_argument("--seed", type=int, default=spec["seed"])
     p_synth.add_argument("--out-dir", required=True)
     p_synth.set_defaults(func=cmd_synth)
 

@@ -23,6 +23,8 @@ from .graph import Graph, edges_within, node_mask, triangles_within, within_delt
 DATASET_FORMAT = "densecf-dataset"
 DATASET_VERSION = 1
 
+SUBGROUPS_PER_CLASS = (1, 2)  # the generator plants one or two dense subgroups per class
+
 
 class DatasetFormatError(ValueError):
     """A dataset, matrix, partition, records or model file is malformed."""
@@ -145,8 +147,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def resolved(self) -> "SyntheticSpec":
-        if self.subgroups_per_class not in (1, 2):
-            raise ValueError("subgroups_per_class must be 1 or 2")
+        if self.node_count < 1:
+            raise ValueError("node_count must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.subgroups_per_class not in SUBGROUPS_PER_CLASS:
+            raise ValueError(f"subgroups_per_class must be one of {SUBGROUPS_PER_CLASS}")
         sg = self.subgroup_size
         if sg is None:
             sg = self.node_count // 4 if self.subgroups_per_class == 1 else self.node_count // 8

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .baselines import dat_search, edg_search, refine_with_backward
-from .data import GraphDataset, RegionPartition, make_whitebox, node_halves
+from .data import DatasetEntry, GraphDataset, RegionPartition, make_whitebox, node_halves
 from .density import (
     ConfigurationError,
     CounterfactualResult,
@@ -117,17 +117,10 @@ def search_instance(
     return run_method(method, oracle, g, dataset=dataset, partition=partition, options=options)
 
 
-def run_instance(
-    method: str,
-    index: int,
-    oracle: Oracle,
-    dataset: GraphDataset,
-    partition: RegionPartition | None,
-    options: RunOptions,
+def instance_record(
+    index: int, entry: DatasetEntry, result: CounterfactualResult
 ) -> InstanceRecord:
-    """Run one method on one dataset instance and record the outcome."""
-    entry = dataset.entries[index]
-    result = search_instance(method, index, oracle, dataset, partition, options)
+    """The record of ``result``, a search of dataset instance ``index``, ``entry``."""
     return InstanceRecord(
         instance=index,
         name=entry.name,
@@ -139,6 +132,19 @@ def run_instance(
         distance=result.distance,
         distance_ratio=result.distance_ratio,
     )
+
+
+def run_instance(
+    method: str,
+    index: int,
+    oracle: Oracle,
+    dataset: GraphDataset,
+    partition: RegionPartition | None,
+    options: RunOptions,
+) -> InstanceRecord:
+    """Run one method on one dataset instance and record the outcome."""
+    result = search_instance(method, index, oracle, dataset, partition, options)
+    return instance_record(index, dataset.entries[index], result)
 
 
 _WORKER_CTX: tuple | None = None  # (oracle spec, dataset, partition, options) in a pool worker

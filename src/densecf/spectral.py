@@ -22,8 +22,10 @@ POSITIVE_EIGENVALUE_TOL = 1e-8
 
 DEFAULT_NEIGHBOR_GRID = (1, 3, 5, 7)
 DEFAULT_EIG_GRID = (5, 10, 15, 20)
+DEFAULT_FOLDS = 5
 
 KNN_METRICS = ("euclidean", "manhattan")
+DEFAULT_METRIC = "euclidean"
 
 MODEL_FORMAT = "densecf-sf-knn"
 MODEL_VERSION = 1
@@ -93,7 +95,7 @@ class SFKnnModel:
     training_labels: tuple[int, ...]
     n_neighbors: int
     n_eigs: int
-    metric: str = "euclidean"
+    metric: str = DEFAULT_METRIC
     seed: int | None = None
     training_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -207,9 +209,9 @@ def train_sf_knn(
     dataset: GraphDataset,
     neighbor_grid: Sequence[int] = DEFAULT_NEIGHBOR_GRID,
     eig_grid: Sequence[int] = DEFAULT_EIG_GRID,
-    folds: int = 5,
+    folds: int = DEFAULT_FOLDS,
     seed: int = 0,
-    metric: str = "euclidean",
+    metric: str = DEFAULT_METRIC,
 ) -> tuple[SFKnnModel, TrainReport]:
     """Grid-search a KNN configuration by seeded k-fold cross-validation.
 

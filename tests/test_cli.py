@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -7,7 +8,7 @@ import pytest
 
 from densecf import METHODS, spectral
 from densecf.cli import main
-from densecf.evaluation import RECORDS_CSV_COLUMNS, read_records_csv
+from densecf.evaluation import RECORDS_CSV_COLUMNS, InstanceRecord, read_records_csv
 
 from conftest import serial_pool
 
@@ -80,11 +81,23 @@ class TestSynth:
             "synth", "--nodes", 20, "--num-graphs", 5, "--out-dir", tmp_path / "x",
         ) == 1
 
-    def test_negative_clique_count_exits_one_before_writing(self, tmp_path, capsys):
-        out = tmp_path / "x"
-        code = run("synth", "--nodes", 20, "--num-graphs", 4, "--cliques", -1, "--out-dir", out)
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--cliques", -1, "cliques_per_graph"),
+            ("--nodes", 0, "node_count"),
+            ("--nodes", -5, "node_count"),
+            ("--seed", -1, "seed"),
+        ],
+        ids=["cliques_per_graph", "node_count-0", "node_count-negative", "seed"],
+    )
+    def test_bad_field_exits_one_naming_it_before_writing(
+        self, tmp_path, flag, value, field, capsys
+    ):
+        out = tmp_path / "x"  # a repeated --nodes overrides the first
+        code = run("synth", "--nodes", 20, "--num-graphs", 4, flag, value, "--out-dir", out)
         assert code == 1
-        assert "cliques_per_graph" in capsys.readouterr().err
+        assert f"error: {field} must" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -299,7 +312,10 @@ class TestBenchmarkAndReport:
         ) == 0
         summaries = read_records_csv(bench / "records.csv")
         assert [s.method for s in summaries] == list(METHODS)
-        fields = ["found", "iterations", "oracle_calls", "distance", "distance_ratio"]
+        # result.json key -> InstanceRecord field, for every field of the record
+        keys = {f.name: f.name for f in dataclasses.fields(InstanceRecord)}
+        keys["predicted_class"] = keys.pop("predicted_label")
+        assert len(keys) == 9
         for summary in summaries:
             for index in (0, 7):
                 out = tmp_path / f"{summary.method}-{index}"
@@ -309,7 +325,9 @@ class TestBenchmarkAndReport:
                 ) == 0
                 payload = json.loads((out / "result.json").read_text())
                 record = summary.records[index]
-                assert [payload[f] for f in fields] == [getattr(record, f) for f in fields]
+                assert {k: payload[k] for k in keys} == {
+                    k: getattr(record, f) for k, f in keys.items()
+                }
 
     def test_manifest_records_args_and_resolved_workers(self, synth_dir, tmp_path):
         out = tmp_path / "bench"
@@ -700,8 +718,32 @@ class TestUsageErrors:
                 )
             assert exc.value.code == 1
 
-    def test_no_oracle_choice_exits_one(self, synth_dir, tmp_path):
-        assert run(
-            "explain", "--dataset", synth_dir / "manifest.json",
-            "--instance", 0, "--method", "tri", "--out-dir", tmp_path,
-        ) == 1
+    SEARCH_FLAGS = {
+        "explain": ["--instance", 0, "--method", "tri"],
+        "benchmark": ["--methods", "tri", "--workers", 1],
+    }
+
+    def test_no_oracle_choice_exits_one(self, synth_dir, tmp_path, capsys):
+        for command, flags in self.SEARCH_FLAGS.items():
+            out = tmp_path / command
+            with pytest.raises(SystemExit) as exc:
+                run(command, "--dataset", synth_dir / "manifest.json", *flags, "--out-dir", out)
+            assert exc.value.code == 1
+            assert "one of the arguments --model --whitebox is required" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["explain", "benchmark"])
+    def test_model_with_whitebox_exits_one_before_writing(
+        self, synth_dir, trained_dir, tmp_path, command, capsys
+    ):
+        # one oracle per run, so run_manifest.json lists only the files the run read
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(
+                command, "--dataset", synth_dir / "manifest.json", "--whitebox",
+                "--model", trained_dir / "model.json", *self.SEARCH_FLAGS[command],
+                "--out-dir", out,
+            )
+        assert exc.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
