@@ -1,0 +1,206 @@
+"""Slow references for the triangle search ``tri`` and for ``backward_search``,
+written from their docstrings (and ``triangle_score_lists``') on plain edge
+sets, and the properties that the package's searches agree with them on
+every outcome, edit and charged call."""
+
+import hashlib
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from densecf import (
+    Graph,
+    InvalidCandidateError,
+    Oracle,
+    RunOptions,
+    backward_search,
+    make_whitebox,
+    node_halves,
+    refine_with_backward,
+    tri_search,
+    whitebox_classify,
+)
+
+
+def neighbors(edges, v):
+    return {w for e in edges if v in e for w in e if w != v}
+
+
+def triangles_at(edges, v):
+    return sum(1 for pair in combinations(sorted(neighbors(edges, v)), 2) if pair in edges)
+
+
+class Counted:
+    """A rule on edge sets that counts its calls, as the oracle charges them."""
+
+    def __init__(self, classify, node_count):
+        self.classify, self.node_count, self.calls = classify, node_count, 0
+
+    def __call__(self, edges):
+        self.calls += 1
+        return self.classify(Graph(self.node_count, edges))
+
+
+def score_lists(node_count, edges):
+    """Every node pair scored by its two nodes' triangle counts: edges by
+    ascending score, non-edges by descending score, ties in pair order."""
+    tri = [triangles_at(edges, v) for v in range(node_count)]
+    pairs = list(combinations(range(node_count), 2))
+    removals = sorted((p for p in pairs if p in edges), key=lambda p: (tri[p[0]] + tri[p[1]], p))
+    additions = sorted(
+        (p for p in pairs if p not in edges), key=lambda p: (-(tri[p[0]] + tri[p[1]]), p)
+    )
+    return removals, additions
+
+
+def reference_tri(predict, g, max_iterations):
+    """(input class, found, final edge set, iterations): swap the next removal
+    and addition candidate until the class flips, either list runs out or
+    ``max_iterations`` swaps (None: no cap) are done."""
+    original = set(g.edges)
+    y0 = predict(original)
+    removals, additions = score_lists(g.node_count, original)
+    current, found, iterations = original, False, 0
+    for edge_out, edge_in in zip(removals, additions):
+        if iterations == max_iterations:
+            break
+        current = (current - {edge_out}) | {edge_in}
+        iterations += 1
+        if predict(current) != y0:
+            found = True
+            break
+    return y0, found, current, iterations
+
+
+def reference_backward(predict, original, candidate, input_class=None, candidate_class=None):
+    """The candidate's edge set after reverting, pass after pass, each edit
+    (removals then additions, each in pair order, as they stood when the pass
+    began) whose revert keeps the class unlike the input's, until a pass
+    keeps nothing; None when the candidate classifies like the input."""
+    if input_class is None:
+        input_class = predict(original)
+    if candidate_class is None:
+        candidate_class = predict(candidate)
+    if candidate_class == input_class:
+        return None
+    current = candidate
+    while True:
+        changed = False
+        for edge in sorted(original - current):
+            if predict(current | {edge}) != input_class:
+                current, changed = current | {edge}, True
+        for edge in sorted(current - original):
+            if predict(current - {edge}) != input_class:
+                current, changed = current - {edge}, True
+        if not changed:
+            return current
+
+
+def outcome(g, y0, found, final, iterations, calls):
+    """A search result's fields as the reference predicts them: no edits and
+    no counterfactual unless found."""
+    if not found:
+        return y0, False, (), (), None, iterations, calls
+    original = set(g.edges)
+    removals, additions = tuple(sorted(original - final)), tuple(sorted(final - original))
+    return y0, True, removals, additions, Graph(g.node_count, final), iterations, calls
+
+
+def fields(result):
+    edits = result.edits
+    return (
+        result.input_class,
+        result.found,
+        edits.removals,
+        edits.additions,
+        result.counterfactual,
+        result.iterations,
+        result.oracle_calls,
+    )
+
+
+def edge_hash_rule(cut):
+    """Class 1 when the first byte of a digest of the sorted edges is below ``cut``."""
+    return lambda g: int(hashlib.sha256(repr(list(g.sorted_edges())).encode()).digest()[0] < cut)
+
+
+@st.composite
+def graphs(draw, n):
+    pairs = list(combinations(range(n), 2))
+    density = draw(st.integers(0, 10))
+    draws = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, x in zip(pairs, draws) if x < density])
+
+
+@st.composite
+def rules(draw, n):
+    """(reference rule, package rule): the white-box rule, an edge-count
+    threshold or a digest of the sorted edges."""
+    rule = draw(st.sampled_from(("whitebox", "edge count", "edge hash")))
+    if rule == "whitebox":
+        halves = node_halves(n)
+        return (lambda h: whitebox_classify(h, *halves)), make_whitebox(*halves)
+    if rule == "edge count":
+        threshold = draw(st.integers(0, n * (n - 1) // 2))
+        classify = lambda h: int(h.edge_count >= threshold)
+    else:
+        classify = edge_hash_rule(draw(st.integers(0, 256)))
+    return classify, classify
+
+
+@st.composite
+def tri_searches(draw):
+    """A graph of 4-14 nodes of any density, an iteration cap and a rule."""
+    n = draw(st.integers(4, 14))
+    g = draw(graphs(n))
+    max_iterations = draw(st.none() | st.integers(0, 6))
+    return g, max_iterations, *draw(rules(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tri_searches())
+def test_tri_search_and_its_refinement_equal_the_reference(case):
+    g, max_iterations, classify, package_classify = case
+    oracle = Oracle(package_classify)
+    result = tri_search(oracle, g, RunOptions(max_iterations=max_iterations))
+    predict = Counted(classify, g.node_count)
+    y0, found, final, iterations = reference_tri(predict, g, max_iterations)
+    assert fields(result) == outcome(g, y0, found, final, iterations, predict.calls)
+    assert oracle.call_count == predict.calls
+
+    # "+bw": the refinement charges its calls on top of the search's
+    refined = refine_with_backward(oracle, g, result)
+    if found:
+        final = reference_backward(predict, set(g.edges), final, y0, 1 - y0)
+    assert fields(refined) == outcome(g, y0, found, final, iterations, predict.calls)
+    assert oracle.call_count == predict.calls
+
+
+@st.composite
+def backward_searches(draw):
+    """A graph of 4-14 nodes, a candidate some node pairs away from it, a
+    rule, and whether the caller passes the two classes in."""
+    n = draw(st.integers(4, 14))
+    g = draw(graphs(n))
+    pairs = list(combinations(range(n), 2))
+    flips = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)))
+    candidate = Graph(n, set(g.edges) ^ flips)
+    return g, candidate, draw(st.booleans()), *draw(rules(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(backward_searches())
+def test_backward_search_equals_the_reference(case):
+    g, candidate, known, classify, package_classify = case
+    classes = (classify(g), classify(candidate)) if known else (None, None)
+    oracle = Oracle(package_classify)
+    predict = Counted(classify, g.node_count)
+    final = reference_backward(predict, set(g.edges), set(candidate.edges), *classes)
+    if final is None:
+        with pytest.raises(InvalidCandidateError):
+            backward_search(oracle, g, candidate, *classes)
+    else:
+        assert backward_search(oracle, g, candidate, *classes) == Graph(g.node_count, final)
+    assert oracle.call_count == predict.calls
