@@ -8,7 +8,7 @@ import random
 from itertools import combinations
 
 from .data import GraphDataset
-from .density import CounterfactualResult, RunOptions, finish_result
+from .density import ConfigurationError, CounterfactualResult, RunOptions, finish_result
 from .graph import EditList, Graph, symmetric_difference_distance
 from .spectral import Oracle
 
@@ -22,7 +22,7 @@ class InvalidCandidateError(ValueError):
 
 
 def edg_search(
-    oracle: Oracle, g: Graph, options: RunOptions | None = None
+    oracle: Oracle, g: Graph, options: RunOptions = RunOptions()
 ) -> CounterfactualResult:
     """Flip one uniformly random edge per iteration until the class flips.
 
@@ -31,7 +31,6 @@ def edg_search(
     are tried (default 2000). On a flip the candidate is refined with
     :func:`backward_search`. Deterministic for a given seed.
     """
-    options = options or RunOptions()
     max_iterations = (
         options.max_iterations if options.max_iterations is not None else DEFAULT_EDG_MAX_ITERATIONS
     )
@@ -58,15 +57,16 @@ def edg_search(
     return finish_result(oracle, g, y0, current, found, iterations, calls_before)
 
 
-def dat_search(oracle: Oracle, g: Graph, dataset: GraphDataset) -> CounterfactualResult:
+def dat_search(oracle: Oracle, g: Graph, dataset: GraphDataset | None) -> CounterfactualResult:
     """Return the dataset graph closest to ``g`` among those the oracle puts
     in the opposite class (distance ties go to the lowest dataset index).
 
     Every dataset graph is classified, so this always finds a counterfactual
-    when the oracle predicts both classes somewhere in the dataset.
+    when the oracle predicts both classes somewhere in the dataset. A missing
+    (None) or empty dataset is a ConfigurationError.
     """
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
+    if not dataset:
+        raise ConfigurationError("dat needs a dataset with at least one graph")
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
     best: tuple[int, int, Graph] | None = None

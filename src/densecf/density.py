@@ -144,7 +144,7 @@ def triangle_score_lists(g: Graph) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
 
 
 def tri_search(
-    oracle: Oracle, g: Graph, options: RunOptions | None = None
+    oracle: Oracle, g: Graph, options: RunOptions = RunOptions()
 ) -> CounterfactualResult:
     """Swap the next removal and addition candidate per iteration.
 
@@ -152,7 +152,6 @@ def tri_search(
     class flip or when either list is exhausted, i.e. after at most
     min(|removals|, |additions|) iterations.
     """
-    options = options or RunOptions()
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
     removals, additions = triangle_score_lists(g)
@@ -255,7 +254,7 @@ def cli_search(
     oracle: Oracle,
     g: Graph,
     order: Sequence[int] | None = None,
-    options: RunOptions | None = None,
+    options: RunOptions = RunOptions(),
 ) -> CounterfactualResult:
     """Rewrite cliques: sparsify around top-ranked nodes, densify around
     bottom-ranked ones.
@@ -272,7 +271,6 @@ def cli_search(
     ``max_iterations`` outer iterations, or after floor(n/2) iterations, when
     the ranking runs out of fresh node pairs.
     """
-    options = options or RunOptions()
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
     if order is None:
@@ -307,10 +305,8 @@ def rcli_search(
     oracle: Oracle,
     g: Graph,
     partition: RegionPartition,
-    options: RunOptions | None = None,
+    options: RunOptions = RunOptions(),
 ) -> CounterfactualResult:
     """Clique rewriting driven by the region-aware two-level node ranking."""
-    if partition is None:
-        raise ConfigurationError("rcli requires a region partition")
     order = rank_nodes_regional(g, partition)
     return cli_search(oracle, g, order=order, options=options)

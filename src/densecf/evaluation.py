@@ -64,6 +64,8 @@ class InstanceRecord:
     def __post_init__(self) -> None:
         if self.true_label not in (0, 1) or self.predicted_label not in (0, 1):
             raise ValueError("labels must be 0 or 1")
+        if self.distance_ratio is not None and not np.isfinite(self.distance_ratio):
+            raise ValueError(f"distance_ratio must be finite, got {self.distance_ratio}")
 
 
 # records.csv: one row per InstanceRecord after its method and dataset, each

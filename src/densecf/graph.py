@@ -47,7 +47,7 @@ class Graph:
     graphs.
     """
 
-    __slots__ = ("node_count", "_rows", "_edge_count", "_hash")
+    __slots__ = ("node_count", "_rows", "_edge_count")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if node_count < 0:
@@ -62,7 +62,6 @@ class Graph:
         self.node_count = node_count
         self._rows = tuple(rows)
         self._edge_count = sum(row.bit_count() for row in rows) // 2
-        self._hash = None
 
     @classmethod
     def _from_rows(cls, rows: tuple[int, ...], edge_count: int) -> "Graph":
@@ -71,7 +70,6 @@ class Graph:
         g.node_count = len(rows)
         g._rows = rows
         g._edge_count = edge_count
-        g._hash = None
         return g
 
     @classmethod
@@ -120,9 +118,7 @@ class Graph:
         return self._rows == other._rows
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._rows)
-        return self._hash
+        return hash(self._rows)
 
     def __repr__(self) -> str:
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"

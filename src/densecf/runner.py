@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .baselines import dat_search, edg_search, refine_with_backward
 from .data import DatasetEntry, GraphDataset, RegionPartition, make_whitebox, node_halves
@@ -21,37 +21,21 @@ from .graph import Graph
 from .spectral import Oracle, SFKnnModel, knn_classifier
 
 
-@dataclass(frozen=True)
-class _Method:
-    """How to run one named method: its search and the inputs it needs."""
-
-    # (oracle, graph, dataset, partition, options) -> result
-    search: Callable[..., CounterfactualResult]
-    needs_dataset: bool = False
-    needs_partition: bool = False
-
-
 # The searches are looked up as module globals when a method runs (not bound
-# here), so rebinding ``runner.tri_search`` and friends takes effect.
+# here), so rebinding ``runner.tri_search`` and friends takes effect. Each
+# entry maps (oracle, graph, dataset, partition, options) to the result.
 _METHOD_TABLE = {
-    "tri": _Method(lambda o, g, d, p, opts: tri_search(o, g, options=opts)),
-    "cli": _Method(lambda o, g, d, p, opts: cli_search(o, g, options=opts)),
-    "rcli": _Method(
-        lambda o, g, d, p, opts: rcli_search(o, g, p, options=opts), needs_partition=True
-    ),
-    "edg": _Method(lambda o, g, d, p, opts: edg_search(o, g, opts)),
-    "dat": _Method(lambda o, g, d, p, opts: dat_search(o, g, d), needs_dataset=True),
-    "dat+bw": _Method(
-        lambda o, g, d, p, opts: refine_with_backward(o, g, dat_search(o, g, d)),
-        needs_dataset=True,
-    ),
-    "rcli+bw": _Method(
-        lambda o, g, d, p, opts: refine_with_backward(o, g, rcli_search(o, g, p, options=opts)),
-        needs_partition=True,
-    ),
+    "tri": lambda o, g, d, p, opts: tri_search(o, g, options=opts),
+    "cli": lambda o, g, d, p, opts: cli_search(o, g, options=opts),
+    "rcli": lambda o, g, d, p, opts: rcli_search(o, g, p, opts),
+    "edg": lambda o, g, d, p, opts: edg_search(o, g, opts),
+    "dat": lambda o, g, d, p, opts: dat_search(o, g, d),
+    "dat+bw": lambda o, g, d, p, opts: refine_with_backward(o, g, dat_search(o, g, d)),
+    "rcli+bw": lambda o, g, d, p, opts: refine_with_backward(o, g, rcli_search(o, g, p, opts)),
 }
 
 METHODS = tuple(_METHOD_TABLE)
+_NEEDS_PARTITION = ("rcli", "rcli+bw")
 
 
 @dataclass(frozen=True)
@@ -76,16 +60,14 @@ def derive_seed(base: int, index: int) -> int:
     return (base * 1_000_003 + index) % (2**63)
 
 
-def _resolve_method(method: str, has_dataset: bool, has_partition: bool) -> _Method:
-    """The table entry that runs ``method``, after checking its inputs exist."""
-    entry = _METHOD_TABLE.get(method)
-    if entry is None:
+def _search_for(method: str, has_partition: bool):
+    """The table entry that runs ``method``, after checking that it can run."""
+    search = _METHOD_TABLE.get(method)
+    if search is None:
         raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
-    if entry.needs_dataset and not has_dataset:
-        raise ConfigurationError(f"method {method!r} requires a dataset")
-    if entry.needs_partition and not has_partition:
+    if method in _NEEDS_PARTITION and not has_partition:
         raise ConfigurationError(f"method {method!r} requires a region partition")
-    return entry
+    return search
 
 
 def run_method(
@@ -94,12 +76,10 @@ def run_method(
     g: Graph,
     dataset: GraphDataset | None = None,
     partition: RegionPartition | None = None,
-    options: RunOptions | None = None,
+    options: RunOptions = RunOptions(),
 ) -> CounterfactualResult:
     """Run one named search method on one graph."""
-    options = options or RunOptions()
-    entry = _resolve_method(method, dataset is not None, partition is not None)
-    return entry.search(oracle, g, dataset, partition, options)
+    return _search_for(method, partition is not None)(oracle, g, dataset, partition, options)
 
 
 def search_instance(
@@ -175,7 +155,7 @@ def run_benchmark(
     methods: Sequence[str],
     dataset_name: str,
     partition: RegionPartition | None = None,
-    options: RunOptions | None = None,
+    options: RunOptions = RunOptions(),
     workers: int = 1,
 ) -> list[MethodRunSummary]:
     """Run every method on every dataset instance.
@@ -185,9 +165,8 @@ def run_benchmark(
     per-record call counts are exact regardless of scheduling, and output
     order is fixed to (method, instance index).
     """
-    options = options or RunOptions()
     for k, method in enumerate(methods):
-        _resolve_method(method, True, partition is not None)
+        _search_for(method, partition is not None)
         if method in methods[:k]:
             raise ConfigurationError(f"method {method!r} is given twice")
     tasks = [(method, index) for method in methods for index in range(len(dataset))]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from densecf import (
+    ConfigurationError,
     Graph,
     GraphDataset,
     InvalidCandidateError,
@@ -133,8 +134,14 @@ class TestDatSearch:
         assert classifier.calls == expected + (1 if result.found else 0)
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="dat needs a dataset with at least one graph"):
             dat_search(Oracle(lambda h: 0), Graph(4), dataset_of([], n=4))
+
+    def test_missing_dataset_rejected_before_any_call(self):
+        oracle = Oracle(lambda h: 0)
+        with pytest.raises(ConfigurationError, match="dat needs a dataset with at least one graph"):
+            dat_search(oracle, Graph(4), None)
+        assert oracle.call_count == 0
 
 
 class TestBackwardSearch:

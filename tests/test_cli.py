@@ -481,6 +481,8 @@ BAD_RECORDS = {
     "instance-not-int": GOOD_RECORD.replace("tri,d,0,", "tri,d,zero,"),
     "found-not-bool": GOOD_RECORD.replace("true", "maybe"),
     "label-out-of-range": GOOD_RECORD.replace(",0,0,true", ",0,7,true"),
+    "ratio-nan": GOOD_RECORD.replace(",0.5", ",nan"),
+    "ratio-inf": GOOD_RECORD.replace(",0.5", ",inf"),
 }
 
 

@@ -581,7 +581,7 @@ RECORDS = st.builds(
     iterations=st.integers(),
     oracle_calls=st.integers(),
     distance=st.integers(),
-    distance_ratio=st.none() | st.floats(allow_nan=False),
+    distance_ratio=st.none() | st.floats(allow_nan=False, allow_infinity=False),
 )
 RUNS = st.dictionaries(
     st.tuples(NAMES, NAMES), st.lists(RECORDS, min_size=1, max_size=3), max_size=3

@@ -1,21 +1,27 @@
-"""Slow references for the triangle search ``tri`` and for ``backward_search``,
+"""Slow references for the triangle search ``tri``, the random flips of
+``edg``, the nearest unlike neighbor of ``dat`` and for ``backward_search``,
 written from their docstrings (and ``triangle_score_lists``') on plain edge
 sets, and the properties that the package's searches agree with them on
-every outcome, edit and charged call."""
+every outcome, edit, charged call and note."""
 
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densecf import (
+    DatasetEntry,
     Graph,
+    GraphDataset,
     InvalidCandidateError,
     Oracle,
     RunOptions,
     backward_search,
+    dat_search,
+    edg_search,
     make_whitebox,
     node_halves,
     refine_with_backward,
@@ -98,14 +104,14 @@ def reference_backward(predict, original, candidate, input_class=None, candidate
             return current
 
 
-def outcome(g, y0, found, final, iterations, calls):
+def outcome(g, y0, found, final, iterations, calls, note=None):
     """A search result's fields as the reference predicts them: no edits and
     no counterfactual unless found."""
     if not found:
-        return y0, False, (), (), None, iterations, calls
+        return y0, False, (), (), None, iterations, calls, note
     original = set(g.edges)
     removals, additions = tuple(sorted(original - final)), tuple(sorted(final - original))
-    return y0, True, removals, additions, Graph(g.node_count, final), iterations, calls
+    return y0, True, removals, additions, Graph(g.node_count, final), iterations, calls, note
 
 
 def fields(result):
@@ -118,6 +124,7 @@ def fields(result):
         result.counterfactual,
         result.iterations,
         result.oracle_calls,
+        result.note,
     )
 
 
@@ -204,3 +211,105 @@ def test_backward_search_equals_the_reference(case):
     else:
         assert backward_search(oracle, g, candidate, *classes) == Graph(g.node_count, final)
     assert oracle.call_count == predict.calls
+
+
+def reference_edg(predict, g, max_iterations, seed):
+    """(input class, found, final edge set, iterations, note): flip the node
+    pair ``random.Random(seed).randrange`` picks, one charged call a flip,
+    until the class flips or ``max_iterations`` flips are done; a flip is
+    refined by the backward reference."""
+    original = set(g.edges)
+    y0 = predict(original)
+    pairs = list(combinations(range(g.node_count), 2))
+    if not pairs:
+        return y0, False, original, 0, "graph has no node pairs"
+    rng = random.Random(seed)
+    current = original
+    for iterations in range(1, max_iterations + 1):
+        current = current ^ {pairs[rng.randrange(len(pairs))]}
+        if predict(current) != y0:
+            final = reference_backward(predict, original, current, y0, 1 - y0)
+            return y0, True, final, iterations, None
+    return y0, False, current, max_iterations, None
+
+
+@st.composite
+def edg_searches(draw):
+    """A graph of 4-14 nodes, a small flip cap, a seed and a rule."""
+    n = draw(st.integers(4, 14))
+    g = draw(graphs(n))
+    return g, draw(st.integers(0, 25)), draw(st.integers(0, 2**32)), *draw(rules(n))
+
+
+def nonempty(h):
+    return int(h.edge_count > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edg_searches())
+@example((Graph(0), 5, 0, nonempty, nonempty))  # no node pairs to flip
+@example((Graph(1), 5, 0, nonempty, nonempty))
+def test_edg_search_equals_the_reference(case):
+    g, max_iterations, seed, classify, package_classify = case
+    oracle = Oracle(package_classify)
+    result = edg_search(oracle, g, RunOptions(max_iterations=max_iterations, seed=seed))
+    predict = Counted(classify, g.node_count)
+    y0, found, final, iterations, note = reference_edg(predict, g, max_iterations, seed)
+    assert fields(result) == outcome(g, y0, found, final, iterations, predict.calls, note)
+    assert oracle.call_count == predict.calls
+
+
+def reference_dat(predict, g, pool):
+    """(input class, found, final edge set, iterations, note): charge the
+    input, then every graph of ``pool`` in order; the counterfactual is the
+    minimum (symmetric difference size, index) among those classified
+    opposite to the input."""
+    original = set(g.edges)
+    y0 = predict(original)
+    opposite = [
+        (len(original ^ set(h.edges)), i) for i, h in enumerate(pool) if predict(set(h.edges)) != y0
+    ]
+    if not opposite:
+        note = f"no graph among {len(pool)} classifies opposite to the input"
+        return y0, False, original, len(pool), note
+    return y0, True, set(pool[min(opposite)[1]].edges), len(pool), None
+
+
+@st.composite
+def dat_searches(draw):
+    """A graph of 4-14 nodes, 1-8 dataset graphs on its nodes and a rule.
+    A dataset graph either keeps each node pair with a seeded random chance
+    or is the input with k node pairs flipped, one k for all, so that
+    distances tie between different graphs."""
+    n = draw(st.integers(4, 14))
+    g = draw(graphs(n))
+    pairs = list(combinations(range(n), 2))
+    k = draw(st.integers(1, 3))
+
+    def seeded(seed):
+        rng = random.Random(seed)
+        density = rng.random()
+        return Graph(n, [pair for pair in pairs if rng.random() < density])
+
+    fresh = st.integers(0, 2**32).map(seeded)
+    flips = st.sets(st.sampled_from(pairs), min_size=k, max_size=k)
+    near = flips.map(lambda f: Graph(n, set(g.edges) ^ f))
+    pool = draw(st.lists(near | fresh, min_size=1, max_size=8))
+    return g, pool, *draw(rules(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dat_searches())
+# two graphs classify opposite at distance 1: the lower index wins
+@example((Graph(4), [Graph(4, [(2, 3)]), Graph(4), Graph(4, [(0, 1)])], nonempty, nonempty))
+def test_dat_search_equals_the_reference(case):
+    g, pool, classify, package_classify = case
+    entries = tuple(DatasetEntry(h, 0, f"g{i}") for i, h in enumerate(pool))
+    dataset = GraphDataset(g.node_count, tuple(map(str, range(g.node_count))), entries)
+    oracle = Oracle(package_classify)
+    result = dat_search(oracle, g, dataset)
+    predict = Counted(classify, g.node_count)
+    y0, found, final, iterations, note = reference_dat(predict, g, pool)
+    assert fields(result) == outcome(g, y0, found, final, iterations, predict.calls, note)
+    assert oracle.call_count == predict.calls
+
