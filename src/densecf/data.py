@@ -299,18 +299,19 @@ def _by_counts(counts: tuple[tuple[int, int], ...]) -> int:
 
 def make_whitebox(s0: Sequence[int], s1: Sequence[int]) -> Callable[[Graph], int]:
     """``whitebox_classify`` over fixed halves, updating its last counts by ``within_deltas``."""
-    masks = node_mask(s0), node_mask(s1)
+    m0, m1 = masks = node_mask(s0), node_mask(s1)
     last = None  # (graph, ((t0, e0), (t1, e1))), replaced whole so the rule can be shared
 
     def classify(g: Graph) -> int:
         nonlocal last
-        _halves(g, *masks)
+        _halves(g, m0, m1)
         memo = last
         deltas = None if memo is None else within_deltas(memo[0], g, masks)
         if deltas is None:
             counts = tuple((triangles_within(g, m), edges_within(g, m)) for m in masks)
         else:
-            counts = tuple((t + dt, e + de) for (t, e), (dt, de) in zip(memo[1], deltas))
+            ((t0, e0), (t1, e1)), ((dt0, de0), (dt1, de1)) = memo[1], deltas
+            counts = (t0 + dt0, e0 + de0), (t1 + dt1, e1 + de1)
         last = (g, counts)
         return _by_counts(counts)
 

@@ -21,7 +21,6 @@ from .graph import (
     EditList,
     Graph,
     adjacency_matrix,
-    apply_edits,
     edges_within,
     edit_distance_ratio,
     eigenvector_centrality,
@@ -29,6 +28,7 @@ from .graph import (
     triangle_counts,
     two_hop_neighborhood,
     with_clique,
+    with_swap,
 )
 from .spectral import Oracle
 
@@ -103,7 +103,7 @@ def finish_result(
     if found:
         if final == original:
             raise RuntimeError("search reported the unchanged input as a counterfactual")
-        if int(oracle.classifier(final)) == original_class:
+        if oracle.check(final) == original_class:
             raise RuntimeError("search produced a candidate that does not flip the class")
         edits = EditList.between(original, final)
         counterfactual, ratio = final, edit_distance_ratio(original, final)
@@ -160,7 +160,7 @@ def tri_search(
     found = False
     i = 0
     for edge_out, edge_in in swaps:
-        current = apply_edits(current, EditList(removals=(edge_out,), additions=(edge_in,)))
+        current = with_swap(current, edge_out, edge_in)
         i += 1
         if oracle.predict(current) != y0:
             found = True

@@ -66,6 +66,10 @@ class InstanceRecord:
             raise ValueError("labels must be 0 or 1")
         if self.distance_ratio is not None and not np.isfinite(self.distance_ratio):
             raise ValueError(f"distance_ratio must be finite, got {self.distance_ratio}")
+        if self.found and (self.distance_ratio is None or self.distance <= 0):
+            raise ValueError("a found record needs a distance_ratio and a positive distance")
+        if not self.found and (self.distance_ratio is not None or self.distance != 0):
+            raise ValueError("a record not found needs distance 0 and no distance_ratio")
 
 
 # records.csv: one row per InstanceRecord after its method and dataset, each

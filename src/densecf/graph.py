@@ -43,8 +43,9 @@ class Graph:
     The edge set is one int bitmask per node: bit v of row u is set when uv is
     an edge. Edge views are built from the rows when asked for, as (u, v) with
     u < v; self-loops are rejected and repeated pairs collapse. Instances are
-    immutable: ``add_edge``, ``remove_edge`` and ``apply_edits`` return new
-    graphs.
+    immutable: ``add_edge``, ``remove_edge``, ``apply_edits``, ``with_clique``
+    and ``with_swap`` return new graphs, each sharing the row objects of the
+    nodes it does not touch with its input.
     """
 
     __slots__ = ("node_count", "_rows", "_edge_count")
@@ -210,7 +211,9 @@ def edit_distance_ratio(g: Graph, h: Graph) -> float:
 
 
 def apply_edits(g: Graph, edits: EditList) -> Graph:
-    """Apply an edit list, verifying it is consistent with ``g``."""
+    """Apply an edit list, verifying it is consistent with ``g``. This is the
+    validating path for any edit list; ``with_swap`` and ``with_clique`` make
+    the two edits the searches repeat without building one."""
     removals = {_normalize_edge(u, v, g.node_count) for u, v in edits.removals}
     additions = {_normalize_edge(u, v, g.node_count) for u, v in edits.additions}
     if removals & additions:
@@ -269,7 +272,12 @@ def edges_within(g: Graph, nodes: int | Iterable[int]) -> int:
 def within_deltas(before: Graph, after: Graph, masks: Sequence[int]) -> list | None:
     """For each of the disjoint node ``masks``, the change from ``before`` to
     ``after`` in (triangles within it, edges within it); None when the node
-    counts differ or the graphs differ in at least ``after.edge_count`` pairs."""
+    counts differ or the graphs differ in at least ``after.edge_count`` pairs.
+
+    A row that is the same object in both graphs is taken as unchanged
+    without reading its bits. Every edit function here shares the rows it
+    does not touch, so for ``after`` made from ``before`` by a few edits only
+    their rows are compared; graphs built apart are compared row by row."""
     if before.node_count != after.node_count or not after._edge_count:
         return None
     old, new, changed = before._rows, after._rows, []
@@ -298,9 +306,10 @@ def within_deltas(before: Graph, after: Graph, masks: Sequence[int]) -> list | N
 
 def with_clique(g: Graph, nodes: int | Iterable[int], present: bool) -> Graph:
     """``g`` with every pair among ``nodes`` (node indices, or their
-    ``node_mask``) made an edge when ``present``, else a non-edge. Only the
-    rows of ``nodes`` are rebuilt; the others are ``g``'s own row objects,
-    which ``within_deltas`` relies on."""
+    ``node_mask``) made an edge when ``present``, else a non-edge, without
+    the checks of ``apply_edits``: pairs already so are left as they are.
+    Only the rows of ``nodes`` are rebuilt; the others are ``g``'s own row
+    objects, which ``within_deltas`` relies on."""
     mask = node_mask(nodes)
     if mask >> g.node_count:
         raise ValueError(f"nodes outside node range 0..{g.node_count - 1}")
@@ -310,6 +319,24 @@ def with_clique(g: Graph, nodes: int | Iterable[int], present: bool) -> Graph:
         change += row.bit_count() - rows[u].bit_count()
         rows[u] = row
     return Graph._from_rows(tuple(rows), g._edge_count + change // 2)
+
+
+def with_swap(g: Graph, removal: Edge, addition: Edge) -> Graph:
+    """``g`` with the edge ``removal`` made a non-edge and the non-edge
+    ``addition`` made an edge, so the edge count stays. Equal to
+    ``apply_edits(g, EditList((removal,), (addition,)))`` and raises its
+    errors, but rebuilds only the rows of the pairs' ends; the others are
+    ``g``'s own row objects, which ``within_deltas`` relies on."""
+    a, b = _normalize_edge(*removal, g.node_count)
+    c, d = _normalize_edge(*addition, g.node_count)
+    rows = g._rows
+    if (a, b) == (c, d):
+        raise EditConflictError("an edge appears both as removal and addition")
+    if not rows[a] >> b & 1:
+        raise EditConflictError(f"removal of absent edges: {[(a, b)]}")
+    if rows[c] >> d & 1:
+        raise EditConflictError(f"addition of present edges: {[(c, d)]}")
+    return Graph._from_rows(_toggled(rows, ((a, b), (c, d))), g._edge_count)
 
 
 def _check_node(g: Graph, v: int) -> None:

@@ -167,10 +167,12 @@ def knn_classifier(model: SFKnnModel) -> Callable[[Graph], int]:
 class Oracle:
     """Black-box wrapper that counts every prediction it performs.
 
-    Searches must go through :meth:`predict`. Only the check that a found
-    counterfactual flips the class calls the underlying ``classifier``
-    directly, without charging the search; the input's class is the one the
-    search charged, carried on its result.
+    Searches must go through :meth:`predict`, which charges one call. Only
+    the check that a found counterfactual flips the class goes through
+    :meth:`check`, which evaluates without charging the search; the input's
+    class is the one the search charged, carried on its result. Both read
+    ``classifier`` at call time, so replacing that attribute (to wrap it in
+    a counter, say) reroutes both.
     """
 
     def __init__(self, classifier: Callable[[Graph], int]) -> None:
@@ -179,6 +181,10 @@ class Oracle:
 
     def predict(self, g: Graph) -> int:
         self.call_count += 1
+        return int(self.classifier(g))
+
+    def check(self, g: Graph) -> int:
+        """The class of ``g``, evaluated without charging a call."""
         return int(self.classifier(g))
 
 

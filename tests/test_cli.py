@@ -483,6 +483,9 @@ BAD_RECORDS = {
     "label-out-of-range": GOOD_RECORD.replace(",0,0,true", ",0,7,true"),
     "ratio-nan": GOOD_RECORD.replace(",0.5", ",nan"),
     "ratio-inf": GOOD_RECORD.replace(",0.5", ",inf"),
+    "found-without-ratio": GOOD_RECORD.replace(",0.5", ","),
+    "not-found-with-distance": GOOD_RECORD.replace("true,1,2,1,0.5", "false,1,2,7,0.5"),
+    "found-at-distance-zero": GOOD_RECORD.replace("true,1,2,1,", "true,1,2,0,"),
 }
 
 

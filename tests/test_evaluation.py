@@ -158,20 +158,22 @@ class TestRecordsRoundTrip:
         rng = random.Random(11)
         out = []
         for method in ("tri", "dat"):
-            records = tuple(
-                record(
-                    rng.randrange(2),
-                    rng.random() < 0.7,
-                    instance=i,
-                    name=f"g{i}",
-                    iterations=rng.randrange(1, 50),
-                    oracle_calls=rng.randrange(1, 500),
-                    distance=rng.randrange(0, 40),
-                    distance_ratio=rng.random() if rng.random() < 0.8 else None,
+            records = []
+            for i in range(12):
+                found = rng.random() < 0.7
+                records.append(
+                    record(
+                        rng.randrange(2),
+                        found,
+                        instance=i,
+                        name=f"g{i}",
+                        iterations=rng.randrange(1, 50),
+                        oracle_calls=rng.randrange(1, 500),
+                        distance=rng.randrange(1, 40) if found else 0,
+                        distance_ratio=rng.random() if found else None,
+                    )
                 )
-                for i in range(12)
-            )
-            out.append(MethodRunSummary(method, "demo", records))
+            out.append(MethodRunSummary(method, "demo", tuple(records)))
         return out
 
     def test_csv_round_trip(self, tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from densecf import (
@@ -47,6 +47,7 @@ from densecf.graph import (
     node_mask,
     triangles_within,
     with_clique,
+    with_swap,
     within_deltas,
 )
 from densecf.spectral import KNN_METRICS, MODEL_FORMAT, MODEL_VERSION
@@ -358,6 +359,48 @@ def test_with_clique_sets_exactly_the_pairs_among_its_nodes(pair, data):
 
 
 @st.composite
+def swaps(draw):
+    """A graph on 0-9 nodes and a (removal, addition) pair of node pairs, each
+    one of its edges, one of its non-edges, or any two nodes in -1..n, so a
+    self-loop or a node out of range; either way round."""
+    n = draw(st.integers(0, 9))
+    g = draw(graphs_on(n))
+    absent = set(combinations(range(n), 2)) - g.edges
+    kinds = [st.tuples(st.integers(-1, n), st.integers(-1, n))]
+    kinds += [st.sampled_from(sorted(pairs)) for pairs in (g.edges, absent) if pairs]
+
+    def pair():
+        u, v = draw(st.one_of(kinds))
+        return (u, v) if draw(st.booleans()) else (v, u)
+
+    return g, pair(), pair()
+
+
+@settings(max_examples=300, deadline=None)
+@given(swaps())
+@example((Graph(3, [(0, 1)]), (1, 0), (0, 2)))  # a swap
+@example((Graph(3, [(0, 1)]), (1, 2), (0, 2)))  # an absent removal
+@example((Graph(3, [(0, 1), (1, 2)]), (0, 1), (2, 1)))  # a present addition
+@example((Graph(3, [(0, 1)]), (0, 1), (0, 1)))  # one pair both ways
+@example((Graph(3, [(0, 1)]), (0, 1), (2, 2)))  # a self-loop
+@example((Graph(3, [(0, 1)]), (0, 3), (0, 2)))  # out of range
+@example((Graph(3, [(0, 1)]), (0, 1), (-1, 2)))  # out of range
+def test_with_swap_equals_apply_edits(swap):
+    g, removal, addition = swap
+    try:
+        expected = apply_edits(g, EditList((removal,), (addition,)))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            with_swap(g, removal, addition)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    h = with_swap(g, removal, addition)
+    assert h == expected and h.edge_count == len(h.edges) == g.edge_count
+    ends = {*removal, *addition}
+    assert all(h._rows[u] is g._rows[u] for u in range(g.node_count) if u not in ends)
+
+
+@st.composite
 def graph_walks(draw):
     """Halves of 3-12 nodes and a sequence of graphs: mostly chains of 1-3
     edge edits, with unrelated graphs and graphs of another node count."""
@@ -571,18 +614,26 @@ def test_any_json_model_loads_or_raises_format_error(text):
 NAMES = st.text(
     st.sampled_from(',"\n\r\u00e9\u540d') | st.characters(blacklist_categories=("Cs",))
 )
-RECORDS = st.builds(
-    InstanceRecord,
-    instance=st.integers(),
-    name=NAMES,
-    true_label=st.sampled_from((0, 1)),
-    predicted_label=st.sampled_from((0, 1)),
-    found=st.booleans(),
-    iterations=st.integers(),
-    oracle_calls=st.integers(),
-    distance=st.integers(),
-    distance_ratio=st.none() | st.floats(allow_nan=False, allow_infinity=False),
-)
+@st.composite
+def consistent_records(draw):
+    """Records whose outcome fields agree, as ``InstanceRecord`` requires: a
+    found one has a distance of at least 1 and a finite ratio, any other
+    distance 0 and no ratio."""
+    found = draw(st.booleans())
+    return InstanceRecord(
+        instance=draw(st.integers()),
+        name=draw(NAMES),
+        true_label=draw(st.sampled_from((0, 1))),
+        predicted_label=draw(st.sampled_from((0, 1))),
+        found=found,
+        iterations=draw(st.integers()),
+        oracle_calls=draw(st.integers()),
+        distance=draw(st.integers(min_value=1)) if found else 0,
+        distance_ratio=draw(st.floats(allow_nan=False, allow_infinity=False)) if found else None,
+    )
+
+
+RECORDS = consistent_records()
 RUNS = st.dictionaries(
     st.tuples(NAMES, NAMES), st.lists(RECORDS, min_size=1, max_size=3), max_size=3
 ).map(lambda runs: [MethodRunSummary(m, d, tuple(rs)) for (m, d), rs in runs.items()])

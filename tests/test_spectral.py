@@ -283,6 +283,13 @@ class TestOracle:
         assert oracle.classifier(Graph(2)) == 1
         assert oracle.call_count == 0
 
+    def test_check_is_uncounted_and_reads_the_current_classifier(self):
+        oracle = Oracle(lambda g: 1)
+        assert oracle.check(Graph(2)) == 1
+        oracle.classifier = lambda g: 0  # as a wrapping counter replaces it
+        assert oracle.check(Graph(2)) == 0 and oracle.predict(Graph(2)) == 0
+        assert oracle.call_count == 1
+
     def test_per_worker_clones_sum_to_aggregate(self):
         base = Oracle(lambda g: g.edge_count % 2)
         clones = [Oracle(base.classifier) for _ in range(4)]
