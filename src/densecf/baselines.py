@@ -28,8 +28,8 @@ def edg_search(
 
     A present edge is removed, an absent one added; the pair is drawn
     uniformly over all node pairs. At most ``options.max_iterations`` flips
-    are tried (default 2000). On a flip the candidate is refined with
-    :func:`backward_search`. Deterministic for a given seed.
+    are tried (default 2000). A flip is refined by :func:`refine_with_backward`,
+    as in ``dat+bw`` and ``rcli+bw``. Deterministic for a given seed.
     """
     max_iterations = (
         options.max_iterations if options.max_iterations is not None else DEFAULT_EDG_MAX_ITERATIONS
@@ -40,21 +40,15 @@ def edg_search(
     if not pairs:
         return finish_result(oracle, g, y0, g, False, 0, calls_before, "graph has no node pairs")
     rng = random.Random(options.seed)
-    current = g
-    found = False
-    iterations = 0
-    for _ in range(max_iterations):
+    current, found, iterations = g, False, 0
+    for iterations in range(1, max_iterations + 1):
         u, v = pairs[rng.randrange(len(pairs))]
-        if current.has_edge(u, v):
-            current = current.remove_edge(u, v)
-        else:
-            current = current.add_edge(u, v)
-        iterations += 1
-        if oracle.predict(current) != y0:
-            found = True
-            current = backward_search(oracle, g, current, input_class=y0, candidate_class=1 - y0)
+        current = current.remove_edge(u, v) if current.has_edge(u, v) else current.add_edge(u, v)
+        found = oracle.predict(current) != y0
+        if found:
             break
-    return finish_result(oracle, g, y0, current, found, iterations, calls_before)
+    base = finish_result(oracle, g, y0, current, found, iterations, calls_before)
+    return refine_with_backward(oracle, g, base)
 
 
 def dat_search(oracle: Oracle, g: Graph, dataset: GraphDataset | None) -> CounterfactualResult:
@@ -88,8 +82,8 @@ def backward_search(
     oracle: Oracle,
     g: Graph,
     candidate: Graph,
-    input_class: int | None = None,
-    candidate_class: int | None = None,
+    input_class: int,
+    candidate_class: int,
 ) -> Graph:
     """Greedily revert edits of ``candidate`` that are not needed for the flip.
 
@@ -99,13 +93,9 @@ def backward_search(
     result never classifies like ``g`` and is never farther from it than
     ``candidate``.
 
-    Pass the already-known classes to avoid re-charging the oracle for the
-    input and the candidate.
+    The two classes are those the caller already charged for ``g`` and
+    ``candidate``; classes that agree raise :class:`InvalidCandidateError`.
     """
-    if input_class is None:
-        input_class = oracle.predict(g)
-    if candidate_class is None:
-        candidate_class = oracle.predict(candidate)
     if candidate_class == input_class:
         raise InvalidCandidateError("candidate classifies the same as the input graph")
     current = candidate
@@ -129,7 +119,8 @@ def backward_search(
 def refine_with_backward(
     oracle: Oracle, g: Graph, base: CounterfactualResult
 ) -> CounterfactualResult:
-    """The "+bw" step: shrink a found result's edits with :func:`backward_search`.
+    """The backward step of ``edg`` and the "+bw" methods: shrink a found
+    result's edits with :func:`backward_search`.
 
     ``base`` must be the result of a search of ``g`` on this oracle that just
     ended; the returned result charges its calls plus the refinement's. A
@@ -139,7 +130,5 @@ def refine_with_backward(
         return base
     calls_before = oracle.call_count - base.oracle_calls
     y0 = base.input_class
-    refined = backward_search(
-        oracle, g, base.counterfactual, input_class=y0, candidate_class=1 - y0
-    )
+    refined = backward_search(oracle, g, base.counterfactual, y0, 1 - y0)
     return finish_result(oracle, g, y0, refined, True, base.iterations, calls_before)

@@ -104,7 +104,8 @@ def _out_dir(args) -> Path:
 
 
 def _dataset_name(path: str) -> str:
-    p = dataset_manifest(path)
+    # abspath names the directory of "." or "manifest.json", following no symlink
+    p = Path(os.path.abspath(dataset_manifest(path)))
     return p.parent.name if p.name == "manifest.json" else p.stem
 
 

@@ -73,14 +73,11 @@ class DatasetEntry:
 class GraphDataset:
     """Labeled graphs over one shared node set, with optional region partition."""
 
-    node_count: int
     node_ids: tuple[str, ...]
     entries: tuple[DatasetEntry, ...]
     partition: RegionPartition | None = None
 
     def __post_init__(self) -> None:
-        if len(self.node_ids) != self.node_count:
-            raise ValueError("node_ids length must equal node_count")
         if len(set(self.node_ids)) != len(self.node_ids):
             raise ValueError("node ids must be unique")
         for entry in self.entries:
@@ -90,6 +87,10 @@ class GraphDataset:
                 raise ValueError(f"label of {entry.name!r} must be 0 or 1")
         if self.partition is not None:
             self.partition.check_covers(self.node_count)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.node_ids)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -211,7 +212,7 @@ def generate_synthetic(spec: SyntheticSpec) -> GraphDataset:
         graph = _generate_one(spec, label, s0, s1, rng)
         entries.append(DatasetEntry(graph=graph, label=label, name=f"synth-{idx:03d}"))
     node_ids = tuple(str(i) for i in range(spec.node_count))
-    return GraphDataset(spec.node_count, node_ids, tuple(entries))
+    return GraphDataset(node_ids, tuple(entries))
 
 
 def _generate_one(
@@ -420,7 +421,7 @@ def load_dataset(path: Path | str) -> GraphDataset:
     partition = None
     if partition_file:
         partition = load_partition(base / partition_file, node_ids)
-    return GraphDataset(len(node_ids), tuple(node_ids), tuple(entries), partition)
+    return GraphDataset(tuple(node_ids), tuple(entries), partition)
 
 
 def read_versioned_json(path: Path | str, fmt: str, version: int) -> dict:
@@ -444,11 +445,11 @@ def read_versioned_json(path: Path | str, fmt: str, version: int) -> dict:
 
 def _parse_label(gspec: dict, manifest_path: Path) -> int:
     label = gspec.get("label")
-    if label not in (0, 1):
+    if type(label) is not int or label not in (0, 1):  # not true, false or 1.0
         raise DatasetFormatError(
             f"{manifest_path}: graph {gspec.get('file')!r} has label {label!r}, expected 0 or 1"
         )
-    return int(label)
+    return label
 
 
 @contextmanager
@@ -595,4 +596,4 @@ def ingest_correlation_listing(
         entries.append(DatasetEntry(threshold_correlations(matrix, percentile), label, name))
     node_ids = tuple(str(i) for i in range(node_count))
     partition = load_partition(partition_path, node_ids) if partition_path else None
-    return GraphDataset(node_count, node_ids, tuple(entries), partition)
+    return GraphDataset(node_ids, tuple(entries), partition)

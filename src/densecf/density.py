@@ -70,20 +70,27 @@ class CounterfactualResult:
     """Outcome of one counterfactual search.
 
     ``input_class`` is the oracle's class for the input, charged once by the
-    search. When ``found``, the counterfactual is guaranteed (re-checked at
-    construction with an uncounted classifier call) to classify opposite to
-    it, and ``edits`` reproduces it from the input via ``apply_edits``.
+    search. ``found`` is whether ``counterfactual`` is set. A counterfactual
+    is guaranteed (re-checked at construction with an uncounted classifier
+    call) to classify opposite to the input, and ``edits`` (``distance`` of
+    them) reproduces it from the input via ``apply_edits``.
     """
 
     input_class: int
-    found: bool
     counterfactual: Graph | None
     edits: EditList
     iterations: int
     oracle_calls: int
-    distance: int
     distance_ratio: float | None
     note: str | None = None
+
+    @property
+    def found(self) -> bool:
+        return self.counterfactual is not None
+
+    @property
+    def distance(self) -> int:
+        return self.edits.size
 
 
 def finish_result(
@@ -109,12 +116,10 @@ def finish_result(
         counterfactual, ratio = final, edit_distance_ratio(original, final)
     return CounterfactualResult(
         input_class=original_class,
-        found=found,
         counterfactual=counterfactual,
         edits=edits,
         iterations=iterations,
         oracle_calls=calls,
-        distance=edits.size,
         distance_ratio=ratio,
         note=note,
     )

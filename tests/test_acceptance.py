@@ -64,7 +64,7 @@ def _pool_dataset(n: int, count: int, seed: int) -> GraphDataset:
         DatasetEntry(random_graph(n, rng.uniform(0.25, 0.75), rng), i % 2, f"g{i}")
         for i in range(count)
     )
-    return GraphDataset(n, tuple(str(i) for i in range(n)), entries)
+    return GraphDataset(tuple(str(i) for i in range(n)), entries)
 
 
 def test_01_counterfactual_validity_sweep():
@@ -223,7 +223,7 @@ def test_05_backward_search_monotonicity():
         if fn(candidate) == fn(g):
             continue
         checked += 1
-        refined = backward_search(Oracle(fn), g, candidate)
+        refined = backward_search(Oracle(fn), g, candidate, fn(g), fn(candidate))
         if symmetric_difference_distance(g, refined) > symmetric_difference_distance(g, candidate):
             violations += 1
         if fn(refined) == fn(g):
@@ -319,11 +319,11 @@ def test_09_oracle_call_accounting():
 
     def uncounted_accesses(method: str, found: bool) -> int:
         # the classifier is touched outside the charged path only to validate
-        # a found result: once, and for the composed methods once more for
-        # the base result
+        # a found result: once, and for the methods refined by
+        # refine_with_backward once more for the base result
         if not found:
             return 0
-        return 2 if method in ("dat+bw", "rcli+bw") else 1
+        return 2 if method in ("edg", "dat+bw", "rcli+bw") else 1
 
     mismatches = []
     for method in METHODS:

@@ -27,7 +27,7 @@ def dataset_of(graphs, labels=None, n=None):
     entries = tuple(
         DatasetEntry(g, labels[i] if labels else 0, f"g{i}") for i, g in enumerate(graphs)
     )
-    return GraphDataset(n, tuple(str(i) for i in range(n)), entries)
+    return GraphDataset(tuple(str(i) for i in range(n)), entries)
 
 
 class TestEdgSearch:
@@ -150,14 +150,14 @@ class TestBackwardSearch:
         candidate = Graph(4, [(0, 1), (2, 3)])
         # opposite only when both edits are present: every revert flips back
         oracle = Oracle(lambda h: int(h.has_edge(0, 1) and h.has_edge(2, 3)))
-        assert backward_search(oracle, g, candidate) == candidate
+        assert backward_search(oracle, g, candidate, 0, 1) == candidate
 
     def test_spurious_edits_stripped(self):
         g = Graph(8, [(4, 5), (5, 6), (6, 7)])
         oracle = Oracle(lambda h: int(h.has_edge(0, 1)))
         candidate = Graph(8, [(0, 1), (0, 2), (1, 3), (5, 6)])  # 5 edits from g
         assert symmetric_difference_distance(g, candidate) == 5
-        refined = backward_search(oracle, g, candidate)
+        refined = backward_search(oracle, g, candidate, 0, 1)
         assert symmetric_difference_distance(g, refined) == 1
         assert refined.has_edge(0, 1)
 
@@ -170,7 +170,7 @@ class TestBackwardSearch:
             if fn(candidate) == fn(g):
                 continue
             oracle = Oracle(fn)
-            refined = backward_search(oracle, g, candidate)
+            refined = backward_search(oracle, g, candidate, fn(g), fn(candidate))
             assert symmetric_difference_distance(g, refined) <= symmetric_difference_distance(
                 g, candidate
             )
@@ -180,7 +180,8 @@ class TestBackwardSearch:
         g = Graph(4, [(0, 1)])
         oracle = Oracle(lambda h: 0)
         with pytest.raises(InvalidCandidateError):
-            backward_search(oracle, g, Graph(4, [(2, 3)]))
+            backward_search(oracle, g, Graph(4, [(2, 3)]), 0, 0)
+        assert oracle.call_count == 0
 
     def test_known_classes_skip_verification_calls(self):
         g = Graph(4)

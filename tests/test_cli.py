@@ -379,7 +379,7 @@ class TestEmptyDataset:
     def test_exits_one_before_writing(self, tmp_path, flags, capsys):
         from densecf import GraphDataset, save_dataset
 
-        save_dataset(GraphDataset(4, tuple("abcd"), ()), tmp_path / "empty")
+        save_dataset(GraphDataset(tuple("abcd"), ()), tmp_path / "empty")
         command, *rest = flags
         out = tmp_path / "out"
         code = run(command, "--dataset", tmp_path / "empty", "--whitebox", *rest, "--out-dir", out)
@@ -473,6 +473,21 @@ class TestMalformedManifest:
         )
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", [True, 1.0], ids=["true", "float"])
+    def test_non_integer_label_exits_two(self, tmp_path, label, capsys):
+        header = {"format": "densecf-dataset", "version": 1, "node_ids": ["0", "1"]}
+        (tmp_path / "g.edges").write_text("0 1\n")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**header, "graphs": [{"file": "g.edges", "label": label}]}))
+        out = tmp_path / "out"
+        code = run(
+            "benchmark", "--dataset", path, "--whitebox", "--methods", "dat",
+            "--workers", 1, "--out-dir", out,
+        )
+        assert code == 2
+        assert "expected 0 or 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 GOOD_RECORD = "tri,d,0,g,0,0,true,1,2,1,0.5"
@@ -653,6 +668,24 @@ class TestDatasetDirectory:
             ) == 0
         records = [(out / "records.csv").read_text() for out in outs]
         assert records[0] == records[1] and ",synth.v2," in records[0]
+
+    @pytest.mark.parametrize("dataset", [".", "manifest.json"])
+    def test_bare_path_inside_the_dataset_names_its_directory(
+        self, synth_dir, tmp_path, monkeypatch, dataset
+    ):
+        monkeypatch.chdir(synth_dir)
+        bench, explain = tmp_path / "bench", tmp_path / "explain"
+        assert run(
+            "benchmark", "--dataset", dataset, "--whitebox", "--methods", "dat",
+            "--workers", 1, "--out-dir", bench,
+        ) == 0
+        assert run(
+            "explain", "--dataset", dataset, "--whitebox", "--instance", 0,
+            "--method", "dat", "--out-dir", explain,
+        ) == 0
+        assert (bench / "records.csv").read_text().splitlines()[1].startswith("dat,synth,0,")
+        assert json.loads((bench / "aggregates.json").read_text())["datasets"] == ["synth"]
+        assert json.loads((explain / "result.json").read_text())["dataset"] == "synth"
 
 
 class TestUnusablePaths:

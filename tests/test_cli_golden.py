@@ -29,7 +29,7 @@ def sha256(data: bytes) -> str:
 
 def write_inputs(root):
     """A node partition of the synthetic data, three correlation matrices
-    with their listing, and a records file with one malformed row."""
+    with their listing and partition, and a records file with no header."""
     lines = [f"{v},{'front' if v < 12 else 'back'}" for v in range(24)]
     (root / "part.csv").write_text("node_id,region_name\n" + "\n".join(lines) + "\n")
     rng = np.random.default_rng(7)

@@ -231,7 +231,7 @@ class TestPersistence:
         )
         partition = RegionPartition(("left",) * 3 + ("right",) * 4) if with_partition else None
         node_ids = tuple(f"roi{i}" for i in range(7))
-        return GraphDataset(7, node_ids, entries, partition)
+        return GraphDataset(node_ids, entries, partition)
 
     def test_round_trip(self, tmp_path):
         dataset = self.make_dataset()
@@ -246,7 +246,7 @@ class TestPersistence:
         assert loaded.partition is None
 
     def test_empty_dataset(self, tmp_path):
-        dataset = GraphDataset(4, tuple("abcd"), ())
+        dataset = GraphDataset(tuple("abcd"), ())
         manifest = save_dataset(dataset, tmp_path / "empty")
         loaded = load_dataset(manifest)
         assert len(loaded) == 0
@@ -270,7 +270,7 @@ class TestPersistence:
     )
     def test_ids_that_cannot_round_trip_are_rejected_before_writing(self, tmp_path, node_id):
         # "#a" would start a comment line: its edges would reload as absent
-        dataset = GraphDataset(2, (node_id, "b"), (DatasetEntry(Graph(2, [(0, 1)]), 0, "g"),))
+        dataset = GraphDataset((node_id, "b"), (DatasetEntry(Graph(2, [(0, 1)]), 0, "g"),))
         with pytest.raises(DatasetFormatError, match="node id"):
             save_dataset(dataset, tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
@@ -303,6 +303,15 @@ class TestPersistence:
         text = manifest.read_text().replace('"label": 1', '"label": 3', 1)
         manifest.write_text(text)
         with pytest.raises(DatasetFormatError, match="label"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("label", ["true", "1.0"])
+    def test_non_integer_label_diagnosed(self, tmp_path, label):
+        # true == 1 and 1.0 == 1 in Python, but neither is a JSON integer label
+        dataset = self.make_dataset(with_partition=False)
+        manifest = save_dataset(dataset, tmp_path / "ds")
+        manifest.write_text(manifest.read_text().replace('"label": 1', f'"label": {label}', 1))
+        with pytest.raises(DatasetFormatError, match=f"has label {label.title()}"):
             load_dataset(manifest)
 
     def test_partition_missing_node_diagnosed(self, tmp_path):

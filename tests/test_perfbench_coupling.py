@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from densecf import METHODS, SFKnnModel, SyntheticSpec, generate_synthetic, runner
+from densecf import (
+    METHODS,
+    SFKnnModel,
+    SyntheticSpec,
+    apply_edits,
+    generate_synthetic,
+    runner,
+    symmetric_difference_distance,
+)
 from densecf.evaluation import RegionPartition
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,7 +63,8 @@ def test_harness_runner_calls(perfbench):
         runner.OracleSpec(kind="model", model=model, node_count=None),
     ]
     options = runner.RunOptions(max_iterations=5)
-    captured = []
+    g = dataset.entries[1].graph
+    captured, found = [], 0
 
     def capture(run_method):
         def capturing(*args, **kwargs):
@@ -83,8 +92,16 @@ def test_harness_runner_calls(perfbench):
                     result.distance_ratio,
                 )
                 assert record.oracle_calls == oracle.call_count
+                if result.found:  # the checks harness.check_search makes
+                    found += 1
+                    assert result.edits.size == result.distance
+                    assert symmetric_difference_distance(g, result.counterfactual) == (
+                        result.distance
+                    )
+                    assert apply_edits(g, result.edits) == result.counterfactual
     finally:
         patches.restore()
+    assert found
 
 
 def test_wrapped_searches_see_every_method(perfbench):

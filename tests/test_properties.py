@@ -81,7 +81,7 @@ def datasets(draw):
     partition = draw(
         st.none() | st.lists(TOKENS, min_size=n, max_size=n).map(tuple).map(RegionPartition)
     )
-    return GraphDataset(n, node_ids, entries, partition)
+    return GraphDataset(node_ids, entries, partition)
 
 
 JSON = st.recursive(

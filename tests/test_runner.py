@@ -31,7 +31,7 @@ def small_dataset(n=8, count=6, seed=51, partition=True):
         for i in range(count)
     )
     part = RegionPartition(tuple("ab"[i % 2] for i in range(n))) if partition else None
-    return GraphDataset(n, tuple(str(i) for i in range(n)), entries, part)
+    return GraphDataset(tuple(str(i) for i in range(n)), entries, part)
 
 
 def whitebox_spec(dataset):

@@ -80,15 +80,11 @@ def reference_tri(predict, g, max_iterations):
     return y0, found, current, iterations
 
 
-def reference_backward(predict, original, candidate, input_class=None, candidate_class=None):
+def reference_backward(predict, original, candidate, input_class, candidate_class):
     """The candidate's edge set after reverting, pass after pass, each edit
     (removals then additions, each in pair order, as they stood when the pass
     began) whose revert keeps the class unlike the input's, until a pass
-    keeps nothing; None when the candidate classifies like the input."""
-    if input_class is None:
-        input_class = predict(original)
-    if candidate_class is None:
-        candidate_class = predict(candidate)
+    keeps nothing; None when the given classes agree."""
     if candidate_class == input_class:
         return None
     current = candidate
@@ -187,21 +183,21 @@ def test_tri_search_and_its_refinement_equal_the_reference(case):
 
 @st.composite
 def backward_searches(draw):
-    """A graph of 4-14 nodes, a candidate some node pairs away from it, a
-    rule, and whether the caller passes the two classes in."""
+    """A graph of 4-14 nodes, a candidate some node pairs away from it, and
+    a rule."""
     n = draw(st.integers(4, 14))
     g = draw(graphs(n))
     pairs = list(combinations(range(n), 2))
     flips = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)))
     candidate = Graph(n, set(g.edges) ^ flips)
-    return g, candidate, draw(st.booleans()), *draw(rules(n))
+    return g, candidate, *draw(rules(n))
 
 
 @settings(max_examples=200, deadline=None)
 @given(backward_searches())
 def test_backward_search_equals_the_reference(case):
-    g, candidate, known, classify, package_classify = case
-    classes = (classify(g), classify(candidate)) if known else (None, None)
+    g, candidate, classify, package_classify = case
+    classes = (classify(g), classify(candidate))
     oracle = Oracle(package_classify)
     predict = Counted(classify, g.node_count)
     final = reference_backward(predict, set(g.edges), set(candidate.edges), *classes)
@@ -305,7 +301,7 @@ def dat_searches(draw):
 def test_dat_search_equals_the_reference(case):
     g, pool, classify, package_classify = case
     entries = tuple(DatasetEntry(h, 0, f"g{i}") for i, h in enumerate(pool))
-    dataset = GraphDataset(g.node_count, tuple(map(str, range(g.node_count))), entries)
+    dataset = GraphDataset(tuple(map(str, range(g.node_count))), entries)
     oracle = Oracle(package_classify)
     result = dat_search(oracle, g, dataset)
     predict = Counted(classify, g.node_count)

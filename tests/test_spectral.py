@@ -345,7 +345,7 @@ def triangle_class_dataset(num_graphs: int = 40, n: int = 12, seed: int = 101) -
                     g = g.add_edge(u, v)
         assert _has_triangle(g) == bool(label)
         entries.append(DatasetEntry(graph=g, label=label, name=f"g{i}"))
-    return GraphDataset(n, tuple(str(i) for i in range(n)), tuple(entries))
+    return GraphDataset(tuple(str(i) for i in range(n)), tuple(entries))
 
 
 class TestTraining:
@@ -367,7 +367,7 @@ class TestTraining:
         entries = tuple(
             DatasetEntry(random_graph(8, 0.3, rng), 0, f"g{i}") for i in range(10)
         )
-        dataset = GraphDataset(8, tuple(str(i) for i in range(8)), entries)
+        dataset = GraphDataset(tuple(str(i) for i in range(8)), entries)
         with pytest.raises(DegenerateLabelsError):
             train_sf_knn(dataset)
 
