@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -202,6 +204,9 @@ def generate_synthetic(spec: SyntheticSpec) -> GraphDataset:
     A uniform pick from a sequence is the index draw
     ``seq[rng.integers(len(seq))]``, the same draw ``rng.choice(seq)`` makes,
     so every seed regenerates the datasets it gave when picks used ``choice``.
+    The weighted background draw is numpy's ``choice(replace=False, p=...)``
+    algorithm restated over the same ``random(k)`` blocks, so datasets depend
+    on numpy's bit stream, not on its ``choice`` code.
     """
     spec = spec.resolved()
     s0, s1 = node_halves(spec.node_count)
@@ -255,24 +260,44 @@ def _generate_one(
     seed_count = min(spec.attachment, len(other))
     active: list[int] = list(other[:seed_count])
     for w in other[seed_count:]:
-        weights = np.asarray([degree[a] + 1 for a in active], dtype=float)
         k = min(spec.attachment, len(active))
-        targets = rng.choice(active, size=k, replace=False, p=weights / weights.sum())
-        for v in targets.tolist():
+        targets = [active[i] for i in _weighted_picks(rng, [degree[a] + 1 for a in active], k)]
+        active.append(w)
+        for v in targets:
             if rng.random() < spec.cross_probability:
                 v = own[rng.integers(len(own))]
             add(w, v)
-        candidates = active + [w]
         for _ in range(spec.extra_edges):
-            if len(candidates) < 2:
-                break
-            u = candidates[rng.integers(len(candidates))]
-            v = candidates[rng.integers(len(candidates))]
+            u = active[rng.integers(len(active))]
+            v = active[rng.integers(len(active))]
             if rng.random() < spec.cross_probability:
                 v = own[rng.integers(len(own))]
             add(u, v)
-        active.append(w)
     return Graph(spec.node_count, edges)
+
+
+def _weighted_picks(rng: np.random.Generator, weights: list[int], k: int) -> list[int]:
+    """The indices ``rng.choice(len(weights), size=k, replace=False, p=p)``
+    returns for ``p = weights / sum(weights)``, from the same draws.
+
+    This is numpy's without-replacement loop: each round draws one
+    ``random`` block for the picks still missing, zeroes the picked
+    probabilities, maps the block through the normalised running sum with
+    ``bisect_right`` and keeps the new indices in order of first occurrence.
+    The integer sum is exact, so every quotient equals numpy's bit for bit.
+    """
+    total = sum(weights)
+    p = [w / total for w in weights]
+    picked: list[int] = []
+    while len(picked) < k:
+        draws = rng.random(k - len(picked)).tolist()
+        for i in picked:
+            p[i] = 0.0
+        cdf = list(accumulate(p))
+        last = cdf[-1]
+        cdf = [c / last for c in cdf]
+        picked.extend(dict.fromkeys(bisect_right(cdf, x) for x in draws))
+    return picked
 
 
 def whitebox_classify(g: Graph, s0: Sequence[int] | int, s1: Sequence[int] | int) -> int:

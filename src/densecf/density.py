@@ -10,6 +10,7 @@ flips or an iteration budget runs out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 from typing import Sequence
 
@@ -160,11 +161,10 @@ def tri_search(
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
     removals, additions = triangle_score_lists(g)
-    swaps = list(zip(removals, additions))[: options.max_iterations]
     current = g
     found = False
     i = 0
-    for edge_out, edge_in in swaps:
+    for edge_out, edge_in in islice(zip(removals, additions), options.max_iterations):
         current = with_swap(current, edge_out, edge_in)
         i += 1
         if oracle.predict(current) != y0:

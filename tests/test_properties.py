@@ -38,7 +38,13 @@ from densecf import (
     whitebox_classify,
 )
 from densecf.cli import EXIT_INTERNAL, main
-from densecf.data import DATASET_FORMAT, DATASET_VERSION, DatasetEntry, load_correlation_matrix
+from densecf.data import (
+    DATASET_FORMAT,
+    DATASET_VERSION,
+    DatasetEntry,
+    _weighted_picks,
+    load_correlation_matrix,
+)
 from densecf.density import triangle_score_lists
 from densecf.evaluation import RECORDS_CSV_COLUMNS, read_records_csv, write_records_csv
 from densecf.graph import (
@@ -467,6 +473,30 @@ def test_triangle_score_lists_match_the_sort_based_order(pair):
 def test_edit_list_between_reproduces_target(pair):
     g, h = pair
     assert apply_edits(g, EditList.between(g, h)) == h
+
+
+@st.composite
+def weighted_draws(draw):
+    """Node ids, positive int weights (some far apart), a size 1 <= k <= n
+    and a seed: the generator's weighted background draw."""
+    n = draw(st.integers(1, 40))
+    top = draw(st.sampled_from((2, 50, 10**6)))
+    weights = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    active = draw(st.lists(st.integers(0, 200), min_size=n, max_size=n, unique=True))
+    return active, weights, draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_draws())
+@example(([5, 9, 2], [1000, 1, 1], 2, 0))  # seed 0's first block picks node 5 twice
+@example(([7, 3, 8, 1, 4], [3, 1, 4, 1, 5], 5, 0))  # k == len(active)
+def test_weighted_picks_equal_generator_choice(case):
+    active, weights, k, seed = case
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    w = np.asarray(weights, dtype=float)
+    expected = numpys.choice(active, size=k, replace=False, p=w / w.sum())
+    assert [active[i] for i in _weighted_picks(ours, weights, k)] == expected.tolist()
+    assert ours.random() == numpys.random()
 
 
 @settings(max_examples=50, deadline=None)
