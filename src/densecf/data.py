@@ -199,22 +199,22 @@ def generate_synthetic(spec: SyntheticSpec) -> GraphDataset:
     planted within each subgroup, and a preferential-attachment background is
     grown over the opposite half with ``extra_edges`` uniform edges per step;
     each background edge is redirected across the half boundary with
-    probability ``cross_probability``. Each graph draws from its own RNG
-    stream (seed, index), so generation order cannot change the output.
-    A uniform pick from a sequence is the index draw
-    ``seq[rng.integers(len(seq))]``, the same draw ``rng.choice(seq)`` makes,
-    so every seed regenerates the datasets it gave when picks used ``choice``.
-    The weighted background draw is numpy's ``choice(replace=False, p=...)``
-    algorithm restated over the same ``random(k)`` blocks, so datasets depend
-    on numpy's bit stream, not on its ``choice`` code.
+    probability ``cross_probability``. Each graph draws from its own PCG64
+    stream, seeded with (seed, index), so generation order cannot change the
+    output. ``_Draws`` makes every draw from that stream's raw 64-bit words
+    by the rules its docstring states, which are the rules numpy's
+    ``Generator`` methods follow. So datasets depend on PCG64's raw words, not
+    on numpy's sampling code, and every seed regenerates the datasets it gave
+    when the generator called ``Generator.integers``, ``random``,
+    ``permutation`` and ``choice``.
     """
     spec = spec.resolved()
     s0, s1 = node_halves(spec.node_count)
     entries = []
     for idx in range(spec.num_graphs):
         label = 0 if idx < spec.num_graphs // 2 else 1
-        rng = np.random.default_rng([spec.seed, idx])
-        graph = _generate_one(spec, label, s0, s1, rng)
+        draws = _Draws(np.random.PCG64([spec.seed, idx]))
+        graph = _generate_one(spec, label, s0, s1, draws)
         entries.append(DatasetEntry(graph=graph, label=label, name=f"synth-{idx:03d}"))
     node_ids = tuple(str(i) for i in range(spec.node_count))
     return GraphDataset(node_ids, tuple(entries))
@@ -225,63 +225,60 @@ def _generate_one(
     label: int,
     s0: tuple[int, ...],
     s1: tuple[int, ...],
-    rng: np.random.Generator,
+    draws: _Draws,
 ) -> Graph:
     own = list(s0 if label == 0 else s1)
     other = list(s1 if label == 0 else s0)
-    edges: set[tuple[int, int]] = set()
-    degree = [0] * spec.node_count
+    # bit v of masks[u] is set when uv is an edge; a node's degree is its bit count
+    masks = [0] * spec.node_count
 
     def add(u: int, v: int) -> None:
-        if u == v:
-            return
-        edge = (u, v) if u < v else (v, u)
-        if edge not in edges:
-            edges.add(edge)
-            degree[u] += 1
-            degree[v] += 1
+        if u != v:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
 
     # dense subgroups: sample them fresh for every graph
-    pool = [int(x) for x in rng.permutation(own)]
+    pool = draws.permutation(own)
     subgroups = [
         pool[i * spec.subgroup_size : (i + 1) * spec.subgroup_size]
         for i in range(spec.subgroups_per_class)
     ]
     for _ in range(spec.cliques_per_graph):
-        group = subgroups[int(rng.integers(len(subgroups)))]
-        size = int(rng.integers(3, spec.subgroup_size + 1))
-        members = [int(x) for x in rng.choice(group, size=size, replace=False)]
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                add(u, v)
+        group = subgroups[draws.integers(0, len(subgroups))]
+        members = draws.choice(group, draws.integers(3, spec.subgroup_size + 1))
+        clique = node_mask(members)
+        for u in members:
+            masks[u] |= clique ^ (1 << u)
 
     # preferential-attachment background over the opposite half; the seed
     # nodes start unconnected, as in the usual growth formulation
+    integers, random, cross = draws.integers, draws.random, spec.cross_probability
     seed_count = min(spec.attachment, len(other))
     active: list[int] = list(other[:seed_count])
     for w in other[seed_count:]:
         k = min(spec.attachment, len(active))
-        targets = [active[i] for i in _weighted_picks(rng, [degree[a] + 1 for a in active], k)]
+        weights = [masks[a].bit_count() + 1 for a in active]
+        targets = [active[i] for i in _weighted_picks(draws, weights, k)]
         active.append(w)
         for v in targets:
-            if rng.random() < spec.cross_probability:
-                v = own[rng.integers(len(own))]
+            if random() < cross:
+                v = own[integers(0, len(own))]
             add(w, v)
         for _ in range(spec.extra_edges):
-            u = active[rng.integers(len(active))]
-            v = active[rng.integers(len(active))]
-            if rng.random() < spec.cross_probability:
-                v = own[rng.integers(len(own))]
+            u = active[integers(0, len(active))]
+            v = active[integers(0, len(active))]
+            if random() < cross:
+                v = own[integers(0, len(own))]
             add(u, v)
-    return Graph(spec.node_count, edges)
+    return Graph.from_neighbor_masks(masks)
 
 
-def _weighted_picks(rng: np.random.Generator, weights: list[int], k: int) -> list[int]:
-    """The indices ``rng.choice(len(weights), size=k, replace=False, p=p)``
-    returns for ``p = weights / sum(weights)``, from the same draws.
+def _weighted_picks(draws: _Draws, weights: list[int], k: int) -> list[int]:
+    """The indices ``Generator.choice(len(weights), size=k, replace=False,
+    p=p)`` returns for ``p = weights / sum(weights)`` on the stream of ``draws``.
 
     This is numpy's without-replacement loop: each round draws one
-    ``random`` block for the picks still missing, zeroes the picked
+    ``randoms`` block for the picks still missing, zeroes the picked
     probabilities, maps the block through the normalised running sum with
     ``bisect_right`` and keeps the new indices in order of first occurrence.
     The integer sum is exact, so every quotient equals numpy's bit for bit.
@@ -290,14 +287,121 @@ def _weighted_picks(rng: np.random.Generator, weights: list[int], k: int) -> lis
     p = [w / total for w in weights]
     picked: list[int] = []
     while len(picked) < k:
-        draws = rng.random(k - len(picked)).tolist()
+        block = draws.randoms(k - len(picked))
         for i in picked:
             p[i] = 0.0
         cdf = list(accumulate(p))
         last = cdf[-1]
         cdf = [c / last for c in cdf]
-        picked.extend(dict.fromkeys(bisect_right(cdf, x) for x in draws))
+        picked.extend(dict.fromkeys(bisect_right(cdf, x) for x in block))
     return picked
+
+
+_WORDS_PER_BLOCK = 512
+_LOW32 = 0xFFFF_FFFF
+
+
+class _Draws:
+    """The draws of a numpy ``Generator`` on a PCG64 stream, made in plain
+    Python from the stream's raw 64-bit words.
+
+    Words are pulled a block at a time with ``random_raw``. A stream serves
+    one graph and is then dropped, so the words a block holds past the last
+    draw change nothing. Each method consumes words as the numpy 2
+    ``Generator`` method it names does, and returns the same value:
+
+    - A 32-bit draw is the low half of a fresh word; the high half is kept
+      for the next 32-bit draw. A double is a whole fresh word,
+      ``(w >> 11) * 2**-53``, and leaves a kept half for a later 32-bit draw.
+    - ``integers(low, high)`` is Lemire's bounded 32-bit draw: for a span
+      ``k = high - low`` it rejects while the product's low half is below
+      ``(2**32 - k) % k``. A span of 1 draws nothing.
+    - ``random()`` is one double; ``randoms(count)`` is ``random(count)``,
+      that many doubles.
+    - ``permutation(seq)`` is Fisher–Yates from the top; index i's swap
+      partner is a 32-bit draw masked to i's bit length, redrawn while above
+      i (``random_interval``).
+    - ``choice(seq, size)``, without replacement, is Floyd's algorithm with
+      Lemire draws, then a Lemire shuffle of the picks (``_shuffle_int``).
+      For a population over 10,000 and a size above a fiftieth of it, numpy
+      instead shuffles the top ``size`` places of the whole index range and
+      takes them; so does this method.
+
+    Spans must be below 2**32, far above any node count; numpy draws whole
+    words beyond that, which is not restated here.
+    """
+
+    def __init__(self, bits: np.random.PCG64) -> None:
+        self._raw = bits.random_raw
+        self._words: list[int] = []  # the block's unused words, the next one last
+        self._half: int | None = None  # a word's high half, kept for a 32-bit draw
+
+    def _word(self) -> int:
+        words = self._words
+        if not words:
+            words = self._words = self._raw(_WORDS_PER_BLOCK).tolist()
+            words.reverse()
+        return words.pop()
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            return word & _LOW32
+        self._half = None
+        return half
+
+    def _below(self, span: int) -> int:
+        if span == 1:
+            return 0
+        m = self._uint32() * span
+        if (m & _LOW32) < span:
+            threshold = (2**32 - span) % span
+            while (m & _LOW32) < threshold:
+                m = self._uint32() * span
+        return m >> 32
+
+    def integers(self, low: int, high: int) -> int:
+        return low + self._below(high - low)
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def randoms(self, count: int) -> list[float]:
+        return [self.random() for _ in range(count)]
+
+    def permutation(self, seq: Sequence) -> list:
+        out = list(seq)
+        for i in range(len(out) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._uint32() & mask
+            while j > i:
+                j = self._uint32() & mask
+            out[i], out[j] = out[j], out[i]
+        return out
+
+    def choice(self, seq: Sequence, size: int) -> list:
+        n = len(seq)
+        if n > 10_000 and size > n // 50:
+            picks = list(range(n))
+            self._shuffle(picks, max(n - size, 1))
+            picks = picks[n - size :]
+        else:
+            picks, seen = [], set()
+            for top in range(n - size, n):
+                i = self._below(top + 1)
+                i = top if i in seen else i
+                seen.add(i)
+                picks.append(i)
+            self._shuffle(picks, 1)
+        return [seq[i] for i in picks]
+
+    def _shuffle(self, items: list, first: int) -> None:
+        # swap each of positions len - 1 down to first with a Lemire pick at or below it
+        for i in range(len(items) - 1, first - 1, -1):
+            j = self._below(i + 1)
+            items[i], items[j] = items[j], items[i]
 
 
 def whitebox_classify(g: Graph, s0: Sequence[int] | int, s1: Sequence[int] | int) -> int:

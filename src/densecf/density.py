@@ -64,6 +64,8 @@ class RunOptions:
             raise ConfigurationError(
                 f"unknown ranking strategy {self.ranking!r}, expected one of {RANKING_STRATEGIES}"
             )
+        if self.seed < 0:  # derive_seed reduces mod 2**63: -1 would repeat seed 2**63 - 1's flips
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,24 @@ class Graph:
         return g
 
     @classmethod
+    def from_neighbor_masks(cls, masks: Iterable[int]) -> "Graph":
+        """The graph on ``len(masks)`` nodes in which the neighbours of node u
+        are the set bits of ``masks[u]``, a ``node_mask``. Raises ValueError
+        unless every mask lies within the node range, no node is its own
+        neighbour, and v is in u's mask exactly when u is in v's; the check
+        runs on the whole bit matrix at once, not pair by pair."""
+        rows = tuple(masks)
+        n = len(rows)
+        if n and (min(rows) < 0 or max(rows) >> n):
+            raise ValueError(f"neighbour masks outside node range 0..{n - 1}")
+        bits = _bit_matrix(rows)
+        if bits.diagonal().any():
+            raise ValueError("a node is in its own neighbour mask")
+        if not np.array_equal(bits, bits.T):
+            raise ValueError("neighbour masks are not symmetric")
+        return cls._from_rows(rows, int(np.count_nonzero(bits)) // 2)
+
+    @classmethod
     def complete(cls, node_count: int) -> "Graph":
         full = (1 << node_count) - 1
         rows = tuple(full ^ (1 << u) for u in range(node_count))
@@ -442,11 +460,15 @@ def two_hop_neighborhood(g: Graph, v: int) -> frozenset[int]:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    n = g.node_count
+    return _bit_matrix(g._rows).astype(np.float64)
+
+
+def _bit_matrix(rows: tuple[int, ...]) -> np.ndarray:
+    """The n x n uint8 matrix whose row u holds the low n bits of ``rows[u]``."""
+    n = len(rows)
     width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in g._rows), np.uint8)
-    bits = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
-    return bits.astype(np.float64)
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
 
 
 def eigenvector_centrality(g: Graph) -> list[float]:

@@ -227,6 +227,8 @@ def train_sf_knn(
     """
     if folds < 2:
         raise ValueError(f"cross-validation needs at least 2 folds, got {folds}")
+    if seed < 0:  # random.Random seeds from abs(seed): -1 would repeat seed 1's folds
+        raise ValueError(f"seed must be non-negative, got {seed}")
     n = len(dataset)
     if n < folds:
         raise ValueError(f"dataset has {n} graphs, fewer than {folds} folds")

@@ -726,6 +726,22 @@ class TestUsageErrors:
             "--instance", 0, "--method", method, flag, -1, "--out-dir", tmp_path,
         ) == 1
 
+    @pytest.mark.parametrize("command", ["train", "explain", "benchmark"])
+    def test_negative_seed_exits_one_naming_it_before_writing(
+        self, synth_dir, tmp_path, command, capsys
+    ):
+        # as synth does: a negative seed would repeat a non-negative one's folds or flips
+        flags = self.SEARCH_FLAGS.get(command, [])
+        oracle = [] if command == "train" else ["--whitebox"]
+        out = tmp_path / "out"
+        code = run(
+            command, "--dataset", synth_dir / "manifest.json", *oracle, *flags,
+            "--seed", -1, "--out-dir", out,
+        )
+        assert code == 1
+        assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_exits_one_before_writing(self, synth_dir, tmp_path, workers, capsys):
         out = tmp_path / "out"

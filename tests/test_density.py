@@ -588,6 +588,11 @@ class TestCliSearch:
         with pytest.raises(ConfigurationError):
             RunOptions(ranking="regional")
 
+    def test_negative_seed_rejected(self):
+        # derive_seed reduces mod 2**63, so -1 would silently repeat another seed's flips
+        with pytest.raises(ConfigurationError, match="seed must be non-negative, got -1"):
+            RunOptions(seed=-1)
+
 
 class TestRcliSearch:
     def test_single_region_equals_plain_cli(self):

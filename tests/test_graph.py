@@ -54,6 +54,28 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    def test_from_neighbor_masks_equals_edge_constructor(self):
+        rng = random.Random(4)
+        for n in (0, 1, 5, 70, 130):
+            g = random_graph(n, 0.3, rng)
+            masks = [sum(1 << v for v in g.neighbors(u)) for u in range(n)]
+            h = Graph.from_neighbor_masks(masks)
+            assert h == g and h.node_count == n and h.edge_count == g.edge_count
+
+    @pytest.mark.parametrize(
+        "masks, message",
+        [
+            ([0b010, 0b101, 0b1010], "outside node range 0..2"),
+            ([0b10, -1], "outside node range 0..1"),
+            ([0b11, 0b01], "its own neighbour mask"),
+            ([0b010, 0b001, 0b001], "not symmetric"),
+        ],
+        ids=["beyond-range", "negative", "self-loop", "one-sided"],
+    )
+    def test_from_neighbor_masks_rejects(self, masks, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_neighbor_masks(masks)
+
     def test_add_remove_edges_are_persistent(self):
         g = Graph(3, [(0, 1)])
         h = g.add_edge(1, 2)

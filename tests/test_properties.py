@@ -42,7 +42,9 @@ from densecf.data import (
     DATASET_FORMAT,
     DATASET_VERSION,
     DatasetEntry,
+    _Draws,
     _weighted_picks,
+    _WORDS_PER_BLOCK,
     load_correlation_matrix,
 )
 from densecf.density import triangle_score_lists
@@ -492,10 +494,59 @@ def weighted_draws(draw):
 @example(([7, 3, 8, 1, 4], [3, 1, 4, 1, 5], 5, 0))  # k == len(active)
 def test_weighted_picks_equal_generator_choice(case):
     active, weights, k, seed = case
-    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    ours, numpys = _Draws(np.random.PCG64(seed)), np.random.default_rng(seed)
     w = np.asarray(weights, dtype=float)
     expected = numpys.choice(active, size=k, replace=False, p=w / w.sum())
     assert [active[i] for i in _weighted_picks(ours, weights, k)] == expected.tolist()
+    assert ours.random() == numpys.random()
+
+
+# Each draw kind of the generator's _Draws beside the Generator call it restates.
+STREAM_DRAWS = {
+    "integers(k)": (lambda d, k: d.integers(0, k), lambda g, k: g.integers(k)),
+    "integers(3, hi)": (lambda d, hi: d.integers(3, hi), lambda g, hi: g.integers(3, hi)),
+    "random()": (lambda d: d.random(), lambda g: g.random()),
+    "random(k)": (lambda d, k: d.randoms(k), lambda g, k: g.random(k).tolist()),
+    "permutation": (
+        lambda d, seq: d.permutation(seq),
+        lambda g, seq: g.permutation(seq).tolist(),
+    ),
+    "choice": (
+        lambda d, seq, size: d.choice(seq, size),
+        lambda g, seq, size: g.choice(seq, size, replace=False).tolist(),
+    ),
+}
+NODE_IDS = st.lists(st.integers(0, 999), max_size=40)
+STREAM_OPS = st.one_of(
+    # spans from 2**31 up reject up to half their first draws
+    st.tuples(st.just("integers(k)"), st.integers(1, 64) | st.integers(2**31, 2**32 - 1)),
+    st.tuples(st.just("integers(3, hi)"), st.integers(4, 64)),
+    st.tuples(st.just("random()")),
+    st.tuples(st.just("random(k)"), st.integers(0, 8)),
+    st.tuples(st.just("permutation"), NODE_IDS),
+    NODE_IDS.filter(bool).flatmap(
+        lambda seq: st.tuples(st.just("choice"), st.just(seq), st.integers(0, len(seq)))
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(STREAM_OPS, max_size=30))
+@example(  # a double takes the first word of a new block while a 32-bit half is kept
+    0,
+    [("random(k)", _WORDS_PER_BLOCK - 1), ("integers(k)", 10), ("random()",), ("integers(k)", 10)],
+)
+@example(7, [("integers(k)", 5), ("random()",), ("integers(k)", 5)])  # a double between halves
+@example(3, [("integers(3, hi)", 4), ("integers(k)", 1), ("random()",)])  # spans of 1 draw nothing
+@example(1, [("choice", list(range(10_001)), 300)])  # numpy's tail shuffle above 10,000
+@example(0, [("integers(k)", 2**31 + 1)] * 8)  # about half of these draws are rejected
+def test_draws_equal_generator_draw_for_draw(seed, ops):
+    ours, numpys = _Draws(np.random.PCG64(seed)), np.random.default_rng(seed)
+    for name, *args in ops:
+        mine, theirs = STREAM_DRAWS[name]
+        assert mine(ours, *args) == theirs(numpys, *args), name
+    # the same state afterwards: a kept 32-bit half, then a fresh word
+    assert ours.integers(0, 2**32 - 1) == numpys.integers(2**32 - 1)
     assert ours.random() == numpys.random()
 
 

@@ -385,6 +385,16 @@ class TestTraining:
         with pytest.raises(ValueError, match=r"metric must be one of \('euclidean', 'manhattan'\)"):
             train_sf_knn(dataset, folds=2, metric="cosine")
 
+    def test_negative_seed_rejected_before_any_eigenvalue(self, monkeypatch):
+        # random.Random seeds from abs(seed): -1 would silently repeat seed 1's folds
+        def no_laplacian(g):
+            raise AssertionError("eigenvalues computed for an unusable seed")
+
+        monkeypatch.setattr(spectral, "positive_laplacian_eigenvalues", no_laplacian)
+        dataset = triangle_class_dataset(num_graphs=10)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            train_sf_knn(dataset, folds=2, seed=-1)
+
     def test_same_seed_reproduces_report(self):
         dataset = triangle_class_dataset(num_graphs=24)
         _, r1 = train_sf_knn(dataset, folds=4, seed=9)
