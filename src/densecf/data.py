@@ -431,10 +431,13 @@ def make_whitebox(s0: Sequence[int], s1: Sequence[int]) -> Callable[[Graph], int
     """``whitebox_classify`` over fixed halves, updating its last counts by ``within_deltas``."""
     m0, m1 = masks = node_mask(s0), node_mask(s1)
     last = None  # (graph, ((t0, e0), (t1, e1))), replaced whole so the rule can be shared
+    checked = None  # the node count the halves passed ``_halves`` for; no other can pass
 
     def classify(g: Graph) -> int:
-        nonlocal last
-        _halves(g, m0, m1)
+        nonlocal last, checked
+        if g.node_count != checked:
+            _halves(g, m0, m1)
+            checked = g.node_count
         memo = last
         deltas = None if memo is None else within_deltas(memo[0], g, masks)
         if deltas is None:

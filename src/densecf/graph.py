@@ -46,9 +46,15 @@ class Graph:
     immutable: ``add_edge``, ``remove_edge``, ``apply_edits``, ``with_clique``
     and ``with_swap`` return new graphs, each sharing the row objects of the
     nodes it does not touch with its input.
+
+    Provenance: a graph one of those edits made records, in ``_origin``, its
+    input's row tuple and the ``node_mask`` of the rows the edit rebuilt;
+    every row outside that mask is the input's own row object. Any other
+    graph has ``_origin`` None. Equality, hashing and pickling ignore it, and
+    it holds the input's rows, never the input graph.
     """
 
-    __slots__ = ("node_count", "_rows", "_edge_count")
+    __slots__ = ("node_count", "_rows", "_edge_count", "_origin")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if node_count < 0:
@@ -63,14 +69,21 @@ class Graph:
         self.node_count = node_count
         self._rows = tuple(rows)
         self._edge_count = sum(row.bit_count() for row in rows) // 2
+        self._origin = None
 
     @classmethod
-    def _from_rows(cls, rows: tuple[int, ...], edge_count: int) -> "Graph":
+    def _from_rows(
+        cls,
+        rows: tuple[int, ...],
+        edge_count: int,
+        origin: tuple[tuple[int, ...], int] | None = None,
+    ) -> "Graph":
         # rows already symmetric, loop-free and within range; skips revalidation
         g = object.__new__(cls)
         g.node_count = len(rows)
         g._rows = rows
         g._edge_count = edge_count
+        g._origin = origin
         return g
 
     @classmethod
@@ -123,13 +136,13 @@ class Graph:
         a, b = _normalize_edge(u, v, self.node_count)
         if self._rows[a] >> b & 1:
             raise EditConflictError(f"edge {(a, b)} already present")
-        return Graph._from_rows(_toggled(self._rows, ((a, b),)), self._edge_count + 1)
+        return _toggled(self, ((a, b),), self._edge_count + 1)
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         a, b = _normalize_edge(u, v, self.node_count)
         if not self._rows[a] >> b & 1:
             raise EditConflictError(f"edge {(a, b)} not present")
-        return Graph._from_rows(_toggled(self._rows, ((a, b),)), self._edge_count - 1)
+        return _toggled(self, ((a, b),), self._edge_count - 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -138,6 +151,9 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash(self._rows)
+
+    def __reduce__(self) -> tuple:
+        return Graph._from_rows, (self._rows, self._edge_count)
 
     def __repr__(self) -> str:
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
@@ -161,12 +177,14 @@ def _pairs(rows: Iterable[int]) -> Iterator[Edge]:
             row ^= low
 
 
-def _toggled(rows: tuple[int, ...], pairs: Iterable[Edge]) -> tuple[int, ...]:
-    out = list(rows)
+def _toggled(g: Graph, pairs: Iterable[Edge], edge_count: int) -> Graph:
+    """``g`` with each of the distinct ``pairs`` flipped, ``edge_count`` edges."""
+    out, touched = list(g._rows), 0
     for a, b in pairs:
         out[a] ^= 1 << b
         out[b] ^= 1 << a
-    return tuple(out)
+        touched |= 1 << a | 1 << b
+    return Graph._from_rows(tuple(out), edge_count, (g._rows, touched))
 
 
 def node_mask(nodes: int | Iterable[int]) -> int:
@@ -243,17 +261,14 @@ def apply_edits(g: Graph, edits: EditList) -> Graph:
     present = [(a, b) for a, b in additions if rows[a] >> b & 1]
     if present:
         raise EditConflictError(f"addition of present edges: {sorted(present)}")
-    return Graph._from_rows(
-        _toggled(rows, chain(removals, additions)),
-        g.edge_count - len(removals) + len(additions),
-    )
+    return _toggled(g, chain(removals, additions), g.edge_count - len(removals) + len(additions))
 
 
 def triangle_counts(g: Graph) -> list[int]:
     """Per-node count of distinct triangles the node participates in."""
     a = adjacency_matrix(g)
     # row w of (A@A)*A counts each triangle at w twice, once per ordered pair of its other nodes
-    return [int(x) for x in ((a @ a) * a).sum(axis=1) // 2]
+    return (((a @ a) * a).sum(axis=1) // 2).astype(np.int64).tolist()
 
 
 def _within(g: Graph, nodes: int | Iterable[int]) -> int:
@@ -292,33 +307,45 @@ def within_deltas(before: Graph, after: Graph, masks: Sequence[int]) -> list | N
     ``after`` in (triangles within it, edges within it); None when the node
     counts differ or the graphs differ in at least ``after.edge_count`` pairs.
 
-    A row that is the same object in both graphs is taken as unchanged
-    without reading its bits. Every edit function here shares the rows it
-    does not touch, so for ``after`` made from ``before`` by a few edits only
-    their rows are compared; graphs built apart are compared row by row."""
+    When ``after`` was edited from ``before`` (see ``Graph``: its origin's
+    rows are ``before``'s row tuple), only the rows that edit rebuilt are
+    read. Otherwise each row that is not the same object in both graphs is
+    compared."""
     if before.node_count != after.node_count or not after._edge_count:
         return None
-    old, new, changed = before._rows, after._rows, []
-    # edits share the int objects of unchanged rows: identity settles most rows
-    for u in compress(count(), map(is_not, old, new)):
+    old, new = before._rows, after._rows
+    origin = after._origin
+    if origin is not None and origin[0] is old:
+        rest = origin[1]
+    else:  # rows built apart: read each row the two graphs do not share
+        rest = sum(1 << u for u in compress(count(), map(is_not, old, new)))
+    # row u's changed pairs uv, v > u; counted before any is listed
+    diffs, room = [], after._edge_count
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
         diff = (old[u] ^ new[u]) >> (u + 1)
-        while diff:
-            low = diff & -diff
-            changed.append((u, u + low.bit_length()))
-            diff ^= low
-        if len(changed) >= after._edge_count:
-            return None
+        if diff:
+            room -= diff.bit_count()
+            if room <= 0:
+                return None
+            diffs.append((u, diff))
     rows, deltas = list(old), [(0, 0)] * len(masks)
     # each toggle of uv within a mask moves that mask's triangles by the
     # common neighbors of u and v in it, in the graph as it stands then
-    for u, v in changed:
-        for k, mask in enumerate(masks):
-            if mask >> u & mask >> v & 1:
-                sign = 1 if new[u] >> v & 1 else -1
-                t, e = deltas[k]
-                deltas[k] = (t + sign * (rows[u] & rows[v] & mask).bit_count(), e + sign)
-                rows[u] ^= 1 << v
-                rows[v] ^= 1 << u
+    for u, diff in diffs:
+        while diff:
+            low = diff & -diff
+            diff ^= low
+            v = u + low.bit_length()
+            for k, mask in enumerate(masks):
+                if mask >> u & mask >> v & 1:
+                    sign = 1 if new[u] >> v & 1 else -1
+                    t, e = deltas[k]
+                    deltas[k] = (t + sign * (rows[u] & rows[v] & mask).bit_count(), e + sign)
+                    rows[u] ^= 1 << v
+                    rows[v] ^= 1 << u
     return deltas
 
 
@@ -326,8 +353,7 @@ def with_clique(g: Graph, nodes: int | Iterable[int], present: bool) -> Graph:
     """``g`` with every pair among ``nodes`` (node indices, or their
     ``node_mask``) made an edge when ``present``, else a non-edge, without
     the checks of ``apply_edits``: pairs already so are left as they are.
-    Only the rows of ``nodes`` are rebuilt; the others are ``g``'s own row
-    objects, which ``within_deltas`` relies on."""
+    Only the rows of ``nodes`` are rebuilt."""
     mask = node_mask(nodes)
     if mask >> g.node_count:
         raise ValueError(f"nodes outside node range 0..{g.node_count - 1}")
@@ -336,15 +362,14 @@ def with_clique(g: Graph, nodes: int | Iterable[int], present: bool) -> Graph:
         row = (rows[u] | mask) & ~(1 << u) if present else rows[u] & ~mask
         change += row.bit_count() - rows[u].bit_count()
         rows[u] = row
-    return Graph._from_rows(tuple(rows), g._edge_count + change // 2)
+    return Graph._from_rows(tuple(rows), g._edge_count + change // 2, (g._rows, mask))
 
 
 def with_swap(g: Graph, removal: Edge, addition: Edge) -> Graph:
     """``g`` with the edge ``removal`` made a non-edge and the non-edge
     ``addition`` made an edge, so the edge count stays. Equal to
     ``apply_edits(g, EditList((removal,), (addition,)))`` and raises its
-    errors, but rebuilds only the rows of the pairs' ends; the others are
-    ``g``'s own row objects, which ``within_deltas`` relies on."""
+    errors, but rebuilds only the rows of the pairs' ends."""
     a, b = _normalize_edge(*removal, g.node_count)
     c, d = _normalize_edge(*addition, g.node_count)
     rows = g._rows
@@ -354,7 +379,12 @@ def with_swap(g: Graph, removal: Edge, addition: Edge) -> Graph:
         raise EditConflictError(f"removal of absent edges: {[(a, b)]}")
     if rows[c] >> d & 1:
         raise EditConflictError(f"addition of present edges: {[(c, d)]}")
-    return Graph._from_rows(_toggled(rows, ((a, b), (c, d))), g._edge_count)
+    out = list(rows)
+    out[a] ^= 1 << b
+    out[b] ^= 1 << a
+    out[c] ^= 1 << d
+    out[d] ^= 1 << c
+    return Graph._from_rows(tuple(out), g._edge_count, (rows, 1 << a | 1 << b | 1 << c | 1 << d))
 
 
 def _check_node(g: Graph, v: int) -> None:

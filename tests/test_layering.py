@@ -59,7 +59,7 @@ def test_only_data_imports_csv():
 def test_only_graph_touches_graph_internals():
     # the bitmask rows are graph's format: every other module, data's edge
     # lists included, goes through Graph's public methods
-    private = {"_rows", "_edge_count", "_from_rows"}
+    private = {"_rows", "_edge_count", "_origin", "_from_rows"}
     touched = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -102,31 +102,35 @@ def passes(call: ast.Call, name: str, position: int | None) -> bool:
     return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
 
-def test_every_defaulted_parameter_is_passed_by_the_program():
-    # a parameter with a default that no caller in the package or perfbench
-    # ever sets (tests do not count) is an option only tests can reach
-    calls = [
-        node
-        for path in [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-    ]
+def unused_defaults(modules: dict[str, ast.Module], calls: list[ast.Call]) -> list[str]:
+    """``module.function(parameter=)`` for each defaulted parameter of a
+    public function or method of ``modules`` that none of ``calls`` may pass.
+    A method's ``self`` or ``cls`` is bound by the call, so its positional
+    parameters count from the next one; a staticmethod's count from its first."""
 
     def called_name(call):
         return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
 
+    def is_static(fn):
+        return any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        module = path.stem
-        tree = ast.parse(path.read_text())
-        methods = [f for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body]
-        for fn in [*tree.body, *methods]:
+    for module, tree in sorted(modules.items()):
+        functions = [(f, 0) for f in tree.body]
+        functions += [
+            (f, 0 if is_static(f) else 1)
+            for c in tree.body
+            if isinstance(c, ast.ClassDef)
+            for f in c.body
+            if isinstance(f, ast.FunctionDef)
+        ]
+        for fn, bound in functions:
             if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
                 continue
             sites = [c for c in calls if called_name(c) == fn.name]
             positional = fn.args.posonlyargs + fn.args.args
             first = len(positional) - len(fn.args.defaults)  # defaults pair with the last ones
-            defaulted = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+            defaulted = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
             defaulted += [
                 (a.arg, None)
                 for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
@@ -137,4 +141,48 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
                 for name, position in defaulted
                 if not any(passes(c, name, position) for c in sites)
             ]
+    return unused
+
+
+def calls_in(trees: list[ast.Module]) -> list[ast.Call]:
+    return [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    # a parameter with a default that no caller in the package or perfbench
+    # ever sets (tests do not count) is an option only tests can reach
+    modules = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    perfbench = [ast.parse(path.read_text()) for path in PERFBENCH.glob("*.py")]
+    unused = unused_defaults(modules, calls_in([*modules.values(), *perfbench]))
     assert not unused, unused
+
+
+SYNTHETIC = ast.parse(
+    """
+class Draws:
+    def integers(self, low, high=None): ...
+
+    @classmethod
+    def make(cls, seed, block=512): ...
+
+    @staticmethod
+    def scale(x, factor=1): ...
+"""
+)
+
+
+def test_a_method_call_passes_the_defaults_its_arguments_reach():
+    # counting ``self`` as a position read draws.integers(3, 7) as never
+    # passing ``high``, and Draws.make(0, 64) as never passing ``block``
+    calls = calls_in([ast.parse("draws.integers(3, 7)\nDraws.make(0, 64)\nDraws.scale(2, 3)")])
+    assert unused_defaults({"m": SYNTHETIC}, calls) == []
+
+
+def test_a_default_no_call_reaches_is_still_unused():
+    # a staticmethod binds nothing: Draws.scale(2) leaves ``factor`` unset
+    calls = calls_in([ast.parse("draws.integers(3)\nDraws.make(0)\nDraws.scale(2)")])
+    assert unused_defaults({"m": SYNTHETIC}, calls) == [
+        "m.integers(high=)",
+        "m.make(block=)",
+        "m.scale(factor=)",
+    ]

@@ -2,6 +2,7 @@
 edit round trips, and the dataset and ingest loaders' contracts."""
 
 import json
+import pickle
 import string
 import tempfile
 from itertools import combinations
@@ -303,15 +304,44 @@ def toggled(g, pairs):
     return apply_edits(g, EditList(removals, tuple(p for p in pairs if p not in removals)))
 
 
+def edited(draw, g, how):
+    """``g`` edited by the edit function ``how`` names: one swap, one edge
+    added or removed, a clique of 2-3 nodes set or cleared, or else 1-3
+    pairs toggled through ``apply_edits``."""
+    n = g.node_count
+    pairs = list(combinations(range(n), 2))
+    present = [p for p in pairs if g.has_edge(*p)]
+    absent = [p for p in pairs if not g.has_edge(*p)]
+    if how == "swap" and present and absent:
+        return with_swap(g, draw(st.sampled_from(present)), draw(st.sampled_from(absent)))
+    if how == "edge":
+        u, v = draw(st.sampled_from(pairs))
+        return g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
+    if how == "clique":
+        nodes = draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=3))
+        return with_clique(g, nodes, draw(st.booleans()))
+    return toggled(g, draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=3)))
+
+
+EDITS = ("apply_edits", "swap", "edge", "clique")
+
+
 @st.composite
 def before_after(draw):
-    """Two graphs on 3-12 nodes: unrelated, or 1-3 pairs apart."""
+    """Two graphs on 3-12 nodes: unrelated; ``after`` made from ``before`` by
+    each edit function; or both edited from a third graph, as
+    ``backward_search`` classifies a tentative revert it rejects and then one
+    made from the graph before it."""
     n = draw(st.integers(3, 12))
     before = draw(graphs_on(n))
-    if draw(st.booleans()):
+    how = draw(st.sampled_from(("unrelated", "third", *EDITS)))
+    if how == "unrelated":
         return before, draw(graphs_on(n))
-    pairs = st.sampled_from(list(combinations(range(n), 2)))
-    return before, toggled(before, draw(st.sets(pairs, min_size=1, max_size=3)))
+    if how == "third":
+        source = before
+        before = edited(draw, source, draw(st.sampled_from(EDITS)))
+        return before, edited(draw, source, draw(st.sampled_from(EDITS)))
+    return before, edited(draw, before, how)
 
 
 def disjoint_masks(draw, n, parts):
@@ -337,6 +367,9 @@ def test_within_deltas_equal_the_change_in_counts(pair, data):
             for m in masks
         ]
     assert within_deltas(Graph(after.node_count + 1), after, masks) is None
+    direct = Graph(after.node_count, after.edges)
+    assert after == direct and hash(after) == hash(direct)
+    assert pickle.dumps(after) == pickle.dumps(direct)
 
 
 @settings(max_examples=200, deadline=None)
@@ -410,21 +443,32 @@ def test_with_swap_equals_apply_edits(swap):
 
 @st.composite
 def graph_walks(draw):
-    """Halves of 3-12 nodes and a sequence of graphs: mostly chains of 1-3
-    edge edits, with unrelated graphs and graphs of another node count."""
+    """Halves of 3-12 nodes, which may overlap or miss a node, and a sequence
+    of graphs: mostly chains of edits by each edit function, with unrelated
+    graphs and runs of edited graphs of another node count."""
     n = draw(st.integers(3, 12))
     side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     halves = [v for v in range(n) if not side[v]], [v for v in range(n) if side[v]]
-    pairs = st.sampled_from(list(combinations(range(n), 2)))
+    flaw = draw(st.sampled_from((None, None, None, "overlap", "gap")))
+    v = draw(st.integers(0, n - 1))
+    if flaw == "overlap":
+        halves[not side[v]].append(v)
+    elif flaw == "gap":
+        halves[side[v]].remove(v)
     g = draw(graphs_on(n))
     walk = [g]
     for _ in range(draw(st.integers(1, 20))):
         step = draw(st.sampled_from(("edit", "edit", "edit", "unrelated", "other size")))
         if step == "other size":
-            walk.append(draw(graphs_on(draw(st.integers(0, 12).filter(lambda m: m != n)))))
+            m = draw(st.integers(0, 12).filter(lambda m: m != n))
+            h = draw(graphs_on(m))
+            walk.append(h)
+            for _ in range(draw(st.integers(0, 3)) if m > 1 else 0):
+                h = edited(draw, h, draw(st.sampled_from(EDITS)))
+                walk.append(h)
             continue
         if step == "edit":
-            g = toggled(g, draw(st.sets(pairs, min_size=1, max_size=3)))
+            g = edited(draw, g, draw(st.sampled_from(EDITS)))
         else:
             g = draw(graphs_on(n))
         walk.append(g)
@@ -434,8 +478,8 @@ def graph_walks(draw):
 def outcome(classify, g):
     try:
         return classify(g)
-    except PartitionError:
-        return PartitionError
+    except PartitionError as exc:
+        return PartitionError, str(exc)
 
 
 @settings(max_examples=200, deadline=None)
