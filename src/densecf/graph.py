@@ -123,14 +123,13 @@ class Graph:
         return self._edge_count
 
     def has_edge(self, u: int, v: int) -> bool:
-        a, b = _normalize_edge(u, v, self.node_count)
-        return bool(self._rows[a] >> b & 1)
+        return bool(self._rows[_check_node(self, u)] >> _check_node(self, v) & 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(_members(self._rows[v]))
+        return frozenset(_members(self._rows[_check_node(self, v)]))
 
     def degree(self, v: int) -> int:
-        return self._rows[v].bit_count()
+        return self._rows[_check_node(self, v)].bit_count()
 
     def add_edge(self, u: int, v: int) -> "Graph":
         a, b = _normalize_edge(u, v, self.node_count)
@@ -272,7 +271,10 @@ def triangle_counts(g: Graph) -> list[int]:
 
 
 def _within(g: Graph, nodes: int | Iterable[int]) -> int:
-    return node_mask(nodes) & ((1 << g.node_count) - 1)
+    mask = node_mask(nodes if isinstance(nodes, int) else (_check_node(g, u) for u in nodes))
+    if mask >> g.node_count:
+        raise ValueError(f"nodes outside node range 0..{g.node_count - 1}")
+    return mask
 
 
 def triangles_within(g: Graph, nodes: int | Iterable[int]) -> int:
@@ -354,9 +356,7 @@ def with_clique(g: Graph, nodes: int | Iterable[int], present: bool) -> Graph:
     ``node_mask``) made an edge when ``present``, else a non-edge, without
     the checks of ``apply_edits``: pairs already so are left as they are.
     Only the rows of ``nodes`` are rebuilt."""
-    mask = node_mask(nodes)
-    if mask >> g.node_count:
-        raise ValueError(f"nodes outside node range 0..{g.node_count - 1}")
+    mask = _within(g, nodes)
     rows, change = list(g._rows), 0
     for u in _members(mask):
         row = (rows[u] | mask) & ~(1 << u) if present else rows[u] & ~mask
@@ -387,9 +387,12 @@ def with_swap(g: Graph, removal: Edge, addition: Edge) -> Graph:
     return Graph._from_rows(tuple(out), g._edge_count, (rows, 1 << a | 1 << b | 1 << c | 1 << d))
 
 
-def _check_node(g: Graph, v: int) -> None:
+def _check_node(g: Graph, v: int) -> int:
+    """``v`` as an int row of ``g``, or ValueError; node sets go through ``_within``."""
+    v = index(v)  # numpy integers would overflow as shift counts
     if not 0 <= v < g.node_count:
         raise ValueError(f"node {v} outside node range 0..{g.node_count - 1}")
+    return v
 
 
 def _bron_kerbosch(
@@ -442,7 +445,7 @@ def maximal_cliques_containing(g: Graph, v: int) -> set[frozenset[int]]:
     Pivoted Bron-Kerbosch seeded with {v}, so only the closed neighborhood of
     ``v`` is explored. An isolated node yields the 1-clique {v}.
     """
-    _check_node(g, v)
+    v = _check_node(g, v)
     out: set[frozenset[int]] = set()
     _bron_kerbosch(g, v, lambda clique: out.add(frozenset(_members(clique))))
     return out
@@ -459,7 +462,7 @@ def least_overlapping_clique(g: Graph, v: int, removed: Iterable[Iterable[int]])
     never on a tie. Of two equal-size cliques, the one holding the lowest node
     in which they differ has the smaller sorted node list.
     """
-    _check_node(g, v)
+    v = _check_node(g, v)
     masks = [node_mask(m) for m in removed]
     best = (g.node_count + 1, 0, 0)  # (overlap, -size, mask): above every clique's key
 
@@ -482,11 +485,11 @@ def least_overlapping_clique(g: Graph, v: int, removed: Iterable[Iterable[int]])
 
 def two_hop_neighborhood(g: Graph, v: int) -> frozenset[int]:
     """Nodes at shortest-path distance 1 or 2 from ``v``, excluding ``v``."""
-    _check_node(g, v)
+    v = _check_node(g, v)
     reach = g._rows[v]
     for u in _members(g._rows[v]):
         reach |= g._rows[u]
-    return frozenset(_members(reach & ~(1 << index(v))))
+    return frozenset(_members(reach & ~(1 << v)))
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

@@ -124,6 +124,22 @@ class TestTrain:
         report = json.loads((out / "train_report.json").read_text())
         assert report["accuracy"] >= 0.9
 
+    def test_manhattan_metric_reaches_the_model_and_its_searches(self, synth_dir, tmp_path):
+        # the L1 vote itself is checked against a brute-force scan in test_spectral
+        from densecf import load_model
+
+        out = tmp_path / "l1"
+        assert run(
+            "train", "--dataset", synth_dir, "--folds", 5, "--neighbors", "1,3",
+            "--eigs", "4,8", "--metric", "manhattan", "--out-dir", out,
+        ) == 0
+        assert load_model(out / "model.json").metric == "manhattan"
+        assert json.loads((out / "run_manifest.json").read_text())["config"]["metric"] == "manhattan"
+        assert run(
+            "explain", "--dataset", synth_dir, "--model", out / "model.json",
+            "--instance", 1, "--method", "tri", "--out-dir", tmp_path / "exp",
+        ) == 0
+
     def test_too_many_folds_exits_one(self, synth_dir, tmp_path):
         assert run(
             "train", "--dataset", synth_dir / "manifest.json", "--folds", 99,
@@ -247,6 +263,21 @@ class TestExplain:
         assert (out / "result.json").exists()
         assert not (out / "edits.csv").exists()
 
+    def test_format_csv_only(self, synth_dir, tmp_path):
+        partition = write_partition(tmp_path / "partition.csv")
+        out, both = tmp_path / "fc", tmp_path / "both"
+        for fmt, where in (("csv", out), ("both", both)):
+            assert run(
+                "explain", "--dataset", synth_dir, "--whitebox", "--partition", partition,
+                "--instance", 0, "--method", "cli", "--format", fmt, "--out-dir", where,
+            ) == 0
+        assert json.loads((both / "result.json").read_text())["found"] is True
+        assert sorted(p.name for p in out.iterdir()) == [
+            "edits.csv", "regions.csv", "run_manifest.json",
+        ]
+        for name in ("edits.csv", "regions.csv"):
+            assert (out / name).read_bytes() == (both / name).read_bytes()
+
     def test_composed_method_and_eigenvector_ranking(self, synth_dir, tmp_path):
         out1 = tmp_path / "datbw"
         assert run(
@@ -298,6 +329,17 @@ class TestBenchmarkAndReport:
         rep = tmp_path / "rep"
         assert run("report", "--records", out / "records.csv", "--out-dir", rep) == 0
         assert json.loads((rep / "aggregates.json").read_text()) == aggregates
+
+    @pytest.mark.parametrize("fmt, written", [("json", "aggregates.json"), ("csv", "records.csv")])
+    def test_format_writes_only_its_file(self, synth_dir, tmp_path, fmt, written):
+        outs = {fmt: tmp_path / fmt, "both": tmp_path / "both"}
+        for which, out in outs.items():
+            assert run(
+                "benchmark", "--dataset", synth_dir, "--whitebox", "--methods", "tri,cli",
+                "--max-iters", 10, "--workers", 1, "--format", which, "--out-dir", out,
+            ) == 0
+        assert sorted(p.name for p in outs[fmt].iterdir()) == sorted([written, "run_manifest.json"])
+        assert (outs[fmt] / written).read_bytes() == (outs["both"] / written).read_bytes()
 
     def test_explain_matches_the_benchmark_row_for_every_method(self, synth_dir, tmp_path):
         partition = write_partition(tmp_path / "partition.csv")

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, compress
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -500,6 +501,18 @@ class TestCliSearch:
                 assert len(step.added_cliques) == len(added)
             iterations += len(trace)
         assert iterations > 50
+
+    def test_numpy_order_equals_the_list_order(self):
+        # an order held in a numpy array hands the searches numpy ids, which
+        # overflow as shift counts above 63
+        g = random_graph(80, 0.3, random.Random(71))
+        order = rank_nodes(g)
+        assert max(order[:8] + order[-8:]) >= 63
+        options = RunOptions(max_iterations=8)
+        fn = lambda h: int(h.edge_count % 11 == 0)
+        expected = cli_search(Oracle(fn), g, order=list(order), options=options)
+        assert expected.iterations > 1
+        assert cli_search(Oracle(fn), g, order=np.array(order), options=options) == expected
 
     def test_max_iterations_respected(self):
         g = random_graph(12, 0.5, random.Random(23))

@@ -18,7 +18,13 @@ from densecf import (
     triangle_counts,
     two_hop_neighborhood,
 )
-from densecf.graph import adjacency_matrix, triangles_within
+from densecf.graph import (
+    adjacency_matrix,
+    edges_within,
+    least_overlapping_clique,
+    triangles_within,
+    with_clique,
+)
 
 from conftest import (
     brute_force_maximal_cliques,
@@ -205,6 +211,54 @@ class TestTriangleCounts:
         assert triangles_within(g, {0, 1, 2}) == 1
         assert triangles_within(g, {0, 1, 2, 3}) == 1
         assert triangles_within(g, range(6)) == 2
+
+
+# each of the graph core's functions that takes a node or a node set, called
+# with the node ``v`` (as a set member where the function takes a set)
+NODE_ARGUMENTS = {
+    "has_edge": lambda g, v: (g.has_edge(v, 71), g.has_edge(71, v)),
+    "neighbors": lambda g, v: g.neighbors(v),
+    "degree": lambda g, v: g.degree(v),
+    "two_hop_neighborhood": two_hop_neighborhood,
+    "maximal_cliques_containing": maximal_cliques_containing,
+    "least_overlapping_clique": lambda g, v: least_overlapping_clique(g, v, [{70, 71}]),
+    "triangles_within": lambda g, v: triangles_within(g, [71, 99, v]),
+    "edges_within": lambda g, v: edges_within(g, [71, 99, v]),
+    "with_clique": lambda g, v: with_clique(g, [0, 99, v], True),
+}
+
+
+def node_rule_graph():
+    """100 nodes: the triangle 70-71-99, the path 1-2-70 and the edge 2-71."""
+    return Graph(100, [(70, 71), (70, 99), (71, 99), (1, 2), (2, 70), (2, 71)])
+
+
+@pytest.mark.parametrize("call", NODE_ARGUMENTS.values(), ids=NODE_ARGUMENTS)
+def test_every_node_argument_follows_one_rule(call):
+    # a numpy id answers as the int does, also above 63 where it would
+    # overflow as a shift count; -1 and node_count are outside the range
+    # (-1 is not the last node), whether alone or as a set member
+    g = node_rule_graph()
+    for v in (2, 70, 99):
+        assert call(g, np.int64(v)) == call(g, v)
+    for bad in (-1, 100, np.int64(100)):
+        with pytest.raises(ValueError, match=r"outside node range 0\.\.99"):
+            call(g, bad)
+
+
+def test_node_sets_are_checked_not_clipped():
+    g = triangle((3, 4))
+    for call in (triangles_within, edges_within, lambda g, m: with_clique(g, m, False)):
+        for nodes in ([0, 1, 2, 9], [0, 1, 2, -1], 0b100111, -1):
+            with pytest.raises(ValueError, match=r"outside node range 0\.\.4"):
+                call(g, nodes)
+    assert triangles_within(g, 0b00111) == 1 and edges_within(g, np.array([0, 3, 4])) == 1
+
+
+def test_a_node_is_not_its_own_neighbour():
+    g = node_rule_graph()
+    assert not any(g.has_edge(v, v) or g.has_edge(np.int64(v), v) for v in range(100))
+    assert all(v not in g.neighbors(v) for v in range(100))
 
 
 class TestMaximalCliques:

@@ -2,8 +2,10 @@
 is the bottom file layer above ``graph`` and the only module that imports
 ``csv``, only ``graph`` reaches into a ``Graph``'s private state, no module
 imports another's underscore names, no two modules import each other,
-directly or through others, and no parameter with a default, of a public
-function or method, goes unused by the program."""
+directly or through others, no parameter with a default, of a public
+function or method, goes unused by the program, and every node argument of
+``graph`` goes through its one node conversion or its one node-set
+conversion."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -186,3 +188,67 @@ def test_a_default_no_call_reaches_is_still_unused():
         "m.make(block=)",
         "m.scale(factor=)",
     ]
+
+
+NODE_PARAMETERS = {"u", "v", "nodes"}
+NODE_CONVERSIONS = {"_check_node", "_within", "_normalize_edge"}
+
+
+def unconverted_nodes(tree: ast.Module) -> list[str]:
+    """``function(parameter)`` for each parameter named ``u``, ``v`` or
+    ``nodes`` of a public function or method of ``tree`` that the function
+    never passes straight to a node conversion. ``node_mask`` is exempt: it
+    has no graph, so no node range to check against."""
+    functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    functions += [
+        f
+        for c in tree.body
+        if isinstance(c, ast.ClassDef)
+        for f in c.body
+        if isinstance(f, ast.FunctionDef)
+    ]
+    unconverted = []
+    for fn in functions:
+        if fn.name.startswith("_") or fn.name == "node_mask":
+            continue
+        arguments = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        converted = {
+            a.id
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) in NODE_CONVERSIONS
+            for a in call.args
+            if isinstance(a, ast.Name)
+        }
+        unconverted += [
+            f"{fn.name}({a.arg})"
+            for a in arguments
+            if a.arg in NODE_PARAMETERS and a.arg not in converted
+        ]
+    return unconverted
+
+
+def test_every_node_argument_of_graph_goes_through_a_conversion():
+    # one rule for a node id: numpy integers are taken as ints, and a node
+    # outside 0..node_count-1 raises; a node set is checked, never clipped
+    assert unconverted_nodes(ast.parse((PACKAGE / "graph.py").read_text())) == []
+
+
+def test_a_node_used_without_a_conversion_is_reported():
+    tree = ast.parse(
+        """
+class Graph:
+    def degree(self, v):
+        return self._rows[v].bit_count()
+
+    def has_edge(self, u, v):
+        return bool(self._rows[_check_node(self, u)] >> _check_node(self, v) & 1)
+
+def edges_within(g, nodes):
+    return count(g, node_mask(nodes) & full(g))
+
+def node_mask(nodes): ...
+
+def _members(v): ...
+"""
+    )
+    assert unconverted_nodes(tree) == ["edges_within(nodes)", "degree(v)"]

@@ -116,12 +116,13 @@ def features_of(g: Graph, k: int) -> tuple[float, ...]:
 
 
 class TestKnnPredict:
-    def make_model(self, graphs, labels, n_neighbors, k=4):
+    def make_model(self, graphs, labels, n_neighbors, k=4, metric="euclidean"):
         return SFKnnModel(
             training_features=tuple(features_of(g, k) for g in graphs),
             training_labels=tuple(labels),
             n_neighbors=n_neighbors,
             n_eigs=k,
+            metric=metric,
         )
 
     def test_identical_training_graph_wins_with_one_neighbor(self):
@@ -147,22 +148,34 @@ class TestKnnPredict:
         assert knn_predict(model, Graph(4, [(1, 2)])) == 1
 
     def test_matches_brute_force_scan(self):
+        # each metric against its own scan; L1 must rank some query's
+        # neighbours apart from L2, so the scans tell the two branches apart
         rng = random.Random(59)
         graphs = [random_graph(10, rng.uniform(0.2, 0.8), rng) for _ in range(15)]
         labels = [rng.randrange(2) for _ in graphs]
+        distance = {
+            "euclidean": lambda d: float(np.linalg.norm(d)),
+            "manhattan": lambda d: float(np.abs(d).sum()),
+        }
+        apart = 0
         for nn in (1, 3, 5):
-            model = self.make_model(graphs, labels, n_neighbors=nn)
+            models = {m: self.make_model(graphs, labels, nn, metric=m) for m in distance}
             for _ in range(20):
                 q = random_graph(10, rng.uniform(0.2, 0.8), rng)
                 qf = np.array(features_of(q, 4))
-                dists = [
-                    (float(np.linalg.norm(np.array(f) - qf)), i)
-                    for i, f in enumerate(model.training_features)
-                ]
-                dists.sort()
-                votes = [labels[i] for _, i in dists[:nn]]
-                expected = 1 if votes.count(1) > votes.count(0) else 0
-                assert knn_predict(model, q) == expected
+                nearest = {}
+                for metric, model in models.items():
+                    dists = [
+                        (distance[metric](np.array(f) - qf), i)
+                        for i, f in enumerate(model.training_features)
+                    ]
+                    dists.sort()
+                    nearest[metric] = [i for _, i in dists[:nn]]
+                    votes = [labels[i] for i in nearest[metric]]
+                    expected = 1 if votes.count(1) > votes.count(0) else 0
+                    assert knn_predict(model, q) == expected
+                apart += nearest["euclidean"] != nearest["manhattan"]
+        assert apart > 0
 
     def test_empty_model_raises(self):
         # a model without training rows cannot be built, so none can predict
