@@ -10,9 +10,9 @@ flips or an iteration budget runs out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import filterfalse, islice
 from math import isqrt
-from typing import Sequence
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .graph import (
     eigenvector_centrality,
     least_overlapping_clique,
     triangle_counts,
+    triangles_at,
     two_hop_neighborhood,
     with_clique,
     with_swap,
@@ -238,18 +239,45 @@ def densify_cli(g_cur: Graph, n: int, usage: list[int], s: int) -> tuple[Graph, 
     absent edges among the chosen nodes are added and their usage counts go
     down by one (they may go negative). With fewer than two nodes to pick
     this is a no-op.
+
+    The choice is the first ``s`` nodes of that order, taken block by block
+    (neighbors, the rest of the two-hop neighborhood, every other node): a
+    block that fits in the room left is taken whole, and only the block that
+    holds the ``s``-th node is ordered. Triangles are counted only for the
+    nodes of a two-hop block tied on usage across the cut.
     """
     if s < 2:
         return g_cur, frozenset()
-    near, adjacent = two_hop_neighborhood(g_cur, n), g_cur.neighbors(n)
-    tri = triangle_counts(g_cur)
-    chosen = sorted(
-        range(g_cur.node_count),
-        key=lambda v: (v not in near, v not in adjacent, usage[v], tri[v] if v in near else 0, v),
-    )[:s]
+    chosen: list[int] = []
+    for block, by_triangles in _densify_blocks(g_cur, n):
+        room = s - len(chosen)
+        if len(block) > room:  # the s-th node is in this block
+            ordered = sorted(block)
+            ordered.sort(key=usage.__getitem__)  # stable: (usage, index)
+            cut = usage[ordered[room]]
+            if by_triangles and usage[ordered[room - 1]] == cut:  # a tie runs across the cut
+                tied = [v for v in ordered if usage[v] == cut]
+                tri = triangles_at(g_cur, tied)
+                tied.sort(key=tri.__getitem__)  # stable: (triangles, index)
+                ordered = [v for v in ordered if usage[v] < cut] + tied
+            block = ordered[:room]
+        chosen += block
+        if len(chosen) == s:
+            break
     for v in chosen:
         usage[v] -= 1
     return with_clique(g_cur, chosen, present=True), frozenset(chosen)
+
+
+def _densify_blocks(g: Graph, n: int) -> Iterator[tuple[Collection[int], bool]]:
+    """``densify_cli``'s candidate blocks in order, each with whether triangle
+    counts break its usage ties; each is built only when the one before it
+    did not fill the clique."""
+    adjacent = g.neighbors(n)
+    yield adjacent, True
+    near = two_hop_neighborhood(g, n)
+    yield near - adjacent, True
+    yield list(filterfalse(near.__contains__, range(g.node_count))), False
 
 
 def _clique_size_within(edges: int) -> int:

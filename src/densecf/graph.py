@@ -277,6 +277,24 @@ def _within(g: Graph, nodes: int | Iterable[int]) -> int:
     return mask
 
 
+def triangles_at(g: Graph, nodes: int | Iterable[int]) -> dict[int, int]:
+    """For each of ``nodes`` (node indices, or their ``node_mask``), the
+    ``triangle_counts`` entry of ``g``, counted from the rows of that node
+    and its neighbours alone."""
+    rows = g._rows
+    counts = {}
+    for w in _members(_within(g, nodes)):
+        # each triangle at w is an edge uv among w's neighbours, counted at
+        # u < v: bits are taken lowest first, so ``rest`` holds those above u
+        rest, total = rows[w], 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            total += (rows[low.bit_length() - 1] & rest).bit_count()
+        counts[w] = total
+    return counts
+
+
 def triangles_within(g: Graph, nodes: int | Iterable[int]) -> int:
     """Number of triangles of ``g`` whose three nodes all lie in ``nodes``
     (node indices, or their ``node_mask``)."""

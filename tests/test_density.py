@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, compress
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from densecf import density
+from densecf import density, graph
 from densecf import (
     ConfigurationError,
     CoverageError,
@@ -19,7 +20,9 @@ from densecf import (
     cli_search,
     densify_cli,
     generate_synthetic,
+    make_whitebox,
     maximal_cliques_containing,
+    node_halves,
     rank_nodes,
     rank_nodes_regional,
     rcli_search,
@@ -28,7 +31,9 @@ from densecf import (
     tri_search,
     triangle_counts,
     triangle_score_lists,
+    two_hop_neighborhood,
 )
+from densecf.graph import with_clique
 
 from conftest import (
     CountingClassifier,
@@ -351,6 +356,67 @@ class TestSparsify:
         assert updated.edge_count == 0
 
 
+def full_sort_choice(g, center, usage, s, tri=None):
+    """densify_cli's choice as one sort of every node by its documented key,
+    and the usage it leaves; the key reads every node's count in ``tri``
+    (default: ``triangle_counts(g)``)."""
+    usage = list(usage)
+    if s < 2:
+        return frozenset(), usage
+    near, adjacent = two_hop_neighborhood(g, center), g.neighbors(center)
+    tri = triangle_counts(g) if tri is None else tri
+    chosen = sorted(
+        range(g.node_count),
+        key=lambda v: (v not in near, v not in adjacent, usage[v], tri[v] if v in near else 0, v),
+    )[:s]
+    for v in chosen:
+        usage[v] -= 1
+    return frozenset(chosen), usage
+
+
+def densify_cut(g, center, s):
+    """Where the ``s``-th node of densify_cli's order falls: its block, or
+    None when fewer than two nodes are picked or ``s`` passes every node,
+    and whether it is the last node of that block."""
+    if s < 2 or s > g.node_count:
+        return None, False
+    ends = (len(g.neighbors(center)), len(two_hop_neighborhood(g, center)), g.node_count)
+    block = next(k for k, end in enumerate(ends) if s <= end)
+    return ("neighbours", "rest of the two-hop block", "other nodes")[block], s in ends
+
+
+@st.composite
+def densify_choices(draw):
+    """A graph of 1-130 nodes (so ids above 63 occur), a center, usage counts
+    in -3..3 (so ties at the cut are common) and s in 0..n+2, drawn often at
+    a block's edge. The center may have many neighbours or none, or a hub
+    may put every other node in its two-hop block."""
+    n = draw(st.integers(1, 130))
+    center = draw(st.integers(0, n - 1))
+    shape = draw(
+        st.sampled_from(
+            ("random", "busy center", "isolated center", "two-hop block covers the graph")
+        )
+    )
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from((0.06, 0.15, 0.4)))
+    edges = [pair for pair in combinations(range(n), 2) if rng.random() < p]
+    if shape == "busy center":
+        edges += [(center, v) for v in range(n) if v != center and rng.random() < 0.3]
+    elif shape == "isolated center":
+        edges = [pair for pair in edges if center not in pair]
+    elif shape != "random" and n > 1:
+        hub = (center + draw(st.integers(1, n - 1))) % n
+        edges += [(hub, v) for v in range(n) if v != hub]
+    g = Graph(n, edges)
+    usage = [rng.randint(-3, 3) for _ in range(n)]
+    ends = (len(g.neighbors(center)), len(two_hop_neighborhood(g, center)), n)
+    at_edge = st.sampled_from([max(0, end + d) for end in ends for d in (-1, 0, 1)])
+    s = draw(st.integers(0, n + 2) | at_edge)
+    event(shape)
+    return g, center, usage, s
+
+
 class TestDensify:
     def test_empty_graph_takes_lowest_index_nodes(self):
         g = Graph(6)
@@ -408,6 +474,48 @@ class TestDensify:
             _, clique = densify_cli(g, 0, counts, s=size)
             assert clique == frozenset(order[:size])
 
+    @settings(max_examples=300, deadline=None)
+    @given(densify_choices())
+    def test_choice_equals_one_sort_of_every_node(self, case):
+        g, center, usage, s = case
+        expected, expected_usage = full_sort_choice(g, center, usage, s)
+        block, on_boundary = densify_cut(g, center, s)
+        if block is not None:
+            event(f"cut in the {block}" + (", on its boundary" if on_boundary else ""))
+        if full_sort_choice(g, center, usage, s, [0] * g.node_count)[0] != expected:
+            event("triangle counts decide the choice")
+        if g.node_count > 64:
+            event("ids above 63")
+        updated, clique = densify_cli(g, center, usage, s)
+        assert clique == expected
+        assert usage == expected_usage
+        assert updated == with_clique(g, expected, present=True)
+
+    def test_choice_at_brain_graph_size_along_the_ranked_centers(self):
+        # each graph's 50 lowest-ranked centers, after sparsifying around the
+        # matching top-ranked ones so usage grows as in cli_search: 200
+        # choices at n = 116, over both subgroup families
+        graphs = [
+            entry.graph
+            for k in (1, 2)
+            for entry in generate_synthetic(SyntheticSpec(116, 2, subgroups_per_class=k))
+        ]
+        cuts = Counter()
+        for g in graphs:
+            removed, usage, current = [], [0] * g.node_count, g
+            order = rank_nodes(g)
+            for dense, sparse in zip(order[:50], order[::-1]):
+                current, clique = sparsify_cli(g, current, dense, removed, usage)
+                s = len(clique)
+                expected, expected_usage = full_sort_choice(current, sparse, usage, s)
+                cuts[densify_cut(current, sparse, s)[0]] += 1
+                untied, _ = full_sort_choice(current, sparse, usage, s, [0] * g.node_count)
+                cuts["triangle counts decide"] += untied != expected
+                current, chosen = densify_cli(current, sparse, usage, s)
+                assert chosen == expected
+                assert usage == expected_usage
+        assert cuts["neighbours"] and cuts["rest of the two-hop block"], cuts
+        assert cuts["triangle counts decide"], cuts
 
 class TestCliSearch:
     def test_flip_after_first_sparsify(self):
@@ -558,6 +666,33 @@ class TestCliSearch:
             for step in trace:
                 assert step.edges_added <= step.edges_removed
         assert iterations > 500
+
+    @pytest.mark.parametrize("entry", ("cli", "rcli"))
+    def test_triangles_are_counted_once_per_search_for_the_ranking(self, entry, monkeypatch):
+        # densify orders its candidates from bit rows, never from a
+        # whole-graph triangle_counts, however many rounds it runs
+        calls = Counter()
+        for module in (density, graph):
+            counts = module.triangle_counts
+
+            def counting(g, counts=counts):
+                calls["triangle_counts"] += 1
+                return counts(g)
+
+            monkeypatch.setattr(module, "triangle_counts", counting)
+        s0, s1 = node_halves(116)
+        partition = RegionPartition(tuple("ab"[v in s1] for v in range(116)))
+        rounds = 0
+        for entry_graph in generate_synthetic(SyntheticSpec(116, 4, subgroups_per_class=2)):
+            oracle, before = Oracle(make_whitebox(s0, s1)), calls["triangle_counts"]
+            with recorded_clique_steps() as trace:
+                if entry == "cli":
+                    cli_search(oracle, entry_graph.graph)
+                else:
+                    rcli_search(oracle, entry_graph.graph, partition)
+            assert calls["triangle_counts"] - before == 1
+            rounds += sum(len(step.added_cliques) for step in trace)
+        assert rounds > 20
 
     def test_divergence_bounded_by_edit_volume(self):
         rng = random.Random(53)

@@ -22,6 +22,7 @@ from densecf.graph import (
     adjacency_matrix,
     edges_within,
     least_overlapping_clique,
+    triangles_at,
     triangles_within,
     with_clique,
 )
@@ -206,6 +207,21 @@ class TestTriangleCounts:
             assert counts == expected
             assert all(type(c) is int for c in counts)
 
+    def test_triangles_at_equal_the_counts_at_the_listed_nodes(self):
+        rng = random.Random(29)
+        for n in (1, 9, 70, 130):
+            g = random_graph(n, rng.uniform(0.1, 0.6), rng)
+            counts = triangle_counts(g)
+            nodes = rng.sample(range(n), min(n, 12)) + [n - 1]  # ids above 63 from n = 70
+            expected = {v: counts[v] for v in nodes}
+            assert triangles_at(g, nodes) == expected
+            assert triangles_at(g, [np.int64(v) for v in nodes]) == expected
+            assert all(type(v) is int and type(c) is int for v, c in triangles_at(g, nodes).items())
+            for bad in (-1, n, np.int64(n)):
+                with pytest.raises(ValueError, match=rf"outside node range 0\.\.{n - 1}"):
+                    triangles_at(g, [0, bad])
+        assert triangles_at(Graph(4), []) == {}
+
     def test_triangles_within_subset(self):
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
         assert triangles_within(g, {0, 1, 2}) == 1
@@ -223,6 +239,7 @@ NODE_ARGUMENTS = {
     "maximal_cliques_containing": maximal_cliques_containing,
     "least_overlapping_clique": lambda g, v: least_overlapping_clique(g, v, [{70, 71}]),
     "triangles_within": lambda g, v: triangles_within(g, [71, 99, v]),
+    "triangles_at": lambda g, v: triangles_at(g, [71, 99, v]),
     "edges_within": lambda g, v: edges_within(g, [71, 99, v]),
     "with_clique": lambda g, v: with_clique(g, [0, 99, v], True),
 }
