@@ -638,10 +638,9 @@ def _load_edge_list(path: Path, index_of: dict[str, int], node_count: int) -> Gr
                 edges.append((index_of[parts[0]], index_of[parts[1]]))
             except KeyError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: unknown node id {exc.args[0]!r}")
-    try:
-        return Graph(node_count, edges)
-    except ValueError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from exc
+            if parts[0] == parts[1]:
+                raise DatasetFormatError(f"{path}:{lineno}: self-loop at node id {parts[0]!r}")
+    return Graph(node_count, edges)
 
 
 def load_partition(path: Path | str, node_ids: Sequence[str]) -> RegionPartition:
@@ -650,11 +649,13 @@ def load_partition(path: Path | str, node_ids: Sequence[str]) -> RegionPartition
     index_of = {node_id: i for i, node_id in enumerate(node_ids)}
     labels: list[str | None] = [None] * len(node_ids)
     for position, (lineno, row) in enumerate(read_csv_rows(path)):
-        if position == 0 and row[:2] == ["node_id", "region_name"]:
+        if position == 0 and row == ["node_id", "region_name"]:
             continue
-        if len(row) < 2:
-            raise DatasetFormatError(f"{path}:{lineno}: expected node_id,region_name")
+        if len(row) != 2:
+            raise DatasetFormatError(f"{path}:{lineno}: {len(row)} fields, expected 2")
         node_id, region = row[0].strip(), row[1].strip()
+        if not region:
+            raise DatasetFormatError(f"{path}:{lineno}: blank region name for node id {node_id!r}")
         if node_id not in index_of:
             raise DatasetFormatError(f"{path}:{lineno}: unknown node id {node_id!r}")
         if labels[index_of[node_id]] is not None:

@@ -7,8 +7,8 @@ edit the edge set. Edits return new graphs, so instances can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count
-from operator import index, is_not
+from itertools import chain
+from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -324,37 +324,19 @@ def edges_within(g: Graph, nodes: int | Iterable[int]) -> int:
 
 def within_deltas(before: Graph, after: Graph, masks: Sequence[int]) -> list | None:
     """For each of the disjoint node ``masks``, the change from ``before`` to
-    ``after`` in (triangles within it, edges within it); None when the node
-    counts differ or the graphs differ in at least ``after.edge_count`` pairs.
-
-    When ``after`` was edited from ``before`` (see ``Graph``: its origin's
-    rows are ``before``'s row tuple), only the rows that edit rebuilt are
-    read. Otherwise each row that is not the same object in both graphs is
-    compared."""
-    if before.node_count != after.node_count or not after._edge_count:
-        return None
-    old, new = before._rows, after._rows
+    ``after`` in (triangles within it, edges within it), read from the rows
+    the edit rebuilt; None unless ``after`` was edited from ``before`` (see
+    ``Graph``: its origin's rows are ``before``'s row tuple)."""
     origin = after._origin
-    if origin is not None and origin[0] is old:
-        rest = origin[1]
-    else:  # rows built apart: read each row the two graphs do not share
-        rest = sum(1 << u for u in compress(count(), map(is_not, old, new)))
-    # row u's changed pairs uv, v > u; counted before any is listed
-    diffs, room = [], after._edge_count
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        u = low.bit_length() - 1
-        diff = (old[u] ^ new[u]) >> (u + 1)
-        if diff:
-            room -= diff.bit_count()
-            if room <= 0:
-                return None
-            diffs.append((u, diff))
+    old, new = before._rows, after._rows
+    if origin is None or origin[0] is not old:
+        return None
     rows, deltas = list(old), [(0, 0)] * len(masks)
-    # each toggle of uv within a mask moves that mask's triangles by the
-    # common neighbors of u and v in it, in the graph as it stands then
-    for u, diff in diffs:
+    # row u's changed pairs uv, v > u: each toggle of uv within a mask moves
+    # that mask's triangles by the common neighbors of u and v in it, in the
+    # graph as it stands then
+    for u in _members(origin[1]):
+        diff = (old[u] ^ new[u]) >> (u + 1)
         while diff:
             low = diff & -diff
             diff ^= low

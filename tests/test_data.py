@@ -24,7 +24,9 @@ from densecf import (
     triangle_counts,
     whitebox_classify,
 )
+from densecf import data
 from densecf.data import DatasetEntry, load_correlation_matrix, load_partition
+from densecf.graph import with_clique, with_swap
 
 from conftest import random_graph
 
@@ -222,6 +224,29 @@ class TestWhitebox:
         assert not any(t.is_alive() for t in threads)
         assert not wrong
 
+    def test_rule_recounts_only_a_graph_not_edited_from_the_last(self, monkeypatch):
+        # a built graph, an edge added to it, a sibling of that child, then a
+        # swap and a clique each edited from the graph before, and the last
+        # graph's edges built afresh
+        s0, s1 = node_halves(12)
+        built = random_graph(12, 0.5, random.Random(5))
+        absent = [(u, v) for u in range(12) for v in range(u + 1, 12) if not built.has_edge(u, v)]
+        sibling = built.add_edge(*absent[1])
+        swapped = with_swap(sibling, min(sibling.edges), absent[2])
+        clique = with_clique(swapped, range(5), True)
+        graphs = [built, built.add_edge(*absent[0]), sibling, swapped, clique]
+        graphs.append(Graph(12, clique.edges))
+        labels = [whitebox_classify(g, s0, s1) for g in graphs]
+        calls = []
+        count = data.triangles_within
+        monkeypatch.setattr(data, "triangles_within", lambda g, m: calls.append(g) or count(g, m))
+        rule, counted = make_whitebox(s0, s1), []
+        for g, label in zip(graphs, labels):
+            calls.clear()
+            assert rule(g) == label
+            counted.append(len(calls))
+        assert counted == [2, 0, 2, 0, 0, 2]
+
 
 class TestPersistence:
     def make_dataset(self, with_partition=True):
@@ -297,6 +322,15 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match="roi9"):
             load_dataset(tmp_path / "ds")
 
+    def test_self_loop_diagnosed_at_its_line(self, tmp_path):
+        dataset = self.make_dataset(with_partition=False)
+        save_dataset(dataset, tmp_path / "ds")
+        bad = tmp_path / "ds" / "graph-0000.edges"
+        bad.write_text("roi0 roi1\n\nroi2 roi2\n")
+        message = r"graph-0000\.edges:3: self-loop at node id 'roi2'$"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(tmp_path / "ds")
+
     def test_bad_label_diagnosed(self, tmp_path):
         dataset = self.make_dataset(with_partition=False)
         manifest = save_dataset(dataset, tmp_path / "ds")
@@ -318,6 +352,17 @@ class TestPersistence:
         path = tmp_path / "p.csv"
         path.write_text("node_id,region_name\na,left\n")
         with pytest.raises(DatasetFormatError):
+            load_partition(path, ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("b, ", "blank region name for node id 'b'"), ("b,left,x", "3 fields, expected 2")],
+        ids=["blank-region", "extra-field"],
+    )
+    def test_partition_row_errors_name_the_line(self, tmp_path, row, message):
+        path = tmp_path / "p.csv"
+        path.write_text(f"node_id,region_name\na,left\n{row}\n")
+        with pytest.raises(DatasetFormatError, match=rf"p\.csv:3: {message}$"):
             load_partition(path, ["a", "b"])
 
 

@@ -328,20 +328,21 @@ EDITS = ("apply_edits", "swap", "edge", "clique")
 
 @st.composite
 def before_after(draw):
-    """Two graphs on 3-12 nodes: unrelated; ``after`` made from ``before`` by
-    each edit function; or both edited from a third graph, as
-    ``backward_search`` classifies a tentative revert it rejects and then one
-    made from the graph before it."""
+    """Two graphs on 3-12 nodes and whether ``after`` was edited from
+    ``before``: unrelated; ``after`` made from ``before`` by each edit
+    function; or both edited from a third graph, as ``backward_search``
+    classifies a tentative revert it rejects and then one made from the graph
+    before it."""
     n = draw(st.integers(3, 12))
     before = draw(graphs_on(n))
     how = draw(st.sampled_from(("unrelated", "third", *EDITS)))
     if how == "unrelated":
-        return before, draw(graphs_on(n))
+        return before, draw(graphs_on(n)), False
     if how == "third":
         source = before
         before = edited(draw, source, draw(st.sampled_from(EDITS)))
-        return before, edited(draw, source, draw(st.sampled_from(EDITS)))
-    return before, edited(draw, before, how)
+        return before, edited(draw, source, draw(st.sampled_from(EDITS))), False
+    return before, edited(draw, before, how), True
 
 
 def disjoint_masks(draw, n, parts):
@@ -353,11 +354,10 @@ def disjoint_masks(draw, n, parts):
 @settings(max_examples=300, deadline=None)
 @given(before_after(), st.data())
 def test_within_deltas_equal_the_change_in_counts(pair, data):
-    before, after = pair
+    before, after, edited_from_before = pair
     masks = disjoint_masks(data.draw, after.node_count, data.draw(st.integers(1, 3)))
     deltas = within_deltas(before, after, masks)
-    recount = symmetric_difference_distance(before, after) >= after.edge_count
-    assert (deltas is None) == recount
+    assert (deltas is not None) == edited_from_before
     if deltas is not None:
         assert deltas == [
             (
@@ -367,7 +367,8 @@ def test_within_deltas_equal_the_change_in_counts(pair, data):
             for m in masks
         ]
     assert within_deltas(Graph(after.node_count + 1), after, masks) is None
-    direct = Graph(after.node_count, after.edges)
+    direct = Graph(after.node_count, after.edges)  # the same edges, built apart
+    assert within_deltas(before, direct, masks) is None
     assert after == direct and hash(after) == hash(direct)
     assert pickle.dumps(after) == pickle.dumps(direct)
 
@@ -385,16 +386,13 @@ def test_with_clique_sets_exactly_the_pairs_among_its_nodes(pair, data):
     assert with_clique(g, node_mask(nodes), present) == h
     assert all(h._rows[u] is g._rows[u] for u in range(n) if u not in nodes)
     masks = disjoint_masks(data.draw, n, data.draw(st.integers(1, 3)))
-    deltas = within_deltas(g, h, masks)
-    assert (deltas is None) == (symmetric_difference_distance(g, h) >= h.edge_count)
-    if deltas is not None:
-        assert deltas == [
-            (
-                triangles_within(h, m) - triangles_within(g, m),
-                edges_within(h, m) - edges_within(g, m),
-            )
-            for m in masks
-        ]
+    assert within_deltas(g, h, masks) == [
+        (
+            triangles_within(h, m) - triangles_within(g, m),
+            edges_within(h, m) - edges_within(g, m),
+        )
+        for m in masks
+    ]
     with pytest.raises(ValueError):
         with_clique(g, nodes | {n}, present)
 
@@ -604,8 +602,9 @@ def test_save_load_round_trip(dataset):
 # Pieces of an edge-list file: edges, blanks and comments whose tokens may be
 # split by characters that str.splitlines() treats as line breaks but file
 # iteration does not (form feed, NEL, LINE SEPARATOR), ended by "\n", "\r\n"
-# or a lone "\r"; and the lines, each holding the unknown id "zz", that stop
-# the load with a numbered error.
+# or a lone "\r"; and the lines that stop the load with a numbered error: each
+# holds the unknown id "zz" or is a self-loop. An edge line may be a self-loop
+# too, so the error numbers the first bad line.
 SPACES = st.sampled_from([" ", "\t", "\x0c", "\x85", "\u2028", " \x0c "])
 EDGE_LINES = st.one_of(
     st.tuples(st.sampled_from("abc"), SPACES, st.sampled_from("abc")).map("".join),
@@ -613,8 +612,13 @@ EDGE_LINES = st.one_of(
     st.just(""),
     st.tuples(SPACES, st.just("# a\x85b \u2028c")).map("".join),
 )
-BAD_LINES = st.sampled_from(["a zz", "zz\x85a", "a\x0cb\u2028zz", "zz"])
+BAD_LINES = st.sampled_from(["a zz", "zz\x85a", "a\x0cb\u2028zz", "zz", "c\u2028c"])
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def is_bad_edge_line(line):
+    parts = line.split()
+    return "zz" in line or (len(parts) == 2 and parts[0] == parts[1])
 
 
 @st.composite
@@ -640,7 +644,7 @@ def test_edge_list_errors_name_the_physical_line(text):
         (base / "manifest.json").write_text(json.dumps(manifest))
         # the reference numbering: the file read one line at a time, as open() splits it
         with open(path, newline="", encoding="utf-8") as fh:
-            lineno = next(i for i, line in enumerate(fh, start=1) if "zz" in line)
+            lineno = next(i for i, line in enumerate(fh, start=1) if is_bad_edge_line(line))
         with pytest.raises(DatasetFormatError) as exc:
             load_dataset(base / "manifest.json")
         assert str(exc.value).startswith(f"{path}:{lineno}: ")
