@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import logging
 import random
-from itertools import combinations
+from math import isqrt
 
 from .data import GraphDataset
 from .density import ConfigurationError, CounterfactualResult, RunOptions, finish_result
-from .graph import EditList, Graph, symmetric_difference_distance
+from .graph import Edge, EditList, Graph, symmetric_difference_distance
 from .spectral import Oracle
 
 logger = logging.getLogger(__name__)
@@ -36,19 +36,27 @@ def edg_search(
     )
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
-    pairs = list(combinations(range(g.node_count), 2))
-    if not pairs:
+    n = g.node_count
+    if n < 2:
         return finish_result(oracle, g, y0, g, False, 0, calls_before, "graph has no node pairs")
     rng = random.Random(options.seed)
     current, found, iterations = g, False, 0
     for iterations in range(1, max_iterations + 1):
-        u, v = pairs[rng.randrange(len(pairs))]
+        u, v = pair_at(n, rng.randrange(n * (n - 1) // 2))
         current = current.remove_edge(u, v) if current.has_edge(u, v) else current.add_edge(u, v)
         found = oracle.predict(current) != y0
         if found:
             break
     base = finish_result(oracle, g, y0, current, found, iterations, calls_before)
     return refine_with_backward(oracle, g, base)
+
+
+def pair_at(n: int, k: int) -> Edge:
+    """The ``k``-th pair of ``itertools.combinations(range(n), 2)``, found
+    without listing the pairs before it."""
+    back = n * (n - 1) // 2 - 1 - k  # the index counted from the last pair
+    t = (isqrt(8 * back + 1) - 1) // 2  # the last t rows hold t(t + 1)/2 pairs
+    return n - 2 - t, n - 1 - (back - t * (t + 1) // 2)
 
 
 def dat_search(oracle: Oracle, g: Graph, dataset: GraphDataset | None) -> CounterfactualResult:

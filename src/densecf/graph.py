@@ -50,8 +50,9 @@ class Graph:
     Provenance: a graph one of those edits made records, in ``_origin``, its
     input's row tuple and the ``node_mask`` of the rows the edit rebuilt;
     every row outside that mask is the input's own row object. Any other
-    graph has ``_origin`` None. Equality, hashing and pickling ignore it, and
-    it holds the input's rows, never the input graph.
+    graph has ``_origin`` None; ``edited`` tells the two apart. Equality,
+    hashing and pickling ignore it, and it holds the input's rows, never the
+    input graph.
     """
 
     __slots__ = ("node_count", "_rows", "_edge_count", "_origin")
@@ -121,6 +122,11 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return self._edge_count
+
+    @property
+    def edited(self) -> bool:
+        """Whether one of the edits above made this graph (see Provenance)."""
+        return self._origin is not None
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._rows[_check_node(self, u)] >> _check_node(self, v) & 1)

@@ -36,23 +36,33 @@ _METHOD_TABLE = {
 
 METHODS = tuple(_METHOD_TABLE)
 _NEEDS_PARTITION = ("rcli", "rcli+bw")
+_ORACLE_NEEDS = {"model": "model", "whitebox": "node_count"}  # kind -> the field it needs
 
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """Picklable recipe for building an oracle inside a worker process."""
+    """Picklable recipe for building an oracle inside a worker process; an
+    incomplete recipe is a ConfigurationError when it is made. Oracles built
+    from one ``"model"`` spec share the model's class table."""
 
     kind: str  # "model" or "whitebox"
     model: SFKnnModel | None = None
     node_count: int | None = None
 
+    def __post_init__(self) -> None:
+        needs = _ORACLE_NEEDS.get(self.kind)
+        if needs is None:
+            raise ConfigurationError(
+                f"unknown oracle kind {self.kind!r}, expected one of {tuple(_ORACLE_NEEDS)}"
+            )
+        if getattr(self, needs) is None:
+            raise ConfigurationError(f"a {self.kind!r} oracle needs {needs}")
+
     def build(self) -> Oracle:
         if self.kind == "model":
             return Oracle(knn_classifier(self.model))
-        if self.kind == "whitebox":
-            s0, s1 = node_halves(self.node_count)
-            return Oracle(make_whitebox(s0, s1))
-        raise ConfigurationError(f"unknown oracle kind {self.kind!r}")
+        s0, s1 = node_halves(self.node_count)
+        return Oracle(make_whitebox(s0, s1))
 
 
 def derive_seed(base: int, index: int) -> int:

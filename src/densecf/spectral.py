@@ -9,7 +9,7 @@ Oracle, which counts each prediction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -88,7 +88,11 @@ class SFKnnModel:
     no training rows or a non-finite feature cannot be built, so any model
     can predict.
     ``training_matrix`` is ``training_features`` as an array, built once here
-    for every prediction; equality, hashing and ``save_model`` ignore it.
+    for every prediction. ``class_table`` holds the class of every graph that
+    no edit made (``Graph.edited``) which a ``knn_classifier`` of this model
+    has classified, shared by all of them while the model lives. Equality,
+    hashing, ``repr``, pickling and ``save_model`` ignore both: an unpickled
+    model starts with an empty table.
     """
 
     training_features: tuple[tuple[float, ...], ...]
@@ -98,6 +102,7 @@ class SFKnnModel:
     metric: str = DEFAULT_METRIC
     seed: int | None = None
     training_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    class_table: dict[Graph, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.training_features) != len(self.training_labels):
@@ -117,6 +122,11 @@ class SFKnnModel:
         if not np.isfinite(matrix).all():
             raise ValueError("every feature must be finite")
         object.__setattr__(self, "training_matrix", matrix)
+        object.__setattr__(self, "class_table", {})
+
+    def __reduce__(self) -> tuple:
+        # rebuilt from the declared fields: a copy gets its own empty class table
+        return SFKnnModel, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def _predict_from_features(
@@ -149,15 +159,25 @@ def knn_predict(model: SFKnnModel, g: Graph) -> int:
 def knn_classifier(model: SFKnnModel) -> Callable[[Graph], int]:
     """``knn_predict`` over one model that answers a graph equal to the last
     one it classified without computing it again, so re-checking the graph a
-    search just charged costs no eigendecomposition."""
+    search just charged costs no eigendecomposition. A graph no edit made
+    (a dataset graph) is answered from the model's ``class_table``, which
+    every classifier of the model shares, so each one is computed once for
+    as long as the model lives; edited graphs never enter it."""
     last = None  # (graph, class), replaced whole so the classifier can be shared
+    table = model.class_table
 
     def classify(g: Graph) -> int:
         nonlocal last
         memo = last
         if memo is not None and memo[0] == g:
             return memo[1]
-        label = knn_predict(model, g)  # looked up per call, so rebinding it takes effect
+        # knn_predict is looked up per call, so rebinding it takes effect
+        if g.edited:
+            label = knn_predict(model, g)
+        else:
+            label = table.get(g)
+            if label is None:  # two threads may both compute it; both store the same class
+                label = table[g] = knn_predict(model, g)
         last = (g, label)
         return label
 

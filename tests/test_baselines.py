@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from densecf import (
     refine_with_backward,
     symmetric_difference_distance,
 )
+from densecf.baselines import pair_at
 from densecf.data import DatasetEntry
 
 from conftest import CountingClassifier, random_graph
@@ -70,6 +72,12 @@ class TestEdgSearch:
         result = edg_search(oracle, g, RunOptions(max_iterations=25))
         assert result.iterations == 25
         assert result.oracle_calls == 26
+
+
+    def test_pair_at_decodes_the_lexicographic_pairs(self):
+        for n in range(2, 131):
+            pairs = [pair_at(n, k) for k in range(n * (n - 1) // 2)]
+            assert pairs == list(combinations(range(n), 2)), n
 
 
 class TestDatSearch:

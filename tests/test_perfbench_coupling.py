@@ -13,6 +13,7 @@ from densecf import (
     apply_edits,
     generate_synthetic,
     runner,
+    spectral,
     symmetric_difference_distance,
 )
 from densecf.evaluation import RegionPartition
@@ -139,3 +140,28 @@ def test_wrapped_searches_see_every_method(perfbench):
     finally:
         patches.restore()
     assert all(calls.values()), calls
+
+
+def test_a_wrapped_classifier_sees_every_predict(monkeypatch):
+    # the traced run counts charged calls as classifier calls under
+    # Oracle.predict, so the class table must sit inside the classifier:
+    # a table hit still reaches a counter wrapped around it
+    dataset, _ = small_inputs()
+    model = SFKnnModel(
+        training_features=((0.1, 0.2), (0.3, 0.4)), training_labels=(0, 1), n_neighbors=1, n_eigs=2
+    )
+    spec = runner.OracleSpec(kind="model", model=model)
+    g, h = (e.graph for e in dataset.entries[:2])
+    spec.build().predict(g)  # g's class is now in the table
+    computed, knn_predict = [], spectral.knn_predict
+    counting = lambda m, x: computed.append(x) or knn_predict(m, x)
+    monkeypatch.setattr(spectral, "knn_predict", counting)
+    oracle = spec.build()
+    seen = []
+    classify = oracle.classifier
+    oracle.classifier = lambda x: seen.append(x) or classify(x)
+    edited = g.remove_edge(*min(g.edges))
+    for graph in (g, h, g, edited):  # a table hit, a miss, a hit, an edited graph
+        oracle.predict(graph)
+    assert computed == [h, edited]
+    assert len(seen) == oracle.call_count == 4

@@ -87,6 +87,20 @@ class TestRunMethod:
             run_method("magic", whitebox_spec(small_dataset()).build(), Graph(8))
 
 
+class TestOracleSpec:
+    def test_model_kind_needs_a_model(self):
+        with pytest.raises(ConfigurationError, match="needs model"):
+            OracleSpec("model")
+
+    def test_whitebox_kind_needs_a_node_count(self):
+        with pytest.raises(ConfigurationError, match="needs node_count"):
+            OracleSpec("whitebox")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown oracle kind 'magic'"):
+            OracleSpec("magic", node_count=8)
+
+
 class TestBenchmark:
     def test_records_ordered_and_complete(self):
         dataset = small_dataset()

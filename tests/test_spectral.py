@@ -1,6 +1,9 @@
+import pickle
 import random
 import sys
 import threading
+from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -8,11 +11,14 @@ import pytest
 import scipy.linalg
 
 from densecf import (
+    METHODS,
     DegenerateLabelsError,
     Graph,
     GraphDataset,
     Oracle,
     OracleSpec,
+    RegionPartition,
+    RunOptions,
     SFKnnModel,
     knn_predict,
     load_model,
@@ -24,7 +30,8 @@ from densecf import (
 from densecf.data import DatasetEntry
 from densecf.density import finish_result
 from densecf.graph import adjacency_matrix
-from densecf.spectral import POSITIVE_EIGENVALUE_TOL, normalized_laplacian
+from densecf.runner import run_instance
+from densecf.spectral import POSITIVE_EIGENVALUE_TOL, knn_classifier, normalized_laplacian
 
 from conftest import random_graph
 
@@ -219,16 +226,21 @@ class TestKnnClassifier:
         # each thread walks its own edit chain through one classifier and asks
         # for every graph ten times, all but the first from the slot unless
         # another thread got in between; a slot holding one thread's graph
-        # with another's class gives wrong labels
+        # with another's class gives wrong labels. Each edited graph is
+        # followed by the last two graphs of the chain built afresh: the
+        # first goes into the shared class table, the second is answered
+        # from it
         model = self.model()
         classify = OracleSpec(kind="model", model=model).build().classifier
         walks = []
         for seed in range(4):
             rng, steps = random.Random(seed), []
             g = random_graph(10, 0.5, rng)
+            chain = [(g, knn_predict(model, g))] * 2
             for _ in range(1000):
                 g = self.toggled(g, rng.choice(self.PAIRS))
-                steps.append((g, knn_predict(model, g)))
+                chain = [(g, knn_predict(model, g)), *chain[:2]]
+                steps += [chain[0], *((Graph(10, h.edges), c) for h, c in chain[1:])]
             walks.append(steps)
         wrong = []
 
@@ -250,6 +262,8 @@ class TestKnnClassifier:
         assert not any(t.is_alive() for t in threads)
         assert {c for steps in walks for _, c in steps} == {0, 1}  # the walks cross classes
         assert not wrong
+        built = {g for steps in walks for g, _ in steps if not g.edited}
+        assert model.class_table == {g: knn_predict(model, g) for g in built}
 
     def test_flip_check_classifies_any_other_graph_again(self, monkeypatch):
         model = self.model()
@@ -277,6 +291,74 @@ class TestKnnClassifier:
         result = finish_result(oracle, g, y0, Graph(10, flipped.edges), True, 1, 0)
         assert result.found and result.oracle_calls == oracle.call_count == 3
         assert computed == [g, flipped, kept, flipped]
+
+
+class TestClassTable:
+    """Every classifier of one SF-KNN model shares the class of each graph no
+    edit made: a dataset graph is computed once while the model lives."""
+
+    SEARCHES = ("tri", "cli", "rcli", "dat")
+
+    def inputs(self):
+        rng = random.Random(8)
+        n = 12
+        graphs = [random_graph(n, rng.uniform(0.3, 0.6), rng) for _ in range(6)]
+        entries = tuple(DatasetEntry(g, i % 2, f"g{i}") for i, g in enumerate(graphs))
+        dataset = GraphDataset(tuple(str(v) for v in range(n)), entries)
+        partition = RegionPartition(tuple("abc"[v % 3] for v in range(n)))
+        model = SFKnnModel(
+            training_features=tuple(tuple(spectral_features(g, 4)) for g in graphs),
+            training_labels=dataset.labels,
+            n_neighbors=3,
+            n_eigs=4,
+        )
+        return dataset, partition, model
+
+    def run(self, model_for, methods, dataset, partition):
+        options = RunOptions(max_iterations=6)
+        records = []
+        for method in methods:
+            for i in range(len(dataset)):
+                oracle = OracleSpec("model", model_for()).build()
+                records.append(run_instance(method, i, oracle, dataset, partition, options))
+        return records
+
+    def test_each_dataset_graph_is_computed_once_per_model(self, monkeypatch):
+        dataset, partition, model = self.inputs()
+        fresh = self.run(lambda: replace(model), self.SEARCHES, dataset, partition)
+        unedited = []
+
+        def counting(model, g):
+            if not g.edited:
+                unedited.append(g)
+            return knn_predict(model, g)
+
+        monkeypatch.setattr(spectral, "knn_predict", counting)
+        shared = self.run(lambda: model, self.SEARCHES, dataset, partition)
+        assert shared == fresh
+        assert sorted(Counter(unedited).values()) == [1] * len(dataset)
+        assert set(unedited) == {e.graph for e in dataset}
+
+    def test_no_edited_graph_enters_the_table(self):
+        dataset, partition, model = self.inputs()
+        self.run(lambda: model, METHODS, dataset, partition)
+        classify = knn_classifier(model)
+        g = dataset.entries[0].graph
+        for h in (g.remove_edge(*min(g.edges)), g):
+            classify(h)
+        assert model.class_table.keys() == {e.graph for e in dataset}
+        assert not any(h.edited for h in model.class_table)
+
+    def test_the_table_leaves_the_model_unchanged(self, tmp_path):
+        dataset, partition, model = self.inputs()
+        before = (hash(model), repr(model), pickle.dumps(model), replace(model))
+        save_model(model, tmp_path / "before.json")
+        self.run(lambda: model, METHODS, dataset, partition)
+        assert model.class_table
+        save_model(model, tmp_path / "after.json")
+        assert (hash(model), repr(model), pickle.dumps(model), model) == before
+        assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
+        assert pickle.loads(pickle.dumps(model)).class_table == {}
 
 
 class TestOracle:
