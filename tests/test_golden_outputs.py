@@ -1,18 +1,28 @@
-"""Golden outputs: every method's records.csv and aggregates.json on one small
-fixed dataset, under the white-box rule and under a trained SF-KNN oracle; and
+"""Golden outputs: the methods' records.csv and aggregates.json on fixed
+datasets, under the white-box rule and under a trained SF-KNN oracle; and
 every file ``save_dataset`` writes for a set of synthetic generator specs.
 
-The digests were recorded before the bitmask graph core replaced the
-edge-set one. A change that is meant to be a pure speed-up must leave them
-as they are; a change that alters search outputs on purpose re-records them
-and says so.
+The n = 24 digests were recorded before the bitmask graph core replaced the
+edge-set one; the n = 116 ones, at the size of the paper's AUT brain graphs,
+reach what only paper size reaches (rows above bit 63, densify's block cuts,
+``pair_at`` over 6,670 pairs). A change that is meant to be a pure speed-up
+must leave them as they are; a change that alters search outputs on purpose
+re-records them and says so.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import densecf
 from densecf import (
     METHODS,
     RunOptions,
@@ -24,17 +34,52 @@ from densecf import (
 )
 from densecf.evaluation import RegionPartition, build_aggregate_report, write_records_csv
 
-SPEC = SyntheticSpec(node_count=24, num_graphs=8, subgroup_size=5, cliques_per_graph=4, seed=11)
-OPTIONS = RunOptions(max_iterations=25, seed=3)
+SMALL = SyntheticSpec(node_count=24, num_graphs=8, subgroup_size=5, cliques_per_graph=4, seed=11)
+PAPER_SIZE = SyntheticSpec(node_count=116, num_graphs=8, seed=5)
 
+
+@dataclass(frozen=True)
+class Case:
+    spec: SyntheticSpec
+    options: RunOptions
+    blocks: int  # node v lies in region block{v * blocks // node_count}
+    train: dict | None  # train_sf_knn's keyword arguments; None runs the white-box rule
+    methods: tuple[str, ...]
+    digests: tuple[str, str]  # records.csv, aggregates.json
+
+
+# SF-KNN dat+bw and rcli+bw take 14.4 s and 2.3 s at n = 116, so that half
+# leaves them out; their refinement runs under the white-box rule there.
 GOLDEN = {
-    "whitebox": (
-        "f12ea2843761b4b611ec63cd7ac82f917c9ca5e5b7a1d26ae40ca5c02f992a3b",
-        "17f01c62ee52553523dc3f06077d1e183dd51007c4410ba11357bb34d938677c",
+    "whitebox": Case(
+        SMALL, RunOptions(max_iterations=25, seed=3), 4, None, METHODS,
+        (
+            "f12ea2843761b4b611ec63cd7ac82f917c9ca5e5b7a1d26ae40ca5c02f992a3b",
+            "17f01c62ee52553523dc3f06077d1e183dd51007c4410ba11357bb34d938677c",
+        ),
     ),
-    "knn": (
-        "920a225235094f9e26f3ea8af56f65c1c5e6957ed4603d6130389ba1ecf007a1",
-        "d5108ffa9b3a12c0ff10e5e849ac83432147eb8cabde1b87eb86cd2d3ecb30b3",
+    "knn": Case(
+        SMALL, RunOptions(max_iterations=25, seed=3), 4,
+        dict(neighbor_grid=(1, 3), eig_grid=(4, 8), folds=4), METHODS,
+        (
+            "920a225235094f9e26f3ea8af56f65c1c5e6957ed4603d6130389ba1ecf007a1",
+            "d5108ffa9b3a12c0ff10e5e849ac83432147eb8cabde1b87eb86cd2d3ecb30b3",
+        ),
+    ),
+    "whitebox116": Case(
+        PAPER_SIZE, RunOptions(max_iterations=20), 8, None, METHODS,
+        (
+            "3aa9313afc7be8635c7c5eb1f11db0ff6338ab29b84c0cb39201b98721f06d47",
+            "0c319e778c45b2958f10ae4fb2e0a49390b99e4c2f0b597d1b3ef5d6b721f9e1",
+        ),
+    ),
+    "knn116": Case(
+        PAPER_SIZE, RunOptions(max_iterations=20), 8, dict(folds=4),
+        ("tri", "cli", "rcli", "edg", "dat"),
+        (
+            "abd23eeb65c599fabf6707a00bb58fc54472cdef7420cadc88424af0e12e24af",
+            "5beaa0e79b9cc7f70a83734f77c318f1349f4a9e2b4a964a7ab2647e0f26793d",
+        ),
     ),
 }
 
@@ -43,27 +88,58 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def dataset():
-    return generate_synthetic(SPEC)
+@cache
+def dataset(spec):
+    return generate_synthetic(spec)
 
 
-@pytest.mark.parametrize("oracle", sorted(GOLDEN))
-def test_outputs_match_recorded_digests(oracle, dataset, tmp_path):
-    if oracle == "knn":
-        model, _ = train_sf_knn(dataset, neighbor_grid=(1, 3), eig_grid=(4, 8), folds=4)
-        spec = runner.OracleSpec(kind="model", model=model)
+def case_digests(name, out_dir):
+    """The (records.csv, aggregates.json) digests of golden case ``name``,
+    with both files written into ``out_dir``."""
+    case = GOLDEN[name]
+    data = dataset(case.spec)
+    if case.train is None:
+        spec = runner.OracleSpec(kind="whitebox", node_count=data.node_count)
     else:
-        spec = runner.OracleSpec(kind="whitebox", node_count=dataset.node_count)
-    partition = RegionPartition(tuple(f"block{v // 6}" for v in range(dataset.node_count)))
+        spec = runner.OracleSpec(kind="model", model=train_sf_knn(data, **case.train)[0])
+    n = data.node_count
+    partition = RegionPartition(tuple(f"block{v * case.blocks // n}" for v in range(n)))
     summaries = runner.run_benchmark(
-        spec, dataset, METHODS, "golden", partition=partition, options=OPTIONS, workers=1
+        spec, data, case.methods, "golden", partition=partition, options=case.options, workers=1
     )
-    write_records_csv(summaries, tmp_path / "records.csv")
+    write_records_csv(summaries, out_dir / "records.csv")
     report = json.dumps(build_aggregate_report(summaries), indent=2, sort_keys=True) + "\n"
-    (tmp_path / "aggregates.json").write_text(report)
-    digests = (sha256(tmp_path / "records.csv"), sha256(tmp_path / "aggregates.json"))
-    assert digests == GOLDEN[oracle]
+    (out_dir / "aggregates.json").write_text(report)
+    return sha256(out_dir / "records.csv"), sha256(out_dir / "aggregates.json")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_recorded_digests(name, tmp_path):
+    assert case_digests(name, tmp_path) == GOLDEN[name].digests
+
+
+def _openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _openblas(), reason="numpy is not built on OpenBLAS")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blas_threads_leave_the_knn116_digests(threads, tmp_path):
+    """The SF-KNN votes rest on LAPACK eigenvalues; in a fresh process with
+    ``threads`` OpenBLAS threads they still give the recorded digests."""
+    src = str(Path(densecf.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import pathlib, sys; import test_golden_outputs as g; "
+        "print(*g.case_digests('knn116', pathlib.Path(sys.argv[1])))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        cwd=Path(__file__).parent, env=env, capture_output=True, text=True, check=True,
+    )
+    assert tuple(out.stdout.split()) == GOLDEN["knn116"].digests
 
 
 # For each spec, the SHA-256 of the ``sha256sum``-style listing ("digest  name"
