@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import (
+    MANIFEST_FILE,
     SUBGROUPS_PER_CLASS,
     DatasetFormatError,
     GraphDataset,
@@ -104,9 +105,9 @@ def _out_dir(args) -> Path:
 
 
 def _dataset_name(path: str) -> str:
-    # abspath names the directory of "." or "manifest.json", following no symlink
+    # abspath names the directory of "." or a bare manifest name, following no symlink
     p = Path(os.path.abspath(dataset_manifest(path)))
-    return p.parent.name if p.name == "manifest.json" else p.stem
+    return p.parent.name if p.name == MANIFEST_FILE else p.stem
 
 
 def _int_list(text: str) -> list[int]:

@@ -24,6 +24,7 @@ from .graph import Graph, edges_within, node_mask, triangles_within, within_delt
 
 DATASET_FORMAT = "densecf-dataset"
 DATASET_VERSION = 1
+MANIFEST_FILE = "manifest.json"  # in a dataset directory; it names the other files
 
 SUBGROUPS_PER_CLASS = (1, 2)  # the generator plants one or two dense subgroups per class
 
@@ -485,7 +486,7 @@ def save_dataset(dataset: GraphDataset, directory: Path | str) -> Path:
         "graphs": graph_entries,
         "partition": partition_file,
     }
-    manifest_path = directory / "manifest.json"
+    manifest_path = directory / MANIFEST_FILE
     write_json(manifest, manifest_path)
     return manifest_path
 
@@ -495,12 +496,14 @@ def write_json(payload: dict, path: Path | str) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _check_node_id(node_id: str) -> None:
-    """Reject an id that an edge-list line cannot carry: one that is empty,
-    starts a comment, splits on whitespace, or has no UTF-8 encoding."""
+def _check_node_id(node_id: str, where: str = "") -> str:
+    """``node_id``, unless an edge-list line cannot carry it: it is empty,
+    starts a comment, splits on whitespace, or has no UTF-8 encoding. The
+    writer and the reader of a dataset both apply it; ``where`` starts the
+    message."""
     if not node_id or node_id.startswith("#") or any(ch.isspace() for ch in node_id):
-        raise DatasetFormatError(f"node id {node_id!r} cannot be written to an edge list")
-    _check_utf8(node_id, "node id")
+        raise DatasetFormatError(f"{where}node id {node_id!r} cannot be written to an edge list")
+    return _check_utf8(node_id, f"{where}node id")
 
 
 def _check_utf8(text: str, what: str) -> str:
@@ -516,7 +519,7 @@ def _check_utf8(text: str, what: str) -> str:
 def dataset_manifest(path: Path | str) -> Path:
     """The manifest file a dataset path names: itself, or the one in it."""
     path = Path(path)
-    return path / "manifest.json" if path.is_dir() else path
+    return path / MANIFEST_FILE if path.is_dir() else path
 
 
 def load_dataset(path: Path | str) -> GraphDataset:
@@ -526,7 +529,7 @@ def load_dataset(path: Path | str) -> GraphDataset:
     node_ids = manifest.get("node_ids")
     if not isinstance(node_ids, list):
         raise DatasetFormatError(f"{path}: 'node_ids' must be a list")
-    node_ids = [_check_utf8(str(x), f"{path}: node id") for x in node_ids]
+    node_ids = [_check_node_id(str(x), f"{path}: ") for x in node_ids]
     index_of = {node_id: i for i, node_id in enumerate(node_ids)}
     if len(index_of) != len(node_ids):
         raise DatasetFormatError(f"{path}: duplicate node ids")

@@ -110,7 +110,7 @@ def finish_result(
     """The search's result: its charged calls since ``calls_before`` and, when
     ``found``, the edits to ``final`` after an uncharged check that it flips."""
     calls = oracle.call_count - calls_before
-    edits, counterfactual, ratio = EditList.empty(), None, None
+    edits, counterfactual, ratio = EditList((), ()), None, None
     if found:
         if final == original:
             raise RuntimeError("search reported the unchanged input as a counterfactual")

@@ -220,10 +220,6 @@ class EditList:
             additions=tuple(_pairs(b & ~a for a, b in rows)),
         )
 
-    @classmethod
-    def empty(cls) -> "EditList":
-        return cls((), ())
-
     @property
     def size(self) -> int:
         return len(self.removals) + len(self.additions)
@@ -385,12 +381,7 @@ def with_swap(g: Graph, removal: Edge, addition: Edge) -> Graph:
         raise EditConflictError(f"removal of absent edges: {[(a, b)]}")
     if rows[c] >> d & 1:
         raise EditConflictError(f"addition of present edges: {[(c, d)]}")
-    out = list(rows)
-    out[a] ^= 1 << b
-    out[b] ^= 1 << a
-    out[c] ^= 1 << d
-    out[d] ^= 1 << c
-    return Graph._from_rows(tuple(out), g._edge_count, (rows, 1 << a | 1 << b | 1 << c | 1 << d))
+    return _toggled(g, ((a, b), (c, d)), g._edge_count)
 
 
 def _check_node(g: Graph, v: int) -> int:

@@ -355,7 +355,7 @@ def load_model(path: Path | str) -> SFKnnModel:
             training_labels=labels,
             n_neighbors=payload["n_neighbors"],
             n_eigs=payload["n_eigs"],
-            metric=payload.get("metric", "euclidean"),
+            metric=payload.get("metric", DEFAULT_METRIC),
             seed=seed,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

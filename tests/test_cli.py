@@ -531,6 +531,23 @@ class TestMalformedManifest:
         assert "expected 0 or 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_node_id_the_writer_rejects_exits_two(self, tmp_path, capsys):
+        # "#a" starts a comment line, so "#a b" would load as no edge at all
+        (tmp_path / "g.edges").write_text("#a b\nb c\n")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "format": "densecf-dataset", "version": 1, "node_ids": ["#a", "b", "c"],
+            "graphs": [{"file": "g.edges", "label": 0}, {"file": "g.edges", "label": 1}],
+        }))
+        out = tmp_path / "out"
+        code = run(
+            "explain", "--dataset", path, "--whitebox", "--instance", 0, "--method", "tri",
+            "--out-dir", out,
+        )
+        assert code == 2
+        assert f"data error: {path}: node id '#a' " in capsys.readouterr().err
+        assert not out.exists()
+
 
 GOOD_RECORD = "tri,d,0,g,0,0,true,1,2,1,0.5"
 BAD_RECORDS = {

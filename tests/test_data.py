@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import statistics
 import sys
 import threading
@@ -299,6 +300,19 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match="node id"):
             save_dataset(dataset, tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("node_id", ["#a", "", "a b", " a", "a\u2028b"])
+    def test_ids_the_writer_rejects_are_rejected_at_load(self, tmp_path, node_id):
+        # a "#a" line reads as a comment, so its edges would load as absent
+        (tmp_path / "g.edges").write_text(f"{node_id} b\nb c\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "format": "densecf-dataset", "version": 1, "node_ids": [node_id, "b", "c"],
+            "graphs": [{"file": "g.edges", "label": 0}],
+        }))
+        message = f"{re.escape(str(manifest))}: node id {re.escape(repr(node_id))} "
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(manifest)
 
     @pytest.mark.parametrize("field", ["node id", "graph name"])
     def test_unencodable_text_is_rejected_at_load(self, tmp_path, field):

@@ -343,7 +343,7 @@ class TestTwoHop:
 class TestApplyEdits:
     def test_empty_edits_is_identity(self):
         g = random_graph(7, 0.5, random.Random(2))
-        assert apply_edits(g, EditList.empty()) == g
+        assert apply_edits(g, EditList((), ())) == g
 
     def test_k3_minus_edge_is_path(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
