@@ -647,7 +647,8 @@ def _load_edge_list(path: Path, index_of: dict[str, int], node_count: int) -> Gr
 
 
 def load_partition(path: Path | str, node_ids: Sequence[str]) -> RegionPartition:
-    """Read a node_id,region_name CSV into a partition over the given ids."""
+    """Read a node_id,region_name CSV into a partition over the given ids.
+    Any fault, an empty id list included, is a DatasetFormatError naming the file."""
     path = Path(path)
     index_of = {node_id: i for i, node_id in enumerate(node_ids)}
     labels: list[str | None] = [None] * len(node_ids)
@@ -667,6 +668,8 @@ def load_partition(path: Path | str, node_ids: Sequence[str]) -> RegionPartition
     missing = [node_ids[i] for i, label in enumerate(labels) if label is None]
     if missing:
         raise DatasetFormatError(f"{path}: no region for nodes {missing[:5]}")
+    if not labels:
+        raise DatasetFormatError(f"{path}: partition needs at least one node, the dataset has none")
     return RegionPartition(tuple(labels))  # type: ignore[arg-type]
 
 

@@ -429,6 +429,25 @@ class TestEmptyDataset:
         assert "has no graphs" in capsys.readouterr().err
         assert not out.exists()  # so no records.csv either
 
+    def test_partition_over_no_nodes_exits_two(self, tmp_path, capsys):
+        (tmp_path / "g.edges").write_text("")
+        (tmp_path / "partition.csv").write_text("node_id,region_name\n")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "format": "densecf-dataset", "version": 1, "node_ids": [],
+            "graphs": [{"file": "g.edges", "label": 0}, {"file": "g.edges", "label": 1}],
+            "partition": "partition.csv",
+        }))
+        out = tmp_path / "out"
+        code = run(
+            "explain", "--dataset", path, "--whitebox", "--instance", 0, "--method", "tri",
+            "--out-dir", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data error: {tmp_path / 'partition.csv'}: partition needs at least one node" in err
+        assert not out.exists()
+
 
 class TestUnencodableName:
     @pytest.mark.parametrize(

@@ -47,6 +47,7 @@ from densecf.data import (
     _weighted_picks,
     _WORDS_PER_BLOCK,
     load_correlation_matrix,
+    load_partition,
 )
 from densecf.density import triangle_score_lists
 from densecf.evaluation import RECORDS_CSV_COLUMNS, read_records_csv, write_records_csv
@@ -662,6 +663,41 @@ def test_any_json_manifest_loads_or_raises_format_error(manifest):
             load_dataset(base / "manifest.json")
         except DatasetFormatError:
             pass
+
+
+# Partition files over one of a few node id lists, the empty one included:
+# often a row per id with a region name, among rows of any width over ids,
+# unknown and padded ids, blank names, header words and arbitrary text, with
+# or without the header first.
+PARTITION_IDS = st.sampled_from([(), ("a",), ("a", "b"), ("0", "1", "2")])
+PARTITION_CELLS = st.sampled_from(
+    ["a", "b", "0", " a", "zz", "", " ", "x", "node_id", "region_name"]
+) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
+
+
+@st.composite
+def partition_files(draw):
+    ids = draw(PARTITION_IDS)
+    rows = [f"{v},{draw(st.sampled_from(['x', 'y']))}" for v in ids] if draw(st.booleans()) else []
+    rows += draw(st.lists(st.lists(PARTITION_CELLS, max_size=4).map(",".join), max_size=3))
+    header = ["node_id,region_name"] if draw(st.booleans()) else []
+    return ids, "\n".join(header + draw(st.permutations(rows))) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_files())
+@example(((), "node_id,region_name\n"))  # no ids: nothing to partition
+def test_any_partition_file_loads_covering_its_ids_or_raises_format_error(case):
+    ids, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "partition.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            partition = load_partition(path, ids)
+        except DatasetFormatError as exc:
+            assert str(path) in str(exc)
+            return
+        partition.check_covers(len(ids))
 
 
 # Model files: the right header over fields that are well formed, ill typed
