@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -48,6 +49,21 @@ def brute_force_triangle_total(g: Graph) -> int:
         for a, b, c in combinations(range(g.node_count), 3)
         if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
     )
+
+
+def neighbors(edges, v):
+    """The neighbours of ``v`` in a plain edge set."""
+    return {w for e in edges if v in e for w in e if w != v}
+
+
+def triangles_at(edges, v):
+    """Triangles through ``v`` in a plain edge set of (u, w), u < w, pairs."""
+    return sum(1 for pair in combinations(sorted(neighbors(edges, v)), 2) if pair in edges)
+
+
+def edge_hash_rule(cut):
+    """Class 1 when the first byte of a digest of the sorted edges is below ``cut``."""
+    return lambda g: int(hashlib.sha256(repr(list(g.sorted_edges())).encode()).digest()[0] < cut)
 
 
 class CountingClassifier:

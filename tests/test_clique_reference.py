@@ -3,7 +3,6 @@ written from the docstrings of ``sparsify_cli``, ``densify_cli`` and
 ``cli_search`` on plain edge sets, and the property that the package's
 searches agree with it on every outcome and every recorded iteration."""
 
-import hashlib
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -23,13 +22,9 @@ from densecf import (
     whitebox_classify,
 )
 
-from conftest import recorded_clique_steps
+from conftest import edge_hash_rule, neighbors, recorded_clique_steps, triangles_at
 
 DEFAULT_MAX_ITERATIONS = 200
-
-
-def neighbors(edges, v):
-    return {w for e in edges if v in e for w in e if w != v}
 
 
 def is_clique(edges, nodes):
@@ -47,10 +42,6 @@ def maximal_cliques_containing(edges, v):
             if not any(clique <= other for other in found) and is_clique(edges, clique):
                 found.append(clique)
     return found
-
-
-def triangles_at(edges, v):
-    return sum(1 for pair in combinations(sorted(neighbors(edges, v)), 2) if pair in edges)
 
 
 def sparsify(original, current, n, removed, usage):
@@ -119,11 +110,6 @@ def reference_search(classify, g, order, max_iterations):
         if found:
             break
     return found, current, iterations, calls, records
-
-
-def edge_hash_rule(cut):
-    """Class 1 when the first byte of a digest of the sorted edges is below ``cut``."""
-    return lambda g: int(hashlib.sha256(repr(list(g.sorted_edges())).encode()).digest()[0] < cut)
 
 
 @st.composite

@@ -4,7 +4,6 @@ written from their docstrings (and ``triangle_score_lists``') on plain edge
 sets, and the properties that the package's searches agree with them on
 every outcome, edit, charged call and note."""
 
-import hashlib
 import random
 from itertools import combinations
 
@@ -29,13 +28,7 @@ from densecf import (
     whitebox_classify,
 )
 
-
-def neighbors(edges, v):
-    return {w for e in edges if v in e for w in e if w != v}
-
-
-def triangles_at(edges, v):
-    return sum(1 for pair in combinations(sorted(neighbors(edges, v)), 2) if pair in edges)
+from conftest import edge_hash_rule, neighbors, triangles_at
 
 
 class Counted:
@@ -122,11 +115,6 @@ def fields(result):
         result.oracle_calls,
         result.note,
     )
-
-
-def edge_hash_rule(cut):
-    """Class 1 when the first byte of a digest of the sorted edges is below ``cut``."""
-    return lambda g: int(hashlib.sha256(repr(list(g.sorted_edges())).encode()).digest()[0] < cut)
 
 
 @st.composite
