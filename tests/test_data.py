@@ -368,12 +368,6 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError):
             load_partition(path, ["a", "b"])
 
-    def test_partition_over_no_nodes_names_the_file(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("node_id,region_name\n")
-        with pytest.raises(DatasetFormatError, match=r"p\.csv: partition needs at least one node"):
-            load_partition(path, [])
-
     @pytest.mark.parametrize(
         "row, message",
         [("b, ", "blank region name for node id 'b'"), ("b,left,x", "3 fields, expected 2")],
