@@ -25,6 +25,7 @@ from .graph import Graph, edges_within, node_mask, triangles_within, within_delt
 DATASET_FORMAT = "densecf-dataset"
 DATASET_VERSION = 1
 MANIFEST_FILE = "manifest.json"  # in a dataset directory; it names the other files
+PARTITION_HEADER = ("node_id", "region_name")  # the first row of a partition file
 
 SUBGROUPS_PER_CLASS = (1, 2)  # the generator plants one or two dense subgroups per class
 
@@ -157,34 +158,31 @@ class SyntheticSpec:
             raise ValueError("seed must be non-negative")
         if self.subgroups_per_class not in SUBGROUPS_PER_CLASS:
             raise ValueError(f"subgroups_per_class must be one of {SUBGROUPS_PER_CLASS}")
-        sg = self.subgroup_size
-        if sg is None:
-            sg = self.node_count // 4 if self.subgroups_per_class == 1 else self.node_count // 8
-        cliques = self.cliques_per_graph
-        if cliques is None:
-            cliques = 10 if self.subgroups_per_class == 1 else 20
-        attach = self.attachment if self.attachment is not None else sg
-        spec = dataclasses.replace(
-            self, subgroup_size=sg, cliques_per_graph=cliques, attachment=attach
-        )
-        spec._validate()
-        return spec
-
-    def _validate(self) -> None:
         if self.num_graphs <= 0 or self.num_graphs % 2 != 0:
             raise ValueError("num_graphs must be positive and even")
-        if self.subgroup_size < 3:
+        one = self.subgroups_per_class == 1
+        sg = self.subgroup_size
+        if sg is None:
+            sg = self.node_count // 4 if one else self.node_count // 8
+        if sg < 3:
             raise ValueError("subgroup_size must be at least 3 to plant cliques")
-        if self.subgroups_per_class * self.subgroup_size > self.node_count // 2:
+        if self.subgroups_per_class * sg > self.node_count // 2:
             raise ValueError("subgroups do not fit in half of the node set")
-        if self.cliques_per_graph < 0:
+        cliques = self.cliques_per_graph
+        if cliques is None:
+            cliques = 10 if one else 20
+        if cliques < 0:
             raise ValueError("cliques_per_graph must be non-negative")
-        if self.attachment < 1:
+        attach = self.attachment if self.attachment is not None else sg
+        if attach < 1:
             raise ValueError("attachment must be positive")
         if self.extra_edges < 0:
             raise ValueError("extra_edges must be non-negative")
         if not 0.0 <= self.cross_probability <= 1.0:
             raise ValueError("cross_probability must lie in [0, 1]")
+        return dataclasses.replace(
+            self, subgroup_size=sg, cliques_per_graph=cliques, attachment=attach
+        )
 
 
 def node_halves(node_count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -476,7 +474,7 @@ def save_dataset(dataset: GraphDataset, directory: Path | str) -> Path:
         partition_file = "partition.csv"
         write_csv_rows(
             directory / partition_file,
-            ["node_id", "region_name"],
+            PARTITION_HEADER,
             zip(dataset.node_ids, dataset.partition.labels),
         )
     manifest = {
@@ -653,7 +651,7 @@ def load_partition(path: Path | str, node_ids: Sequence[str]) -> RegionPartition
     index_of = {node_id: i for i, node_id in enumerate(node_ids)}
     labels: list[str | None] = [None] * len(node_ids)
     for position, (lineno, row) in enumerate(read_csv_rows(path)):
-        if position == 0 and row == ["node_id", "region_name"]:
+        if position == 0 and tuple(row) == PARTITION_HEADER:
             continue
         if len(row) != 2:
             raise DatasetFormatError(f"{path}:{lineno}: {len(row)} fields, expected 2")
@@ -674,7 +672,8 @@ def load_partition(path: Path | str, node_ids: Sequence[str]) -> RegionPartition
 
 
 def load_correlation_matrix(path: Path | str) -> np.ndarray:
-    """Read an n x n numeric CSV."""
+    """Read an n x n numeric CSV; a row wider or narrower than the first is
+    a data error naming its line."""
     path = Path(path)
     rows = []
     for lineno, row in read_csv_rows(path):
@@ -682,11 +681,10 @@ def load_correlation_matrix(path: Path | str) -> np.ndarray:
             rows.append([float(x) for x in row])
         except ValueError as exc:
             raise DatasetFormatError(f"{path}:{lineno}: non-numeric value ({exc})")
+        if len(row) != len(rows[0]):
+            raise DatasetFormatError(f"{path}:{lineno}: {len(row)} fields, expected {len(rows[0])}")
     if not rows:
         raise DatasetFormatError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DatasetFormatError(f"{path}: ragged rows")
     return np.asarray(rows)
 
 
@@ -698,41 +696,36 @@ def ingest_correlation_listing(
     """Build a dataset from a CSV listing of correlation-matrix files.
 
     The listing has a header ``file,label[,name]``; matrix paths are resolved
-    relative to the listing. All matrices must agree on their size.
+    relative to the listing. All matrices must agree on their size. Each row
+    is checked, then its matrix read and thresholded, in file order, so the
+    first fault in the file is the one reported.
     """
     listing_path = Path(listing_path)
-    base = listing_path.parent
-    entries_raw = []
     rows = read_csv_rows(listing_path)
     _, fields = next(rows, (0, []))
     if "file" not in fields or "label" not in fields:
         raise DatasetFormatError(f"{listing_path}: header must include file,label")
+    entries = []
     for lineno, cells in rows:
+        where = f"{listing_path}:{lineno}"
         row = dict(zip(fields, cells))  # a short row lacks its last columns
         try:
             label = int(row.get("label"))
         except (TypeError, ValueError):
             label = None
         if label not in (0, 1):
-            raise DatasetFormatError(
-                f"{listing_path}:{lineno}: label {row.get('label')!r}, expected 0 or 1"
-            )
-        if not row.get("file"):
-            raise DatasetFormatError(f"{listing_path}:{lineno}: no file named")
-        entries_raw.append((row["file"], label, row.get("name") or row["file"]))
-    if not entries_raw:
+            raise DatasetFormatError(f"{where}: label {row.get('label')!r}, expected 0 or 1")
+        filename = row.get("file")
+        if not filename:
+            raise DatasetFormatError(f"{where}: no file named")
+        matrix = load_correlation_matrix(listing_path.parent / filename)
+        n = entries[0].graph.node_count if entries else matrix.shape[0]
+        if matrix.shape[0] != n:
+            raise DatasetFormatError(f"{filename}: matrix size {matrix.shape[0]} differs from {n}")
+        graph = threshold_correlations(matrix, percentile)
+        entries.append(DatasetEntry(graph, label, row.get("name") or filename))
+    if not entries:
         raise DatasetFormatError(f"{listing_path}: no graphs listed")
-    node_count = None
-    entries = []
-    for filename, label, name in entries_raw:
-        matrix = load_correlation_matrix(base / filename)
-        if node_count is None:
-            node_count = matrix.shape[0]
-        elif matrix.shape[0] != node_count:
-            raise DatasetFormatError(
-                f"{filename}: matrix size {matrix.shape[0]} differs from {node_count}"
-            )
-        entries.append(DatasetEntry(threshold_correlations(matrix, percentile), label, name))
-    node_ids = tuple(str(i) for i in range(node_count))
+    node_ids = tuple(str(i) for i in range(entries[0].graph.node_count))
     partition = load_partition(partition_path, node_ids) if partition_path else None
     return GraphDataset(node_ids, tuple(entries), partition)

@@ -434,6 +434,14 @@ class TestIngest:
         with pytest.raises(DatasetFormatError, match=r"l1\.csv:5:"):
             ingest_correlation_listing(listing, percentile=90)
 
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        # line 2 names a missing matrix and line 3 has a bad label: line 2 is reported
+        self.write_matrix(tmp_path / "m.csv", np.eye(3))
+        listing = tmp_path / "l.csv"
+        listing.write_text("file,label\nmissing.csv,0\nm.csv,3\n")
+        with pytest.raises(DatasetFormatError, match=r"cannot read .*missing\.csv"):
+            ingest_correlation_listing(listing, percentile=90)
+
     @pytest.mark.parametrize(
         "text, read",
         [
@@ -441,8 +449,10 @@ class TestIngest:
             ('node_id,region_name\na,"left\nside"\nb\n', lambda p: load_partition(p, "ab")),
             # a first cell spans lines 1-2, so the bad value is on line 3
             ('"1\n",0\n0,x\n', load_correlation_matrix),
+            # the same, with a row one cell short on line 3
+            ('"1\n",0\n0\n', load_correlation_matrix),
         ],
-        ids=["partition", "matrix"],
+        ids=["partition", "matrix", "matrix-ragged"],
     )
     def test_csv_errors_name_the_physical_line(self, tmp_path, text, read):
         path = tmp_path / "f.csv"
