@@ -587,13 +587,14 @@ def _parse_label(gspec: dict, manifest_path: Path) -> int:
 
 @contextmanager
 def _open_named(path: Path) -> Iterator[TextIO]:
-    """Open a file that a manifest or flag names, for reading as UTF-8 text.
+    """Open a file that a manifest or flag names, for reading as UTF-8 text;
+    a leading byte-order mark is skipped, so every input reads alike with one.
 
     A name that cannot be opened (missing, a directory, a NUL byte) and a
     file that is not UTF-8 are data errors, not internal ones.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except (OSError, ValueError) as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -708,6 +709,8 @@ def ingest_correlation_listing(
     entries = []
     for lineno, cells in rows:
         where = f"{listing_path}:{lineno}"
+        if len(cells) > len(fields):
+            raise DatasetFormatError(f"{where}: {len(cells)} fields, expected {len(fields)}")
         row = dict(zip(fields, cells))  # a short row lacks its last columns
         try:
             label = int(row.get("label"))

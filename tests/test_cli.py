@@ -19,11 +19,34 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def exit_code(*argv):
+    """``run``'s exit code, an argparse usage error's included."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def write_partition(path, *extra_rows):
     """Nodes 0-11 in region front, 12-23 in back, then ``extra_rows``."""
     lines = ["node_id,region_name"] + [f"{i},{'front' if i < 12 else 'back'}" for i in range(24)]
     path.write_text("\n".join([*lines, *extra_rows]) + "\n")
     return path
+
+
+def write_listing(root):
+    """Three symmetric 6 x 6 correlation matrices and their ``file,label`` listing."""
+    rng = np.random.default_rng(3)
+    for i in range(3):
+        base = rng.uniform(-1, 1, size=(6, 6))
+        m = (base + base.T) / 2
+        np.fill_diagonal(m, 1.0)
+        with open(root / f"m{i}.csv", "w") as fh:
+            for row in m:
+                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    listing = root / "listing.csv"
+    listing.write_text("file,label\n" + "".join(f"m{i}.csv,{i % 2}\n" for i in range(3)))
+    return listing
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +111,15 @@ class TestSynth:
             ("--nodes", 0, "node_count"),
             ("--nodes", -5, "node_count"),
             ("--seed", -1, "seed"),
+            ("--subgroup-size", 2, "subgroup_size"),
+            ("--attach-m", 0, "attachment"),
+            ("--extra-p", -1, "extra_edges"),
+            ("--cross-q", 1.5, "cross_probability"),
         ],
-        ids=["cliques_per_graph", "node_count-0", "node_count-negative", "seed"],
+        ids=[
+            "cliques_per_graph", "node_count-0", "node_count-negative", "seed",
+            "subgroup_size", "attachment", "extra_edges", "cross_probability",
+        ],
     )
     def test_bad_field_exits_one_naming_it_before_writing(
         self, tmp_path, flag, value, field, capsys
@@ -99,6 +129,12 @@ class TestSynth:
         assert code == 1
         assert f"error: {field} must" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unknown_log_level_falls_back_and_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DENSECF_LOG", "LOUD")
+        out = tmp_path / "x"
+        assert run("synth", "--nodes", 16, "--num-graphs", 2, "--out-dir", out) == 0
+        assert (out / "manifest.json").exists()
 
 
 class TestTrain:
@@ -253,6 +289,19 @@ class TestExplain:
         err = capsys.readouterr().err
         assert f"{partition}:26:" in err and "'0'" in err
         assert not (out / "result.json").exists()
+
+    def test_partition_field_over_the_csv_limit_exits_two(self, synth_dir, tmp_path, capsys):
+        partition = tmp_path / "partition.csv"
+        partition.write_text("node_id,region_name\n0," + "x" * 131_073 + "\n")
+        out = tmp_path / "out"
+        code = run(
+            "explain", "--dataset", synth_dir, "--whitebox", "--instance", 0,
+            "--method", "rcli", "--partition", partition, "--out-dir", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data error: {partition}:2: field larger than field limit" in err
+        assert not out.exists()
 
     def test_format_json_only(self, synth_dir, tmp_path):
         out = tmp_path / "fj"
@@ -475,16 +524,7 @@ class TestUnencodableName:
 
 class TestIngestCommand:
     def test_ingest_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        for i in range(3):
-            base = rng.uniform(-1, 1, size=(6, 6))
-            m = (base + base.T) / 2
-            np.fill_diagonal(m, 1.0)
-            with open(tmp_path / f"m{i}.csv", "w") as fh:
-                for row in m:
-                    fh.write(",".join(repr(float(x)) for x in row) + "\n")
-        listing = tmp_path / "listing.csv"
-        listing.write_text("file,label\n" + "".join(f"m{i}.csv,{i % 2}\n" for i in range(3)))
+        listing = write_listing(tmp_path)
         out = tmp_path / "ds"
         assert run(
             "ingest", "--listing", listing, "--percentile", 80, "--out-dir", out,
@@ -510,30 +550,48 @@ class TestIngestCommand:
         assert run("ingest", "--listing", listing, "--out-dir", tmp_path / "x") == 2
         assert "listing.csv:2" in capsys.readouterr().err
 
+    def test_row_longer_than_its_header_exits_two(self, tmp_path, capsys):
+        # a short row lacks its last columns; a long one has cells no column names
+        (tmp_path / "m.csv").write_text("1,0.5\n0.5,1\n")
+        listing = tmp_path / "listing.csv"
+        listing.write_text("file,label\nm.csv,1,EXTRA\nm.csv,0,more,cells\n")
+        out = tmp_path / "x"
+        assert run("ingest", "--listing", listing, "--out-dir", out) == 2
+        assert f"data error: {listing}:2: 3 fields, expected 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMalformedManifest:
     @pytest.mark.parametrize(
-        "manifest",
+        "manifest, message",
         [
-            [1, 2],
-            {"graphs": {"file": "g.edges"}},
-            {"graphs": ["x"]},
-            {"graphs": [{"label": 0}]},
+            ([1, 2], "must be a JSON object"),
+            ({"graphs": {"file": "g.edges"}}, "'graphs' must be a list"),
+            ({"graphs": ["x"]}, "graph entry 0 must be an object with a 'file' name"),
+            ({"graphs": [{"label": 0}]}, "graph entry 0 must be an object with a 'file' name"),
+            ({"version": 2}, "unsupported version 2"),
+            ({"partition": 5}, "'partition' must be a file name or null"),
+            ({"node_ids": ["0", "0"]}, "duplicate node ids"),
         ],
-        ids=["top-level-not-object", "graphs-not-list", "entry-not-object", "entry-without-file"],
+        ids=[
+            "top-level-not-object", "graphs-not-list", "entry-not-object", "entry-without-file",
+            "version-2", "partition-not-a-name", "duplicate-node-ids",
+        ],
     )
-    def test_exits_two(self, tmp_path, manifest, capsys):
+    def test_exits_two(self, tmp_path, manifest, message, capsys):
         if isinstance(manifest, dict):
             header = {"format": "densecf-dataset", "version": 1, "node_ids": ["0", "1"]}
             manifest = {**header, **manifest}
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
+        out = tmp_path / "x"
         code = run(
             "explain", "--dataset", path, "--whitebox",
-            "--instance", 0, "--method", "tri", "--out-dir", tmp_path / "x",
+            "--instance", 0, "--method", "tri", "--out-dir", out,
         )
         assert code == 2
-        assert "data error" in capsys.readouterr().err
+        assert f"data error: {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("label", [True, 1.0], ids=["true", "float"])
     def test_non_integer_label_exits_two(self, tmp_path, label, capsys):
@@ -645,6 +703,54 @@ class TestNonUtf8Input:
         )
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """Every input reads the same with a leading UTF-8 byte-order mark."""
+
+    EXPLAIN = ["explain", "--dataset", "ds", "--instance", 1, "--method", "tri"]
+    INGEST = ["ingest", "--listing", "listing.csv", "--percentile", 80]
+    # the file given the mark, and the run that reads it (a second --method wins)
+    CASES = {
+        "manifest": ("ds/manifest.json", [*EXPLAIN, "--whitebox"]),
+        "edges": ("ds/graph-0001.edges", [*EXPLAIN, "--whitebox"]),
+        "partition": ("p.csv", [
+            *EXPLAIN, "--whitebox", "--partition", "p.csv", "--method", "rcli",
+        ]),
+        "model": ("model.json", [*EXPLAIN, "--model", "model.json"]),
+        "listing": ("listing.csv", INGEST),
+        "matrix": ("m1.csv", INGEST),
+        "records": ("records.csv", ["report", "--records", "records.csv"]),
+    }
+
+    def inputs(self, root, synth_dir, trained_dir):
+        shutil.copytree(synth_dir, root / "ds")
+        shutil.copy(trained_dir / "model.json", root)
+        write_partition(root / "p.csv")
+        write_listing(root)
+        (root / "records.csv").write_text(f"{RECORDS_HEADER}\n{GOOD_RECORD}\n")
+
+    @pytest.mark.parametrize("kind", list(CASES))
+    def test_marked_input_gives_the_same_result(
+        self, synth_dir, trained_dir, tmp_path, kind, capsys, monkeypatch
+    ):
+        marked, argv = self.CASES[kind]
+        out = tmp_path / "out"
+        results = []
+        for name in ("plain", "marked"):
+            root = tmp_path / name
+            root.mkdir()
+            self.inputs(root, synth_dir, trained_dir)
+            if name == "marked":
+                (root / marked).write_bytes(b"\xef\xbb\xbf" + (root / marked).read_bytes())
+            monkeypatch.chdir(root)  # so the two runs name their inputs alike
+            code = run(*argv, "--out-dir", out)
+            written = {f.name: f.read_bytes() for f in out.iterdir()}
+            del written["run_manifest.json"]  # it holds a timestamp and the inputs' hashes
+            results.append((code, capsys.readouterr(), written))
+            shutil.rmtree(out)
+        assert results[0][0] == 0
+        assert results[1] == results[0]
 
 
 def retyped(*where_and_value):
@@ -854,6 +960,34 @@ class TestUsageErrors:
         "explain": ["--instance", 0, "--method", "tri"],
         "benchmark": ["--methods", "tri", "--workers", 1],
     }
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["explain", "--whitebox", "--instance", 99, "--method", "tri"],
+             "instance index 99 out of range 0..9"),
+            (["benchmark", "--whitebox", "--methods", ",", "--workers", 1], "no methods given"),
+            (["train", "--neighbors", "1,x"], "expected comma-separated integers, got '1,x'"),
+            (["train", "--folds", 2, "--neighbors", ","], "parameter grid must be nonempty"),
+            (["train", "--folds", 2, "--neighbors", 9], "no feasible grid configuration"),
+        ],
+        ids=["instance-99", "no-methods", "grid-not-integers", "grid-empty", "grid-infeasible"],
+    )
+    def test_bad_value_exits_one_naming_it_before_writing(
+        self, synth_dir, tmp_path, argv, message, capsys
+    ):
+        command, *flags = argv
+        out = tmp_path / "out"
+        assert exit_code(command, "--dataset", synth_dir, *flags, "--out-dir", out) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_percentile_above_one_hundred_exits_one_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        listing = write_listing(tmp_path)
+        assert run("ingest", "--listing", listing, "--percentile", 101, "--out-dir", out) == 1
+        assert "percentile must lie in [0, 100], got 101.0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_oracle_choice_exits_one(self, synth_dir, tmp_path, capsys):
         for command, flags in self.SEARCH_FLAGS.items():

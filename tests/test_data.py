@@ -362,6 +362,26 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match=f"has label {label.title()}"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: GraphDataset(("a", "a"), ()), "node ids must be unique"),
+            (
+                lambda: GraphDataset(("a", "b"), (DatasetEntry(Graph(3), 0, "g"),)),
+                "graph 'g' has a different node count",
+            ),
+            (
+                lambda: GraphDataset(("a", "b"), (DatasetEntry(Graph(2), 2, "g"),)),
+                "label of 'g' must be 0 or 1",
+            ),
+            (lambda: RegionPartition(()), "partition needs at least one node"),
+        ],
+        ids=["duplicate-ids", "node-count", "label-2", "empty-partition"],
+    )
+    def test_inconsistent_dataset_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_partition_missing_node_diagnosed(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("node_id,region_name\na,left\n")

@@ -39,6 +39,10 @@ def record(predicted, found, **kw):
 
 
 class TestFlipRate:
+    def test_empty_summary_rejected(self):
+        with pytest.raises(ValueError, match="summary has no records"):
+            flip_rate(MethodRunSummary("tri", "d", ()))
+
     def test_all_found(self):
         summary = MethodRunSummary(
             "tri", "d", (record(0, True), record(1, True), record(1, True))

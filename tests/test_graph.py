@@ -61,6 +61,14 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    def test_rejects_negative_node_count(self):
+        with pytest.raises(ValueError, match="node_count must be non-negative"):
+            Graph(-1)
+
+    def test_equality_with_a_non_graph_is_left_to_the_other_side(self):
+        assert Graph(2).__eq__(object()) is NotImplemented
+        assert Graph(0) != object()
+
     def test_from_neighbor_masks_equals_edge_constructor(self):
         rng = random.Random(4)
         for n in (0, 1, 5, 70, 130):
@@ -402,6 +410,9 @@ class TestEigenvectorCentrality:
 
     def test_empty_graph_zero_vector(self):
         assert eigenvector_centrality(Graph(4)) == [0.0] * 4
+
+    def test_graph_without_nodes_has_no_scores(self):
+        assert eigenvector_centrality(Graph(0)) == []
 
     def test_matches_power_iteration_oracle(self):
         rng = random.Random(41)

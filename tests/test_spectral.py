@@ -184,6 +184,26 @@ class TestKnnPredict:
                 apart += nearest["euclidean"] != nearest["manhattan"]
         assert apart > 0
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"training_labels": (0,)}, "features and labels must have the same length"),
+            ({"training_labels": (0, 2)}, "labels must be 0 or 1"),
+            ({"n_neighbors": 0}, "n_neighbors must be positive"),
+            ({"n_eigs": 0}, "n_eigs must be positive"),
+            ({"n_eigs": 3}, "every feature vector must have length n_eigs"),
+        ],
+        ids=["length-mismatch", "label-2", "no-neighbors", "no-eigenvalues", "short-features"],
+    )
+    def test_invalid_field_rejected(self, change, message):
+        fields = dict(
+            training_features=((0.0, 1.0), (1.0, 0.0)), training_labels=(0, 1),
+            n_neighbors=1, n_eigs=2,
+        )
+        SFKnnModel(**fields)
+        with pytest.raises(ValueError, match=message):
+            SFKnnModel(**{**fields, **change})
+
     def test_empty_model_raises(self):
         # a model without training rows cannot be built, so none can predict
         with pytest.raises(ValueError, match="training-set size"):
