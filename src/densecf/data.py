@@ -25,7 +25,7 @@ from .graph import Graph, edges_within, node_mask, triangles_within, within_delt
 DATASET_FORMAT = "densecf-dataset"
 DATASET_VERSION = 1
 MANIFEST_FILE = "manifest.json"  # in a dataset directory; it names the other files
-PARTITION_HEADER = ("node_id", "region_name")  # the first row of a partition file
+PARTITION_HEADER = ("node_id", "region_name")  # save_dataset writes it, load_partition skips it
 
 SUBGROUPS_PER_CLASS = (1, 2)  # the generator plants one or two dense subgroups per class
 
