@@ -496,10 +496,11 @@ def write_json(payload: dict, path: Path | str) -> None:
 
 def _check_node_id(node_id: str, where: str = "") -> str:
     """``node_id``, unless an edge-list line cannot carry it: it is empty,
-    starts a comment, splits on whitespace, or has no UTF-8 encoding. The
+    starts a comment or a byte-order mark (which the reader skips at the
+    start of a file), splits on whitespace, or has no UTF-8 encoding. The
     writer and the reader of a dataset both apply it; ``where`` starts the
     message."""
-    if not node_id or node_id.startswith("#") or any(ch.isspace() for ch in node_id):
+    if not node_id or node_id.startswith(("#", "\ufeff")) or any(ch.isspace() for ch in node_id):
         raise DatasetFormatError(f"{where}node id {node_id!r} cannot be written to an edge list")
     return _check_utf8(node_id, f"{where}node id")
 

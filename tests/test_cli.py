@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import shutil
 
 import numpy as np
@@ -17,14 +18,6 @@ RECORDS_HEADER = ",".join(RECORDS_CSV_COLUMNS)
 
 def run(*argv):
     return main([str(a) for a in argv])
-
-
-def exit_code(*argv):
-    """``run``'s exit code, an argparse usage error's included."""
-    try:
-        return run(*argv)
-    except SystemExit as exc:
-        return exc.code
 
 
 def write_partition(path, *extra_rows):
@@ -130,10 +123,13 @@ class TestSynth:
         assert f"error: {field} must" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_log_level_falls_back_and_runs(self, tmp_path, monkeypatch):
+    def test_unknown_log_level_falls_back_to_warning_and_runs(self, tmp_path, monkeypatch):
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
         monkeypatch.setenv("DENSECF_LOG", "LOUD")
         out = tmp_path / "x"
         assert run("synth", "--nodes", 16, "--num-graphs", 2, "--out-dir", out) == 0
+        assert levels == [logging.WARNING]
         assert (out / "manifest.json").exists()
 
 
@@ -967,19 +963,26 @@ class TestUsageErrors:
             (["explain", "--whitebox", "--instance", 99, "--method", "tri"],
              "instance index 99 out of range 0..9"),
             (["benchmark", "--whitebox", "--methods", ",", "--workers", 1], "no methods given"),
-            (["train", "--neighbors", "1,x"], "expected comma-separated integers, got '1,x'"),
             (["train", "--folds", 2, "--neighbors", ","], "parameter grid must be nonempty"),
             (["train", "--folds", 2, "--neighbors", 9], "no feasible grid configuration"),
         ],
-        ids=["instance-99", "no-methods", "grid-not-integers", "grid-empty", "grid-infeasible"],
+        ids=["instance-99", "no-methods", "grid-empty", "grid-infeasible"],
     )
     def test_bad_value_exits_one_naming_it_before_writing(
         self, synth_dir, tmp_path, argv, message, capsys
     ):
         command, *flags = argv
         out = tmp_path / "out"
-        assert exit_code(command, "--dataset", synth_dir, *flags, "--out-dir", out) == 1
+        assert run(command, "--dataset", synth_dir, *flags, "--out-dir", out) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_not_integers_is_a_usage_error_before_writing(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--dataset", synth_dir, "--neighbors", "1,x", "--out-dir", out)
+        assert exc.value.code == 1
+        assert "expected comma-separated integers, got '1,x'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_percentile_above_one_hundred_exits_one_before_writing(self, tmp_path, capsys):

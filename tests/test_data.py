@@ -292,18 +292,20 @@ class TestPersistence:
         assert load_dataset(manifest) == dataset
 
     @pytest.mark.parametrize(
-        "node_id", ["", "#a", "a b", "a\tb", " a", "a\n", "a\u2028b", "\ud800"]
+        "node_id", ["", "#a", "\ufeffa", "a b", "a\tb", " a", "a\n", "a\u2028b", "\ud800"]
     )
     def test_ids_that_cannot_round_trip_are_rejected_before_writing(self, tmp_path, node_id):
-        # "#a" would start a comment line: its edges would reload as absent
+        # "#a" would start a comment line: its edges would reload as absent;
+        # "\ufeffa" first in a file would reload as "a", its mark skipped
         dataset = GraphDataset((node_id, "b"), (DatasetEntry(Graph(2, [(0, 1)]), 0, "g"),))
         with pytest.raises(DatasetFormatError, match="node id"):
             save_dataset(dataset, tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
 
-    @pytest.mark.parametrize("node_id", ["#a", "", "a b", " a", "a\u2028b"])
+    @pytest.mark.parametrize("node_id", ["#a", "\ufeffa", "", "a b", " a", "a\u2028b"])
     def test_ids_the_writer_rejects_are_rejected_at_load(self, tmp_path, node_id):
-        # a "#a" line reads as a comment, so its edges would load as absent
+        # a "#a" line reads as a comment, so its edges would load as absent;
+        # a leading "\ufeff" on the first line is skipped as a byte-order mark
         (tmp_path / "g.edges").write_text(f"{node_id} b\nb c\n")
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({
