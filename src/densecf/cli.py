@@ -183,8 +183,9 @@ def cmd_explain(args) -> int:
 
     out = _out_dir(args)
     ids = dataset.node_ids
-    removals = [[ids[u], ids[v]] for u, v in result.edits.removals]
-    additions = [[ids[u], ids[v]] for u, v in result.edits.additions]
+    edits = result.edits
+    removals = [[ids[u], ids[v]] for u, v in edits.removals]
+    additions = [[ids[u], ids[v]] for u, v in edits.additions]
     if args.format in ("both", "json"):
         payload = asdict(instance_record(index, entry, result))
         payload["predicted_class"] = payload.pop("predicted_label")

@@ -628,6 +628,15 @@ def write_csv_rows(path: Path | str, header: Sequence[str], rows: Iterable[Seque
         writer.writerows(rows)
 
 
+def read_digits(text: str) -> int:
+    """The integer that ``text`` writes in ASCII digits alone, the one form
+    the writers emit; ValueError for anything else (a space, a sign, a ``_``
+    separator, a non-ASCII digit), which ``int`` would take."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _load_edge_list(path: Path, index_of: dict[str, int], node_count: int) -> Graph:
     edges = []
     with _open_named(path) as fh:
@@ -714,8 +723,8 @@ def ingest_correlation_listing(
             raise DatasetFormatError(f"{where}: {len(cells)} fields, expected {len(fields)}")
         row = dict(zip(fields, cells))  # a short row lacks its last columns
         try:
-            label = int(row.get("label"))
-        except (TypeError, ValueError):
+            label = read_digits(row.get("label") or "")
+        except ValueError:
             label = None
         if label not in (0, 1):
             raise DatasetFormatError(f"{where}: label {row.get('label')!r}, expected 0 or 1")

@@ -26,6 +26,7 @@ from .graph import (
     edit_distance_ratio,
     eigenvector_centrality,
     least_overlapping_clique,
+    symmetric_difference_distance,
     triangle_counts,
     triangles_at,
     two_hop_neighborhood,
@@ -76,13 +77,15 @@ class CounterfactualResult:
     ``input_class`` is the oracle's class for the input, charged once by the
     search. ``found`` is whether ``counterfactual`` is set. A counterfactual
     is guaranteed (re-checked at construction with an uncounted classifier
-    call) to classify opposite to the input, and ``edits`` (``distance`` of
-    them) reproduces it from the input via ``apply_edits``.
+    call) to classify opposite to ``input_graph``. ``edits``, which
+    reproduce it from ``input_graph`` via ``apply_edits``, and their number
+    ``distance`` are derived from the two graphs when read; with nothing
+    found they are empty and 0.
     """
 
     input_class: int
+    input_graph: Graph
     counterfactual: Graph | None
-    edits: EditList
     iterations: int
     oracle_calls: int
     distance_ratio: float | None
@@ -93,8 +96,16 @@ class CounterfactualResult:
         return self.counterfactual is not None
 
     @property
+    def edits(self) -> EditList:
+        if self.counterfactual is None:
+            return EditList((), ())
+        return EditList.between(self.input_graph, self.counterfactual)
+
+    @property
     def distance(self) -> int:
-        return self.edits.size
+        if self.counterfactual is None:
+            return 0
+        return symmetric_difference_distance(self.input_graph, self.counterfactual)
 
 
 def finish_result(
@@ -108,20 +119,19 @@ def finish_result(
     note: str | None = None,
 ) -> CounterfactualResult:
     """The search's result: its charged calls since ``calls_before`` and, when
-    ``found``, the edits to ``final`` after an uncharged check that it flips."""
+    ``found``, ``final`` after an uncharged check that it flips."""
     calls = oracle.call_count - calls_before
-    edits, counterfactual, ratio = EditList((), ()), None, None
+    counterfactual, ratio = None, None
     if found:
         if final == original:
             raise RuntimeError("search reported the unchanged input as a counterfactual")
         if oracle.check(final) == original_class:
             raise RuntimeError("search produced a candidate that does not flip the class")
-        edits = EditList.between(original, final)
         counterfactual, ratio = final, edit_distance_ratio(original, final)
     return CounterfactualResult(
         input_class=original_class,
+        input_graph=original,
         counterfactual=counterfactual,
-        edits=edits,
         iterations=iterations,
         oracle_calls=calls,
         distance_ratio=ratio,
@@ -200,8 +210,11 @@ def rank_nodes_regional(g: Graph, partition: RegionPartition) -> tuple[int, ...]
     """
     partition.check_covers(g.node_count)
     tri = triangle_counts(g)
-    density = {name: edges_within(g, partition.nodes_in(name)) for name in partition.names}
     region = partition.labels
+    masks = dict.fromkeys(partition.names, 0)
+    for v, name in enumerate(region):
+        masks[name] |= 1 << v
+    density = {name: edges_within(g, mask) for name, mask in masks.items()}
     return tuple(
         sorted(range(g.node_count), key=lambda v: (-density[region[v]], region[v], -tri[v], v))
     )

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import CoverageError, DatasetFormatError, RegionPartition, read_csv_rows, write_csv_rows
+from .data import DatasetFormatError, RegionPartition, read_csv_rows, read_digits, write_csv_rows
 from .graph import EditList, Graph
 
 REGION_CSV_COLUMNS = ["region", "added_pct", "removed_pct"]
@@ -64,6 +64,8 @@ class InstanceRecord:
     def __post_init__(self) -> None:
         if self.true_label not in (0, 1) or self.predicted_label not in (0, 1):
             raise ValueError("labels must be 0 or 1")
+        if min(self.instance, self.iterations, self.oracle_calls, self.distance) < 0:
+            raise ValueError("instance, iterations, oracle_calls and distance must be non-negative")
         if self.distance_ratio is not None and not np.isfinite(self.distance_ratio):
             raise ValueError(f"distance_ratio must be finite, got {self.distance_ratio}")
         if self.found and (self.distance_ratio is None or self.distance <= 0):
@@ -75,7 +77,7 @@ class InstanceRecord:
 # records.csv: one row per InstanceRecord after its method and dataset, each
 # field's cell in the text form of its type, as (write, read) functions.
 _CELL_TEXT = {
-    "int": (str, int),
+    "int": (str, read_digits),
     "str": (str, str),
     "bool": (lambda b: "true" if b else "false", {"true": True, "false": False}.__getitem__),
     "float | None": (lambda x: "" if x is None else repr(x), lambda s: float(s) if s else None),
@@ -170,8 +172,10 @@ def write_records_csv(summaries: Iterable[MethodRunSummary], path: Path | str) -
 
 def read_records_csv(path: Path | str) -> list[MethodRunSummary]:
     """The runs of a records file, in first-appearance order; any row that
-    does not read back as an InstanceRecord is a DatasetFormatError."""
+    does not read back as an InstanceRecord, or repeats an instance of its
+    method and dataset, is a DatasetFormatError."""
     groups: dict[tuple[str, str], list[InstanceRecord]] = {}
+    first_line: dict[tuple[str, str, int], int] = {}
     rows = read_csv_rows(path)
     lineno, header = next(rows, (1, []))
     missing = [c for c in RECORDS_CSV_COLUMNS if c not in header]
@@ -185,7 +189,14 @@ def read_records_csv(path: Path | str) -> list[MethodRunSummary]:
             record = InstanceRecord(**{n: read(cell[n]) for n, (_, read) in _RECORD_CELLS.items()})
         except (KeyError, ValueError) as exc:
             raise DatasetFormatError(f"{path}:{lineno}: malformed record ({exc!r})") from exc
-        groups.setdefault((cell["method"], cell["dataset"]), []).append(record)
+        run = (cell["method"], cell["dataset"])
+        first = first_line.setdefault((*run, record.instance), lineno)
+        if first != lineno:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: instance {record.instance} of method {run[0]!r} on dataset "
+                f"{run[1]!r} repeats line {first}"
+            )
+        groups.setdefault(run, []).append(record)
     return [MethodRunSummary(m, d, tuple(records)) for (m, d), records in groups.items()]
 
 

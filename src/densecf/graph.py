@@ -267,9 +267,19 @@ def apply_edits(g: Graph, edits: EditList) -> Graph:
 
 def triangle_counts(g: Graph) -> list[int]:
     """Per-node count of distinct triangles the node participates in."""
-    a = adjacency_matrix(g)
-    # row w of (A@A)*A counts each triangle at w twice, once per ordered pair of its other nodes
-    return (((a @ a) * a).sum(axis=1) // 2).astype(np.int64).tolist()
+    return _triangles_at_rows(g, slice(None))
+
+
+def _triangles_at_rows(g: Graph, rows: slice | list[int]) -> list[int]:
+    """The per-node triangle counts of ``g`` at ``rows`` of its bit matrix A,
+    in that order: with S those rows, row w of (S @ A) * S counts each
+    triangle at w twice, once per ordered pair of its other nodes. Every
+    entry of S @ A is an integer of at most n - 1, exact in float32 for
+    n <= 2**24, and the rows are summed in float64, so the counts do not
+    depend on the BLAS or its thread count."""
+    a = _bit_matrix(g._rows).astype(np.float32)
+    s = a[rows]
+    return (((s @ a) * s).sum(axis=1, dtype=np.float64) // 2).astype(np.int64).tolist()
 
 
 def _within(g: Graph, nodes: int | Iterable[int]) -> int:
@@ -281,20 +291,9 @@ def _within(g: Graph, nodes: int | Iterable[int]) -> int:
 
 def triangles_at(g: Graph, nodes: int | Iterable[int]) -> dict[int, int]:
     """For each of ``nodes`` (node indices, or their ``node_mask``), the
-    ``triangle_counts`` entry of ``g``, counted from the rows of that node
-    and its neighbours alone."""
-    rows = g._rows
-    counts = {}
-    for w in _members(_within(g, nodes)):
-        # each triangle at w is an edge uv among w's neighbours, counted at
-        # u < v: bits are taken lowest first, so ``rest`` holds those above u
-        rest, total = rows[w], 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            total += (rows[low.bit_length() - 1] & rest).bit_count()
-        counts[w] = total
-    return counts
+    ``triangle_counts`` entry of ``g``."""
+    at = list(_members(_within(g, nodes)))
+    return dict(zip(at, _triangles_at_rows(g, at)))
 
 
 def triangles_within(g: Graph, nodes: int | Iterable[int]) -> int:

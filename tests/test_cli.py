@@ -537,12 +537,29 @@ class TestIngestCommand:
         assert run("ingest", "--listing", listing, "--out-dir", tmp_path / "x") == 2
 
     @pytest.mark.parametrize(
-        "text", ["file,label\nm.csv,2\n", "label,file\n0\n"], ids=["label-2", "no-file"]
+        "text",
+        [
+            "file,label\nm.csv,2\n",
+            "label,file\n0\n",
+            # int() reads each of these labels as 0 or 1; only ASCII digits are written
+            "file,label\nm.csv, 1\n",
+            "file,label\nm.csv,+1\n",
+            "file,label\nm.csv,0_0\n",
+            "file,label\nm.csv,\u0660\n",
+        ],
+        ids=[
+            "label-2",
+            "no-file",
+            "label-spaced",
+            "label-signed",
+            "label-underscored",
+            "label-arabic-indic",
+        ],
     )
     def test_bad_listing_row_exits_two(self, tmp_path, text, capsys):
         (tmp_path / "m.csv").write_text("1,0.5\n0.5,1\n")
         listing = tmp_path / "listing.csv"
-        listing.write_text(text)
+        listing.write_text(text, encoding="utf-8")
         assert run("ingest", "--listing", listing, "--out-dir", tmp_path / "x") == 2
         assert "listing.csv:2" in capsys.readouterr().err
 
@@ -633,33 +650,47 @@ BAD_RECORDS = {
     "found-without-ratio": GOOD_RECORD.replace(",0.5", ","),
     "not-found-with-distance": GOOD_RECORD.replace("true,1,2,1,0.5", "false,1,2,7,0.5"),
     "found-at-distance-zero": GOOD_RECORD.replace("true,1,2,1,", "true,1,2,0,"),
+    # instance 0 again, read as found on line 2 and as not found here
+    "repeated-instance": "tri,d,0,g,0,0,false,1,2,0,",
+    # int() reads each of these integers; only ASCII digits are written
+    "instance-spaced": GOOD_RECORD.replace("tri,d,0,", "tri,d, 1,"),
+    "instance-signed": GOOD_RECORD.replace("tri,d,0,", "tri,d,+1,"),
+    "instance-underscored": GOOD_RECORD.replace("tri,d,0,", "tri,d,1_0,"),
+    "instance-arabic-indic": GOOD_RECORD.replace("tri,d,0,", "tri,d,\u0661,"),
+    "instance-negative": GOOD_RECORD.replace("tri,d,0,", "tri,d,-1,"),
+    "iterations-negative": GOOD_RECORD.replace("true,1,2,1,", "true,-1,2,1,"),
+    "oracle-calls-negative": GOOD_RECORD.replace("true,1,2,1,", "true,1,-2,1,"),
 }
 
 
 class TestMalformedRecords:
     @pytest.mark.parametrize(
-        "content",
+        "content, where",
         [
-            *(f"{RECORDS_HEADER}\n{GOOD_RECORD}\n{r}\n".encode() for r in BAD_RECORDS.values()),
-            f"{RECORDS_HEADER.replace(',found', '')}\n{GOOD_RECORD}\n".encode(),
-            f"{RECORDS_HEADER}\n{GOOD_RECORD}\n".encode("utf-16"),
+            *(
+                (f"{RECORDS_HEADER}\n{GOOD_RECORD}\n{r}\n".encode(), ":3:")
+                for r in BAD_RECORDS.values()
+            ),
+            (f"{RECORDS_HEADER.replace(',found', '')}\n{GOOD_RECORD}\n".encode(), ":1:"),
+            (f"{RECORDS_HEADER}\n{GOOD_RECORD}\n".encode("utf-16"), ":"),
         ],
         ids=[*BAD_RECORDS, "missing-column", "not-utf8"],
     )
-    def test_exits_two(self, tmp_path, content, capsys):
+    def test_exits_two(self, tmp_path, content, where, capsys):
         path = tmp_path / "records.csv"
         path.write_bytes(content)
         assert run("report", "--records", path, "--out-dir", tmp_path / "x") == 2
         err = capsys.readouterr().err
-        assert "data error" in err and str(path) in err
+        assert "data error" in err and f"{path}{where}" in err
         assert not (tmp_path / "x").exists()
 
     def test_method_on_two_datasets_exits_two(self, tmp_path, capsys):
         # aggregates are keyed by method, so the second dataset's run of tri
         # would replace the first's
         on_b = GOOD_RECORD.replace("tri,d,", "tri,b,")
+        second = GOOD_RECORD.replace("tri,d,0,", "tri,d,1,")
         path = tmp_path / "records.csv"
-        path.write_text("\n".join([RECORDS_HEADER, GOOD_RECORD, GOOD_RECORD, on_b]) + "\n")
+        path.write_text("\n".join([RECORDS_HEADER, GOOD_RECORD, second, on_b]) + "\n")
         assert run("report", "--records", path, "--out-dir", tmp_path / "x") == 2
         err = capsys.readouterr().err
         assert "data error" in err and "'tri'" in err and "'d'" in err and "'b'" in err

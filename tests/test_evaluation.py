@@ -38,6 +38,13 @@ def record(predicted, found, **kw):
     return InstanceRecord(**base)
 
 
+@pytest.mark.parametrize("field", ["instance", "iterations", "oracle_calls", "distance"])
+def test_negative_count_rejected(field):
+    # records.csv writes counts as ASCII digits, which hold no sign
+    with pytest.raises(ValueError, match="must be non-negative"):
+        record(0, False, **{field: -1})
+
+
 class TestFlipRate:
     def test_empty_summary_rejected(self):
         with pytest.raises(ValueError, match="summary has no records"):

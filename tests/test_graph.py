@@ -33,6 +33,7 @@ from conftest import (
     is_maximal_clique,
     random_graph,
 )
+from conftest import triangles_at as reference_triangles_at
 
 
 def triangle(*extra_edges):
@@ -216,15 +217,27 @@ class TestTriangleCounts:
             assert all(type(c) is int for c in counts)
 
     def test_triangles_at_equal_the_counts_at_the_listed_nodes(self):
+        # both count through one float32 kernel; n runs across the 64-bit
+        # row boundary, and the reference counts on a plain edge set
         rng = random.Random(29)
-        for n in (1, 9, 70, 130):
-            g = random_graph(n, rng.uniform(0.1, 0.6), rng)
+        sizes = (*range(0, 131, 13), 63, 64, 65, 127, 128)
+        graphs = [random_graph(n, rng.uniform(0.1, 0.6), rng) for n in sizes]
+        graphs += [Graph(0), Graph(6), Graph.complete(1), Graph.complete(70)]
+        graphs.append(Graph(7, [(0, 1), (1, 2), (0, 2), (4, 5)]))  # isolated nodes 3 and 6
+        for g in graphs:
+            n, edges = g.node_count, g.edges
             counts = triangle_counts(g)
-            nodes = rng.sample(range(n), min(n, 12)) + [n - 1]  # ids above 63 from n = 70
-            expected = {v: counts[v] for v in nodes}
-            assert triangles_at(g, nodes) == expected
-            assert triangles_at(g, [np.int64(v) for v in nodes]) == expected
-            assert all(type(v) is int and type(c) is int for v, c in triangles_at(g, nodes).items())
+            assert counts == [reference_triangles_at(edges, v) for v in range(n)]
+            assert all(type(c) is int for c in counts)
+            node_sets = [rng.sample(range(n), rng.randint(0, n)), list(range(n))]
+            if n:  # node n - 1 is above 63 from n = 65
+                node_sets.append(rng.sample(range(n), min(n, 12)) + [n - 1])
+            for nodes in node_sets:
+                expected = {v: counts[v] for v in nodes}
+                at = triangles_at(g, nodes)
+                assert at == expected
+                assert all(type(v) is int and type(c) is int for v, c in at.items())
+                assert triangles_at(g, [np.int64(v) for v in nodes]) == expected
             for bad in (-1, n, np.int64(n)):
                 with pytest.raises(ValueError, match=rf"outside node range 0\.\.{n - 1}"):
                     triangles_at(g, [0, bad])

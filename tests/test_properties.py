@@ -781,26 +781,29 @@ NAMES = st.text(
 )
 @st.composite
 def consistent_records(draw):
-    """Records whose outcome fields agree, as ``InstanceRecord`` requires: a
-    found one has a distance of at least 1 and a finite ratio, any other
-    distance 0 and no ratio."""
+    """Records whose fields hold as ``InstanceRecord`` requires: counts are
+    non-negative, and a found one has a distance of at least 1 and a finite
+    ratio, any other distance 0 and no ratio."""
     found = draw(st.booleans())
     return InstanceRecord(
-        instance=draw(st.integers()),
+        instance=draw(st.integers(min_value=0)),
         name=draw(NAMES),
         true_label=draw(st.sampled_from((0, 1))),
         predicted_label=draw(st.sampled_from((0, 1))),
         found=found,
-        iterations=draw(st.integers()),
-        oracle_calls=draw(st.integers()),
+        iterations=draw(st.integers(min_value=0)),
+        oracle_calls=draw(st.integers(min_value=0)),
         distance=draw(st.integers(min_value=1)) if found else 0,
         distance_ratio=draw(st.floats(allow_nan=False, allow_infinity=False)) if found else None,
     )
 
 
 RECORDS = consistent_records()
+# a run holds each instance once, as a records file must
 RUNS = st.dictionaries(
-    st.tuples(NAMES, NAMES), st.lists(RECORDS, min_size=1, max_size=3), max_size=3
+    st.tuples(NAMES, NAMES),
+    st.lists(RECORDS, min_size=1, max_size=3, unique_by=lambda r: r.instance),
+    max_size=3,
 ).map(lambda runs: [MethodRunSummary(m, d, tuple(rs)) for (m, d), rs in runs.items()])
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from densecf import (
     ConfigurationError,
+    EditList,
     Graph,
     GraphDataset,
     METHODS,
@@ -13,6 +14,7 @@ from densecf import (
     RegionPartition,
     RunOptions,
     SFKnnModel,
+    apply_edits,
     run_benchmark,
     run_method,
     spectral_features,
@@ -63,6 +65,32 @@ class TestRunMethod:
                 options=RunOptions(max_iterations=20, seed=1),
             )
             assert result.oracle_calls == oracle.call_count
+
+    @pytest.mark.parametrize("make_spec", [whitebox_spec, model_spec], ids=["whitebox", "model"])
+    def test_edits_and_distance_are_derived_from_the_counterfactual(self, make_spec):
+        # a result keeps the input and the counterfactual; its edits and
+        # distance are computed from the two when read
+        dataset = small_dataset(n=24, count=4, seed=24)
+        spec = make_spec(dataset)
+        outcomes = set()
+        for method in METHODS:
+            for entry in dataset:
+                result = run_method(
+                    method,
+                    spec.build(),
+                    entry.graph,
+                    dataset=dataset,
+                    partition=dataset.partition,
+                    options=RunOptions(max_iterations=20, seed=1),
+                )
+                edits = result.edits
+                if result.found:
+                    assert apply_edits(entry.graph, edits) == result.counterfactual
+                    assert result.distance == edits.size > 0
+                else:
+                    assert edits == EditList((), ()) and result.distance == 0
+                outcomes.add(result.found)
+        assert outcomes == {True, False}
 
     def test_dataset_required_for_dat(self):
         with pytest.raises(ConfigurationError):
