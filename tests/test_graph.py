@@ -32,8 +32,8 @@ from conftest import (
     brute_force_triangle_total,
     is_maximal_clique,
     random_graph,
+    triangles_at as reference_triangles_at,
 )
-from conftest import triangles_at as reference_triangles_at
 
 
 def triangle(*extra_edges):
