@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import index
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -391,48 +391,85 @@ def _check_node(g: Graph, v: int) -> int:
     return v
 
 
-def _bron_kerbosch(
-    g: Graph,
-    v: int,
-    visit: Callable[[int], None],
-    prune: Callable[[int, int], bool] = lambda clique, candidates: False,
-) -> None:
-    """Pivoted Bron-Kerbosch seeded with {v}, so only the closed neighborhood
-    of ``v`` is explored; node sets are bitmasks. ``visit`` gets each maximal
-    clique containing ``v``. A branch whose clique so far and candidate set
-    make ``prune`` true is dropped with every clique below it."""
+def _clique_search(
+    g: Graph, v: int, masks: list[int], union: int, every: list[int] | None = None
+) -> int:
+    """Pivoted Bron-Kerbosch (Tomita et al., 2006) seeded with {v}, so only
+    the closed neighborhood of ``v`` is explored; node sets are bitmasks and
+    ``union`` is the union of ``masks``. Returns the maximal clique around
+    ``v`` of least key (largest overlap with any of ``masks``, 0 with none;
+    minus its size; its sorted nodes) by branch and bound (Carraghan and
+    Pardalos, 1990): a branch is entered only when its clique's overlap and
+    the size it can still reach make a key no greater than the best one's
+    first two parts. When ``every`` is a list, each maximal clique is
+    appended to it instead and nothing is pruned.
+
+    The branch order sets how early the bound bites, never the answer: a
+    dropped branch holds only strictly worse keys, and ties go to the sorted
+    node lists. With no masks the pivot is branched on first, so the first
+    dive follows the densest part; with masks, the branches outside all of
+    them come first. A child's overlap is recounted only when the node it
+    adds lies in a mask.
+    """
     around = g._rows[v]
     nbr = [0] * g.node_count  # neighborhoods restricted to N(v)
     for u in _members(around):
         nbr[u] = g._rows[u] & around
+    # (overlap, -size) as one int: size is at most node_count < scale
+    scale = g.node_count + 1
+    best_key, best = scale * scale, 0  # above every clique's key
 
-    def expand(clique: int, candidates: int, excluded: int) -> None:
-        if prune(clique, candidates):
-            return
-        if not candidates and not excluded:
-            visit(clique)
+    def expand(clique: int, overlap: int, candidates: int, excluded: int) -> None:
+        nonlocal best_key, best
+        if not candidates:
+            if excluded:
+                return
+            if every is not None:
+                every.append(clique)
+                return
+            # of two equal-size cliques, the one holding the lowest node in
+            # which they differ has the smaller sorted node list
+            key = overlap * scale - clique.bit_count()
+            differ = clique ^ best
+            if key < best_key or (key == best_key and differ & -differ & clique):
+                best_key, best = key, clique
             return
         # pivot: the node of candidates | excluded with most candidate
-        # neighbors, lowest index on ties
-        best = -1
+        # neighbors, lowest index on ties; the scan stops at the first node
+        # that leaves at most one branch
+        most, enough = -1, candidates.bit_count() - 1
         rest = candidates | excluded
         while rest:
             low = rest & -rest
             u = low.bit_length() - 1
             count = (candidates & nbr[u]).bit_count()
-            if count > best:
-                best, pivot = count, u
+            if count > most:
+                most, pivot = count, u
+                if count >= enough:
+                    break
             rest ^= low
-        rest = candidates & ~nbr[pivot]
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            expand(clique | low, candidates & nbr[u], excluded & nbr[u])
-            candidates ^= low
-            excluded |= low
-            rest ^= low
+        branches = candidates & ~nbr[pivot]
+        if union:
+            outside = branches & ~union
+            order = (outside, branches ^ outside)
+        else:
+            first = branches & (1 << pivot)
+            order = (first, branches ^ first)
+        for rest in order:
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                grown = clique | low
+                lap = max([(grown & m).bit_count() for m in masks]) if low & union else overlap
+                below = candidates & nbr[u]
+                if lap * scale - (grown | below).bit_count() <= best_key:
+                    expand(grown, lap, below, excluded & nbr[u])
+                candidates ^= low
+                excluded |= low
 
-    expand(1 << v, around, 0)
+    expand(1 << v, union >> v & 1, around, 0)
+    return best
 
 
 def maximal_cliques_containing(g: Graph, v: int) -> set[frozenset[int]]:
@@ -442,41 +479,29 @@ def maximal_cliques_containing(g: Graph, v: int) -> set[frozenset[int]]:
     ``v`` is explored. An isolated node yields the 1-clique {v}.
     """
     v = _check_node(g, v)
-    out: set[frozenset[int]] = set()
-    _bron_kerbosch(g, v, lambda clique: out.add(frozenset(_members(clique))))
-    return out
+    every: list[int] = []
+    _clique_search(g, v, [], 0, every)
+    return {frozenset(_members(clique)) for clique in every}
 
 
 def least_overlapping_clique(g: Graph, v: int, removed: Iterable[Iterable[int]]) -> frozenset[int]:
     """The maximal clique of ``g`` around ``v`` that minimizes (largest
     overlap with any of the ``removed`` node sets, 0 with none; minus its
-    size; its sorted nodes).
-
-    The same search as ``maximal_cliques_containing``, by branch and bound: a
-    branch is dropped when its clique's overlap and the size it can still
-    reach already make a key greater than the best one's first two parts,
-    never on a tie. Of two equal-size cliques, the one holding the lowest node
-    in which they differ has the smaller sorted node list.
+    size; its sorted nodes): the search of ``maximal_cliques_containing``,
+    by branch and bound. A node of ``removed`` outside the node range is a
+    ValueError, checked once over their union.
     """
     v = _check_node(g, v)
-    masks = [node_mask(m) for m in removed]
-    best = (g.node_count + 1, 0, 0)  # (overlap, -size, mask): above every clique's key
-
-    def overlap(clique: int) -> int:
-        return max([(clique & m).bit_count() for m in masks], default=0)
-
-    def visit(clique: int) -> None:
-        nonlocal best
-        key = (overlap(clique), -clique.bit_count())
-        differ = clique ^ best[2]
-        if key < best[:2] or (key == best[:2] and differ & -differ & clique):
-            best = (*key, clique)
-
-    def prune(clique: int, candidates: int) -> bool:
-        return (overlap(clique), -(clique | candidates).bit_count()) > best[:2]
-
-    _bron_kerbosch(g, v, visit, prune)
-    return frozenset(_members(best[2]))
+    try:
+        masks = [node_mask(m) for m in removed]
+    except ValueError:  # a negative node as a shift count
+        masks = [-1]
+    union = 0
+    for mask in masks:
+        union |= mask
+    if union < 0 or union >> g.node_count:
+        raise ValueError(f"removed nodes outside node range 0..{g.node_count - 1}")
+    return frozenset(_members(_clique_search(g, v, masks, union)))
 
 
 def two_hop_neighborhood(g: Graph, v: int) -> frozenset[int]:

@@ -853,6 +853,61 @@ class TestMalformedModel:
         assert "data error" in capsys.readouterr().err
 
 
+def truncated(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def byte_overwritten(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] = 0xFF
+    path.write_bytes(bytes(data))
+
+
+def made_a_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+class TestCorruptedBenchmarkInput:
+    """One broken file among valid ones: ``benchmark`` runs or exits 1 or 2
+    with one stderr line naming that file, never 3."""
+
+    FILES = {
+        "manifest": "ds/manifest.json",
+        "edges": "ds/graph-0001.edges",
+        "model": "model.json",
+        "partition": "p.csv",
+    }
+    CORRUPTIONS = {
+        "truncated": truncated,
+        "byte-0xff": byte_overwritten,
+        "directory": made_a_directory,
+    }
+
+    @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+    @pytest.mark.parametrize("kind", list(FILES))
+    def test_exit_is_never_internal(
+        self, synth_dir, trained_dir, tmp_path, kind, corruption, capsys, monkeypatch
+    ):
+        shutil.copytree(synth_dir, tmp_path / "ds")
+        shutil.copy(trained_dir / "model.json", tmp_path)
+        write_partition(tmp_path / "p.csv")
+        broken = tmp_path / self.FILES[kind]
+        self.CORRUPTIONS[corruption](broken)
+        monkeypatch.chdir(tmp_path)
+        code = run(
+            "benchmark", "--dataset", "ds/manifest.json", "--model", "model.json",
+            "--partition", "p.csv", "--methods", "rcli", "--max-iters", 2, "--workers", 1,
+            "--out-dir", "out",
+        )
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, err
+        if code:
+            lines = err.splitlines()
+            assert len(lines) == 1 and broken.name in lines[0], err
+
+
 class TestDatasetDirectory:
     @pytest.mark.parametrize("command", ["train", "explain", "benchmark"])
     def test_writes_manifest_hashing_the_dataset_manifest(self, synth_dir, tmp_path, command):

@@ -347,6 +347,26 @@ class TestSparsify:
                 assert clique == expected
         assert ties  # the sorted node lists decided some choices
 
+    def test_choice_in_the_rcli_regime_along_both_rankings(self):
+        # the whitebox60-2sg regime: n = 60, two subgroups per class, centers
+        # from rank_nodes and from rank_nodes_regional over 8 contiguous
+        # blocks, each for cli_search's floor(n/2) iterations with the history
+        # growing as there: 240 choices
+        partition = RegionPartition(tuple(f"block{v * 8 // 60}" for v in range(60)))
+        ties = 0
+        for entry in generate_synthetic(SyntheticSpec(60, 4, subgroups_per_class=2)):
+            g = entry.graph
+            for order in (rank_nodes(g), rank_nodes_regional(g, partition)):
+                removed, usage, current = [], [0] * g.node_count, g
+                for center in order[: g.node_count // 2]:
+                    cliques = maximal_cliques_containing(g, center)
+                    key = documented_key(removed)
+                    expected = min(cliques, key=key)
+                    ties += sum(key(c)[:2] == key(expected)[:2] for c in cliques) > 1
+                    current, clique = sparsify_cli(g, current, center, removed, usage)
+                    assert clique == expected
+        assert ties  # the sorted node lists decided some choices
+
     def test_only_still_present_edges_removed(self):
         g_orig = Graph.complete(4)
         g_cur = g_orig.remove_edge(0, 1)  # an earlier step already cut this edge

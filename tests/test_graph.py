@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from densecf import graph
 from densecf import (
     EditConflictError,
     EditList,
@@ -22,6 +23,7 @@ from densecf.graph import (
     adjacency_matrix,
     edges_within,
     least_overlapping_clique,
+    node_mask,
     triangles_at,
     triangles_within,
     with_clique,
@@ -259,6 +261,9 @@ NODE_ARGUMENTS = {
     "two_hop_neighborhood": two_hop_neighborhood,
     "maximal_cliques_containing": maximal_cliques_containing,
     "least_overlapping_clique": lambda g, v: least_overlapping_clique(g, v, [{70, 71}]),
+    "least_overlapping_clique(removed)": lambda g, v: least_overlapping_clique(
+        g, 70, [{2}, {v, 71}]
+    ),
     "triangles_within": lambda g, v: triangles_within(g, [71, 99, v]),
     "triangles_at": lambda g, v: triangles_at(g, [71, 99, v]),
     "edges_within": lambda g, v: edges_within(g, [71, 99, v]),
@@ -286,7 +291,13 @@ def test_every_node_argument_follows_one_rule(call):
 
 def test_node_sets_are_checked_not_clipped():
     g = triangle((3, 4))
-    for call in (triangles_within, edges_within, lambda g, m: with_clique(g, m, False)):
+    calls = (
+        triangles_within,
+        edges_within,
+        lambda g, m: with_clique(g, m, False),
+        lambda g, m: least_overlapping_clique(g, 0, [{1}, m]),  # over the history's union
+    )
+    for call in calls:
         for nodes in ([0, 1, 2, 9], [0, 1, 2, -1], 0b100111, -1):
             with pytest.raises(ValueError, match=r"outside node range 0\.\.4"):
                 call(g, nodes)
@@ -340,6 +351,23 @@ class TestMaximalCliques:
             for v in range(0, 116, 5):
                 got = maximal_cliques_containing(g, v)
                 assert got == {c for c in expected if v in c}
+
+
+class TestLeastOverlappingClique:
+    # around 0 the triangles {0,1,2}, {0,3,4} and {0,3,5} tie on size, and on
+    # overlap with HISTORY; node 3 is the pivot and outside HISTORY, so the
+    # search reaches {0,3,4} first either way
+    TIED = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (3, 5)])
+    HISTORY = [{1}, {2}, {4}, {5}]
+
+    @pytest.mark.parametrize("history", [[], HISTORY], ids=["no history", "history"])
+    def test_a_tie_goes_to_the_smaller_node_list_not_the_first_found(self, history):
+        g = self.TIED
+        masks = [node_mask(h) for h in history]
+        reached = []
+        graph._clique_search(g, 0, masks, node_mask(set().union(*history)), reached)
+        assert reached[0] == node_mask({0, 3, 4})
+        assert least_overlapping_clique(g, 0, history) == {0, 1, 2}
 
 
 class TestTwoHop:
