@@ -409,8 +409,8 @@ def whitebox_classify(g: Graph, s0: Sequence[int] | int, s1: Sequence[int] | int
     Each half is a sequence of node indices or its ``node_mask``. Ties fall
     back to induced edge counts, then to class 0.
     """
-    masks = _halves(g, node_mask(s0), node_mask(s1))
-    return _by_counts(tuple((triangles_within(g, m), edges_within(g, m)) for m in masks))
+    m0, m1 = _halves(g, node_mask(s0), node_mask(s1))
+    return _by_counts(_counts(g, m0, m1))
 
 
 def _halves(g: Graph, m0: int, m1: int) -> tuple[int, int]:
@@ -421,30 +421,53 @@ def _halves(g: Graph, m0: int, m1: int) -> tuple[int, int]:
     return m0, m1
 
 
-def _by_counts(counts: tuple[tuple[int, int], ...]) -> int:
-    # (triangles, edges) of each half: the larger pair wins, a full tie is class 0
-    return int(counts[1] > counts[0])
+def _counts(g: Graph, m0: int, m1: int) -> tuple[int, int, int, int]:
+    # (triangles, edges) within half 0, then within half 1, as one flat tuple
+    t0, t1 = triangles_within(g, m0), triangles_within(g, m1)
+    return t0, edges_within(g, m0), t1, edges_within(g, m1)
+
+
+def _by_counts(counts: tuple[int, int, int, int]) -> int:
+    # the half with more triangles wins, then the one with more edges; a full tie is class 0
+    t0, e0, t1, e1 = counts
+    return int(t1 > t0 or t1 == t0 and e1 > e0)
 
 
 def make_whitebox(s0: Sequence[int], s1: Sequence[int]) -> Callable[[Graph], int]:
-    """``whitebox_classify`` over fixed halves, updating its last counts by ``within_deltas``."""
+    """``whitebox_classify`` over fixed halves, keeping the counts of two
+    graphs: the last one classified, and the one whose counts those were
+    updated from. A slot's own graph object is answered from its counts, a
+    graph edited from a slot's graph has them updated by ``within_deltas``,
+    and any other graph is counted afresh."""
     m0, m1 = masks = node_mask(s0), node_mask(s1)
-    last = None  # (graph, ((t0, e0), (t1, e1))), replaced whole so the rule can be shared
+    # (last graph, its counts, the graph they were updated from or None, its
+    # counts), replaced whole so the rule can be shared
+    slots = (None, None, None, None)
     checked = None  # the node count the halves passed ``_halves`` for; no other can pass
 
     def classify(g: Graph) -> int:
-        nonlocal last, checked
+        nonlocal slots, checked
         if g.node_count != checked:
             _halves(g, m0, m1)
             checked = g.node_count
-        memo = last
-        deltas = None if memo is None else within_deltas(memo[0], g, masks)
+        last, last_counts, before, before_counts = slots
+        if g is last:
+            return _by_counts(last_counts)
+        if g is before:
+            return _by_counts(before_counts)
+        base, base_counts = last, last_counts
+        deltas = None if last is None else within_deltas(last, g, masks)
+        if deltas is None and before is not None:
+            base, base_counts = before, before_counts
+            deltas = within_deltas(before, g, masks)
         if deltas is None:
-            counts = tuple((triangles_within(g, m), edges_within(g, m)) for m in masks)
+            counts = _counts(g, m0, m1)
+            slots = (g, counts, None, None)
         else:
-            ((t0, e0), (t1, e1)), ((dt0, de0), (dt1, de1)) = memo[1], deltas
-            counts = (t0 + dt0, e0 + de0), (t1 + dt1, e1 + de1)
-        last = (g, counts)
+            (dt0, de0), (dt1, de1) = deltas
+            t0, e0, t1, e1 = base_counts
+            counts = t0 + dt0, e0 + de0, t1 + dt1, e1 + de1
+            slots = (g, counts, base, base_counts)
         return _by_counts(counts)
 
     return classify

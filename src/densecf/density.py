@@ -147,6 +147,12 @@ def triangle_score_lists(g: Graph) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     candidates (descending score, so new edges close as many wedges as
     possible). Score ties break on lexicographic edge order.
     """
+    removals, additions = _triangle_score_order(g)
+    return tuple(removals), tuple(additions)
+
+
+def _triangle_score_order(g: Graph) -> tuple[Iterator[Edge], Iterator[Edge]]:
+    """``triangle_score_lists`` as two iterators, each pair built when reached."""
     u, v = np.triu_indices(g.node_count, k=1)  # every pair, in lexicographic order
     scores = np.asarray(triangle_counts(g), dtype=np.int64)
     scores = scores[u] + scores[v]
@@ -156,10 +162,7 @@ def triangle_score_lists(g: Graph) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     out = out[np.argsort(scores[out], kind="stable")]
     into = np.flatnonzero(~present)
     into = into[np.argsort(-scores[into], kind="stable")]
-    return (
-        tuple(zip(u[out].tolist(), v[out].tolist())),
-        tuple(zip(u[into].tolist(), v[into].tolist())),
-    )
+    return zip(u[out].tolist(), v[out].tolist()), zip(u[into].tolist(), v[into].tolist())
 
 
 def tri_search(
@@ -173,7 +176,7 @@ def tri_search(
     """
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
-    removals, additions = triangle_score_lists(g)
+    removals, additions = _triangle_score_order(g)
     current = g
     found = False
     i = 0

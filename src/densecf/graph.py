@@ -371,16 +371,24 @@ def with_swap(g: Graph, removal: Edge, addition: Edge) -> Graph:
     ``addition`` made an edge, so the edge count stays. Equal to
     ``apply_edits(g, EditList((removal,), (addition,)))`` and raises its
     errors, but rebuilds only the rows of the pairs' ends."""
-    a, b = _normalize_edge(*removal, g.node_count)
-    c, d = _normalize_edge(*addition, g.node_count)
+    (a, b), (c, d), n = removal, addition, g.node_count
+    # the searches pass ordered int pairs in range; anything else is normalized
+    if not (type(a) is type(b) is type(c) is type(d) is int and 0 <= a < b < n and 0 <= c < d < n):
+        a, b = _normalize_edge(a, b, n)
+        c, d = _normalize_edge(c, d, n)
     rows = g._rows
-    if (a, b) == (c, d):
+    if a == c and b == d:
         raise EditConflictError("an edge appears both as removal and addition")
     if not rows[a] >> b & 1:
         raise EditConflictError(f"removal of absent edges: {[(a, b)]}")
     if rows[c] >> d & 1:
         raise EditConflictError(f"addition of present edges: {[(c, d)]}")
-    return _toggled(g, ((a, b), (c, d)), g._edge_count)
+    out = list(rows)
+    out[a] ^= 1 << b
+    out[b] ^= 1 << a
+    out[c] ^= 1 << d
+    out[d] ^= 1 << c
+    return Graph._from_rows(tuple(out), g._edge_count, (rows, 1 << a | 1 << b | 1 << c | 1 << d))
 
 
 def _check_node(g: Graph, v: int) -> int:

@@ -12,9 +12,11 @@ from densecf import (
     DatasetFormatError,
     Graph,
     GraphDataset,
+    Oracle,
     PartitionError,
     RegionPartition,
     SyntheticSpec,
+    edg_search,
     generate_synthetic,
     ingest_correlation_listing,
     load_dataset,
@@ -225,18 +227,23 @@ class TestWhitebox:
         assert not any(t.is_alive() for t in threads)
         assert not wrong
 
-    def test_rule_recounts_only_a_graph_not_edited_from_the_last(self, monkeypatch):
-        # a built graph, an edge added to it, a sibling of that child, then a
-        # swap and a clique each edited from the graph before, and the last
-        # graph's edges built afresh
+    def test_rule_recounts_only_a_graph_not_edited_from_either_slot(self, monkeypatch):
+        # a built graph, an edge added to it, a sibling of that child (edited
+        # from the slot that holds the built graph), then a swap and a clique
+        # each edited from the graph before, and the last graph's edges built
+        # afresh; then that graph asked again, a graph edited from the clique
+        # (which neither slot holds now), a graph edited from it, and the
+        # graph of the earlier slot asked again
         s0, s1 = node_halves(12)
         built = random_graph(12, 0.5, random.Random(5))
         absent = [(u, v) for u in range(12) for v in range(u + 1, 12) if not built.has_edge(u, v)]
         sibling = built.add_edge(*absent[1])
         swapped = with_swap(sibling, min(sibling.edges), absent[2])
         clique = with_clique(swapped, range(5), True)
-        graphs = [built, built.add_edge(*absent[0]), sibling, swapped, clique]
-        graphs.append(Graph(12, clique.edges))
+        fresh = Graph(12, clique.edges)
+        orphan = clique.remove_edge(*min(clique.edges))
+        graphs = [built, built.add_edge(*absent[0]), sibling, swapped, clique, fresh, fresh]
+        graphs += [orphan, orphan.remove_edge(*max(orphan.edges)), orphan]
         labels = [whitebox_classify(g, s0, s1) for g in graphs]
         calls = []
         count = data.triangles_within
@@ -246,7 +253,22 @@ class TestWhitebox:
             calls.clear()
             assert rule(g) == label
             counted.append(len(calls))
-        assert counted == [2, 0, 2, 0, 0, 2]
+        assert counted == [2, 0, 0, 0, 0, 2, 0, 2, 0, 0]
+
+    def test_edg_search_counts_only_its_input(self, monkeypatch):
+        # edg flips edges from its last graph, then backward refinement
+        # classifies each tentative revert edited from the kept graph, which
+        # a slot holds whether the revert before it was kept or rejected
+        s0, s1 = node_halves(24)
+        dataset = generate_synthetic(SyntheticSpec(node_count=24, num_graphs=4, seed=3))
+        calls = []
+        count = data.triangles_within
+        monkeypatch.setattr(data, "triangles_within", lambda g, m: calls.append(g) or count(g, m))
+        for entry in dataset:
+            calls.clear()
+            result = edg_search(Oracle(make_whitebox(s0, s1)), entry.graph)
+            assert result.found and result.oracle_calls > result.iterations + 1
+            assert calls == [entry.graph, entry.graph]
 
 
 class TestPersistence:

@@ -360,6 +360,10 @@ def test_within_deltas_equal_the_change_in_counts(pair, data):
     deltas = within_deltas(before, after, masks)
     assert (deltas is not None) == edited_from_before
     if deltas is not None:
+        # the edit's record names every row it rebuilt (see ``Graph``)
+        rebuilt = after._origin[1]
+        kept = [u for u in range(after.node_count) if not rebuilt >> u & 1]
+        assert all(after._rows[u] is before._rows[u] for u in kept)
         assert deltas == [
             (
                 triangles_within(after, m) - triangles_within(before, m),
@@ -488,6 +492,35 @@ def test_shared_whitebox_rule_equals_the_reference_along_a_walk(walk):
     rule = make_whitebox(s0, s1)
     for g in graphs:
         assert outcome(rule, g) == outcome(lambda h: whitebox_classify(h, s0, s1), g)
+
+
+@st.composite
+def graph_trees(draw):
+    """Complementary halves of 3-12 nodes and the graph objects put to the
+    rule: each step edits a graph drawn among all graphs so far (with each
+    edit function), or asks about one of them again, so an edit's source may
+    be the last graph asked, the one before, or one no slot holds."""
+    n = draw(st.integers(3, 12))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    halves = [v for v in range(n) if not side[v]], [v for v in range(n) if side[v]]
+    seen = [draw(graphs_on(n))]
+    asked = [seen[0]]
+    for _ in range(draw(st.integers(1, 30))):
+        g = seen[draw(st.integers(0, len(seen) - 1))]
+        if draw(st.integers(0, 2)):
+            g = edited(draw, g, draw(st.sampled_from(EDITS)))
+            seen.append(g)
+        asked.append(g)
+    return halves, asked
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_trees())
+def test_whitebox_rule_equals_the_reference_over_edits_from_any_graph(tree):
+    (s0, s1), graphs = tree
+    rule = make_whitebox(s0, s1)
+    for g in graphs:
+        assert rule(g) == whitebox_classify(g, s0, s1)
 
 
 def sorted_triangle_score_lists(g):
