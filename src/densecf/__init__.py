@@ -12,6 +12,7 @@ from .baselines import (
     refine_with_backward,
 )
 from .data import (
+    ConfigurationError,
     CoverageError,
     DatasetEntry,
     DatasetFormatError,
@@ -29,7 +30,6 @@ from .data import (
     whitebox_classify,
 )
 from .density import (
-    ConfigurationError,
     CounterfactualResult,
     RunOptions,
     cli_search,

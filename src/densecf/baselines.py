@@ -7,8 +7,8 @@ import logging
 import random
 from math import isqrt
 
-from .data import GraphDataset
-from .density import ConfigurationError, CounterfactualResult, RunOptions, finish_result
+from .data import ConfigurationError, GraphDataset
+from .density import CounterfactualResult, RunOptions, finish_result
 from .graph import Edge, EditList, Graph, symmetric_difference_distance
 from .spectral import Oracle
 

@@ -5,8 +5,8 @@ writes a run_manifest.json with the resolved configuration and input hashes;
 all other outputs are byte-stable for identical invocations.
 
 Exit codes: 0 success (a not-found counterfactual is still a success),
-1 usage or configuration error, 2 data error, 3 internal error.
-Set DENSECF_LOG to control logging verbosity.
+1 usage or configuration error, 2 data error, 3 internal error: a defect in
+densecf, whose traceback is logged. Set DENSECF_LOG to control logging verbosity.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from . import __version__
 from .data import (
     MANIFEST_FILE,
     SUBGROUPS_PER_CLASS,
+    ConfigurationError,
     DatasetFormatError,
     GraphDataset,
-    PartitionError,
     RegionPartition,
     SyntheticSpec,
     dataset_manifest,
@@ -35,11 +35,12 @@ from .data import (
     ingest_correlation_listing,
     load_dataset,
     load_partition,
+    read_digits,
     save_dataset,
     write_csv_rows,
     write_json,
 )
-from .density import RANKING_STRATEGIES, ConfigurationError, RunOptions
+from .density import RANKING_STRATEGIES, RunOptions
 from .evaluation import (
     build_aggregate_report,
     read_records_csv,
@@ -48,7 +49,7 @@ from .evaluation import (
     write_region_csv,
 )
 from .runner import METHODS, OracleSpec, instance_record, pool_size, run_benchmark, search_instance
-from .spectral import KNN_METRICS, DegenerateLabelsError, load_model, save_model, train_sf_knn
+from .spectral import KNN_METRICS, load_model, save_model, train_sf_knn
 
 logger = logging.getLogger(__name__)
 
@@ -140,7 +141,7 @@ def _run_options(args) -> RunOptions:
 # --- subcommands ----------------------------------------------------------
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     dataset = load_dataset(args.dataset)
     model, report = train_sf_knn(
         dataset,
@@ -158,23 +159,22 @@ def cmd_train(args) -> int:
         f"trained sf-knn: accuracy={report.accuracy:.3f} f1={report.f1:.3f} "
         f"n_neighbors={report.n_neighbors} n_eigs={report.n_eigs}"
     )
-    return EXIT_OK
 
 
 def _select_instance(dataset: GraphDataset, selector: str) -> int:
     try:
-        index = int(selector)
+        index = read_digits(selector)
     except ValueError:
         names = [e.name for e in dataset.entries]
         if selector not in names:
             raise ConfigurationError(f"no instance named {selector!r} in dataset")
         return names.index(selector)
-    if not 0 <= index < len(dataset):
+    if index >= len(dataset):
         raise ConfigurationError(f"instance index {index} out of range 0..{len(dataset) - 1}")
     return index
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args) -> None:
     dataset, partition, spec, inputs = _search_setup(args)
     index = _select_instance(dataset, args.instance)
     entry = dataset.entries[index]
@@ -206,10 +206,9 @@ def cmd_explain(args) -> int:
         f"{args.method} on instance {index} ({entry.name}): {status}, "
         f"d={result.distance}, calls={result.oracle_calls}, iterations={result.iterations}"
     )
-    return EXIT_OK
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args) -> None:
     if args.workers is not None and args.workers < 1:
         raise ConfigurationError(f"--workers must be at least 1, got {args.workers}")
     dataset, partition, spec, inputs = _search_setup(args)
@@ -235,10 +234,9 @@ def cmd_benchmark(args) -> int:
     for summary in summaries:
         found = sum(1 for r in summary.records if r.found)
         print(f"{summary.method}: {found}/{len(summary.records)} found")
-    return EXIT_OK
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     spec = SyntheticSpec(
         node_count=args.nodes,
         num_graphs=args.num_graphs,
@@ -255,10 +253,9 @@ def cmd_synth(args) -> int:
     manifest_path = save_dataset(dataset, out)
     _write_manifest(out, args, [])
     print(f"wrote {len(dataset)} graphs on {dataset.node_count} nodes to {manifest_path}")
-    return EXIT_OK
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> None:
     dataset = ingest_correlation_listing(
         args.listing, percentile=args.percentile, partition_path=args.partition
     )
@@ -270,17 +267,15 @@ def cmd_ingest(args) -> int:
         f"ingested {len(dataset)} graphs on {dataset.node_count} nodes "
         f"(avg edges {avg_edges:.1f}) to {manifest_path}"
     )
-    return EXIT_OK
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     summaries = read_records_csv(args.records)
     report = build_aggregate_report(summaries)
     out = _out_dir(args)
     write_json(report, out / "aggregates.json")
     _write_manifest(out, args, [Path(args.records)])
     print(f"aggregated {sum(len(s) for s in summaries)} records from {len(summaries)} runs")
-    return EXIT_OK
 
 
 # --- parser ---------------------------------------------------------------
@@ -382,19 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (DatasetFormatError, PartitionError, DegenerateLabelsError, OSError) as exc:
+        args.func(args)
+    except (DatasetFormatError, OSError) as exc:
         print(f"densecf: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:  # ConfigurationError, CoverageError, ...
+    except ConfigurationError as exc:
         print(f"densecf: configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception:  # pragma: no cover - defensive
+    except Exception:  # a defect in densecf, not the input's fault
         logger.exception("internal error")
         return EXIT_INTERNAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -31,7 +31,11 @@ SUBGROUPS_PER_CLASS = (1, 2)  # the generator plants one or two dense subgroups 
 
 
 class DatasetFormatError(ValueError):
-    """A dataset, matrix, partition, records or model file is malformed."""
+    """A dataset, matrix, partition, records or model file is malformed (CLI exit 2)."""
+
+
+class ConfigurationError(ValueError):
+    """An invalid setting: a flag, a spec field, a search option (CLI exit 1)."""
 
 
 class PartitionError(ValueError):
@@ -118,7 +122,7 @@ def threshold_correlations(matrix, percentile: float) -> Graph:
     if not np.allclose(m, m.T, atol=1e-9):
         raise DatasetFormatError("correlation matrix must be symmetric (tolerance 1e-9)")
     if not 0.0 <= percentile <= 100.0:
-        raise ValueError(f"percentile must lie in [0, 100], got {percentile}")
+        raise ConfigurationError(f"percentile must lie in [0, 100], got {percentile}")
     n = m.shape[0]
     iu, iv = np.triu_indices(n, k=1)
     values = m[iu, iv]
@@ -153,33 +157,33 @@ class SyntheticSpec:
 
     def resolved(self) -> "SyntheticSpec":
         if self.node_count < 1:
-            raise ValueError("node_count must be at least 1")
+            raise ConfigurationError("node_count must be at least 1")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ConfigurationError("seed must be non-negative")
         if self.subgroups_per_class not in SUBGROUPS_PER_CLASS:
-            raise ValueError(f"subgroups_per_class must be one of {SUBGROUPS_PER_CLASS}")
+            raise ConfigurationError(f"subgroups_per_class must be one of {SUBGROUPS_PER_CLASS}")
         if self.num_graphs <= 0 or self.num_graphs % 2 != 0:
-            raise ValueError("num_graphs must be positive and even")
+            raise ConfigurationError("num_graphs must be positive and even")
         one = self.subgroups_per_class == 1
         sg = self.subgroup_size
         if sg is None:
             sg = self.node_count // 4 if one else self.node_count // 8
         if sg < 3:
-            raise ValueError("subgroup_size must be at least 3 to plant cliques")
+            raise ConfigurationError("subgroup_size must be at least 3 to plant cliques")
         if self.subgroups_per_class * sg > self.node_count // 2:
-            raise ValueError("subgroups do not fit in half of the node set")
+            raise ConfigurationError("subgroups do not fit in half of the node set")
         cliques = self.cliques_per_graph
         if cliques is None:
             cliques = 10 if one else 20
         if cliques < 0:
-            raise ValueError("cliques_per_graph must be non-negative")
+            raise ConfigurationError("cliques_per_graph must be non-negative")
         attach = self.attachment if self.attachment is not None else sg
         if attach < 1:
-            raise ValueError("attachment must be positive")
+            raise ConfigurationError("attachment must be positive")
         if self.extra_edges < 0:
-            raise ValueError("extra_edges must be non-negative")
+            raise ConfigurationError("extra_edges must be non-negative")
         if not 0.0 <= self.cross_probability <= 1.0:
-            raise ValueError("cross_probability must lie in [0, 1]")
+            raise ConfigurationError("cross_probability must lie in [0, 1]")
         return dataclasses.replace(
             self, subgroup_size=sg, cliques_per_graph=cliques, attachment=attach
         )
@@ -758,7 +762,10 @@ def ingest_correlation_listing(
         n = entries[0].graph.node_count if entries else matrix.shape[0]
         if matrix.shape[0] != n:
             raise DatasetFormatError(f"{filename}: matrix size {matrix.shape[0]} differs from {n}")
-        graph = threshold_correlations(matrix, percentile)
+        try:
+            graph = threshold_correlations(matrix, percentile)
+        except DatasetFormatError as exc:
+            raise DatasetFormatError(f"{filename}: {exc}") from exc
         entries.append(DatasetEntry(graph, label, row.get("name") or filename))
     if not entries:
         raise DatasetFormatError(f"{listing_path}: no graphs listed")

@@ -9,6 +9,7 @@ flips or an iteration budget runs out.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import filterfalse, islice
 from math import isqrt
@@ -16,7 +17,7 @@ from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
-from .data import RegionPartition
+from .data import ConfigurationError, RegionPartition
 from .graph import (
     Edge,
     EditList,
@@ -40,10 +41,6 @@ DEFAULT_MAX_ITERATIONS = 200
 RANKING_STRATEGIES = ("triangles", "eigenvector")
 
 
-class ConfigurationError(ValueError):
-    """Invalid search configuration (unknown strategy, missing partition, ...)."""
-
-
 @dataclass(frozen=True)
 class RunOptions:
     """Settings shared by every search method, validated once here.
@@ -60,8 +57,8 @@ class RunOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ConfigurationError("max_iterations must be non-negative")
+        if self.max_iterations is not None and not 0 <= self.max_iterations <= sys.maxsize:
+            raise ConfigurationError(f"max_iterations must lie in 0..{sys.maxsize}")
         if self.ranking not in RANKING_STRATEGIES:
             raise ConfigurationError(
                 f"unknown ranking strategy {self.ranking!r}, expected one of {RANKING_STRATEGIES}"

@@ -7,9 +7,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .baselines import dat_search, edg_search, refine_with_backward
-from .data import DatasetEntry, GraphDataset, RegionPartition, make_whitebox, node_halves
+from .data import ConfigurationError, DatasetEntry, GraphDataset, RegionPartition
+from .data import make_whitebox, node_halves
 from .density import (
-    ConfigurationError,
     CounterfactualResult,
     RunOptions,
     cli_search,

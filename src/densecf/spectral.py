@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import DatasetFormatError, GraphDataset, read_versioned_json, write_json
+from .data import ConfigurationError, DatasetFormatError, GraphDataset
+from .data import read_versioned_json, write_json
 from .graph import Graph, adjacency_matrix
 
 POSITIVE_EIGENVALUE_TOL = 1e-8
@@ -31,7 +32,7 @@ MODEL_FORMAT = "densecf-sf-knn"
 MODEL_VERSION = 1
 
 
-class DegenerateLabelsError(ValueError):
+class DegenerateLabelsError(DatasetFormatError):
     """Training data contains only one class."""
 
 
@@ -76,7 +77,7 @@ def _first_k(positives: np.ndarray, k: int) -> np.ndarray:
 
 def _check_metric(metric: str) -> None:
     if metric not in KNN_METRICS:
-        raise ValueError(f"metric must be one of {KNN_METRICS}")
+        raise ConfigurationError(f"metric must be one of {KNN_METRICS}")
 
 
 @dataclass(frozen=True)
@@ -246,20 +247,20 @@ def train_sf_knn(
     is refit on the full dataset.
     """
     if folds < 2:
-        raise ValueError(f"cross-validation needs at least 2 folds, got {folds}")
+        raise ConfigurationError(f"cross-validation needs at least 2 folds, got {folds}")
     if seed < 0:  # random.Random seeds from abs(seed): -1 would repeat seed 1's folds
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     n = len(dataset)
     if n < folds:
-        raise ValueError(f"dataset has {n} graphs, fewer than {folds} folds")
+        raise ConfigurationError(f"dataset has {n} graphs, fewer than {folds} folds")
     labels = list(dataset.labels)
     if len(set(labels)) < 2:
         raise DegenerateLabelsError("training requires both classes to be present")
     if not neighbor_grid or not eig_grid:
-        raise ValueError("parameter grid must be nonempty")
+        raise ConfigurationError("parameter grid must be nonempty")
     for name, grid in (("neighbor", neighbor_grid), ("eigenvalue", eig_grid)):
         if min(grid) < 1:
-            raise ValueError(f"{name} counts must be positive, got {min(grid)}")
+            raise ConfigurationError(f"{name} counts must be positive, got {min(grid)}")
     _check_metric(metric)
 
     order = list(range(n))
@@ -297,7 +298,7 @@ def train_sf_knn(
             mean_acc, mean_f1 = sum(fold_accs) / folds, sum(fold_f1s) / folds
             grid.append((nn, k, mean_acc, mean_f1, fold_accs, fold_f1s))
     if not grid:
-        raise ValueError("no feasible grid configuration for this dataset/fold count")
+        raise ConfigurationError("no feasible grid configuration for this dataset/fold count")
 
     nn, k, mean_acc, mean_f1, fold_accs, fold_f1s = max(
         grid, key=lambda c: (c[2], c[3], -c[0], -c[1])

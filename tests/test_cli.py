@@ -2,11 +2,17 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
+import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import densecf
 from densecf import METHODS, spectral
 from densecf.cli import main
 from densecf.evaluation import RECORDS_CSV_COLUMNS, InstanceRecord, read_records_csv
@@ -346,6 +352,24 @@ class TestExplain:
         assert code == 0
         payload = json.loads((tmp_path / "n" / "result.json").read_text())
         assert payload["instance"] == 3
+
+    @pytest.mark.parametrize("selector", ["1_0", " 3", "+3", "\u0663"])
+    def test_name_that_int_reads_as_an_index_picks_that_graph(
+        self, synth_dir, tmp_path, selector
+    ):
+        # an index is ASCII digits alone; int() would read each of these as one
+        from densecf import load_dataset, save_dataset
+
+        dataset = load_dataset(synth_dir)
+        entries = list(dataset.entries)
+        entries[5] = dataclasses.replace(entries[5], name=selector)
+        save_dataset(dataclasses.replace(dataset, entries=tuple(entries)), tmp_path / "ds")
+        assert run(
+            "explain", "--dataset", tmp_path / "ds", "--whitebox",
+            "--instance", selector, "--method", "dat", "--out-dir", tmp_path / "n",
+        ) == 0
+        payload = json.loads((tmp_path / "n" / "result.json").read_text())
+        assert (payload["instance"], payload["name"]) == (5, selector)
 
     def test_unknown_instance_exits_one(self, synth_dir, tmp_path):
         assert run(
@@ -869,20 +893,67 @@ def made_a_directory(path):
     path.mkdir()
 
 
-class TestCorruptedBenchmarkInput:
-    """One broken file among valid ones: ``benchmark`` runs or exits 1 or 2
-    with one stderr line naming that file, never 3."""
+def line_duplicated(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines.insert(len(lines) // 2, lines[len(lines) // 2])
+    path.write_bytes(b"".join(lines))
 
+
+def field_blanked(path):
+    # the middle line's first field, after its indentation, up to a comma or space
+    lines = path.read_text().splitlines(keepends=True)
+    mid = len(lines) // 2
+    lines[mid] = re.sub(r"^( *)[^, \n]*", r"\1", lines[mid], count=1)
+    path.write_text("".join(lines))
+
+
+def deleted(path):
+    path.unlink()
+
+
+class TestCorruptedBenchmarkInput:
+    """One broken file among valid ones: each subcommand that reads it runs
+    or exits 1 or 2 with one stderr line naming that file, never 3."""
+
+    COMMANDS = {
+        "benchmark": [
+            "benchmark", "--dataset", "ds/manifest.json", "--model", "model.json",
+            "--partition", "p.csv", "--methods", "rcli", "--max-iters", 2, "--workers", 1,
+        ],
+        "explain": [
+            "explain", "--dataset", "ds/manifest.json", "--model", "model.json",
+            "--partition", "p.csv", "--instance", 1, "--method", "rcli", "--max-iters", 2,
+        ],
+        "train": [
+            "train", "--dataset", "ds/manifest.json", "--folds", 2, "--neighbors", 1, "--eigs", 2,
+        ],
+        "ingest": ["ingest", "--listing", "in/listing.csv", "--partition", "in/p.csv"],
+        "report": ["report", "--records", "records.csv"],
+    }
+    # kind: (the subcommand run, the file broken)
     FILES = {
-        "manifest": "ds/manifest.json",
-        "edges": "ds/graph-0001.edges",
-        "model": "model.json",
-        "partition": "p.csv",
+        "manifest": ("benchmark", "ds/manifest.json"),
+        "edges": ("benchmark", "ds/graph-0001.edges"),
+        "model": ("benchmark", "model.json"),
+        "partition": ("benchmark", "p.csv"),
+        "explain-manifest": ("explain", "ds/manifest.json"),
+        "explain-edges": ("explain", "ds/graph-0001.edges"),
+        "explain-model": ("explain", "model.json"),
+        "explain-partition": ("explain", "p.csv"),
+        "train-manifest": ("train", "ds/manifest.json"),
+        "train-edges": ("train", "ds/graph-0001.edges"),
+        "ingest-listing": ("ingest", "in/listing.csv"),
+        "ingest-matrix": ("ingest", "in/m0.csv"),
+        "ingest-partition": ("ingest", "in/p.csv"),
+        "report-records": ("report", "records.csv"),
     }
     CORRUPTIONS = {
         "truncated": truncated,
         "byte-0xff": byte_overwritten,
         "directory": made_a_directory,
+        "line-duplicated": line_duplicated,
+        "field-blanked": field_blanked,
+        "deleted": deleted,
     }
 
     @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
@@ -893,14 +964,18 @@ class TestCorruptedBenchmarkInput:
         shutil.copytree(synth_dir, tmp_path / "ds")
         shutil.copy(trained_dir / "model.json", tmp_path)
         write_partition(tmp_path / "p.csv")
-        broken = tmp_path / self.FILES[kind]
+        (tmp_path / "in").mkdir()
+        write_listing(tmp_path / "in")
+        (tmp_path / "in" / "p.csv").write_text(
+            "node_id,region_name\n" + "".join(f"{v},{'ab'[v // 3]}\n" for v in range(6))
+        )
+        records = [GOOD_RECORD.replace("tri,d,0,", f"tri,d,{i},") for i in range(5)]
+        (tmp_path / "records.csv").write_text("\n".join([RECORDS_HEADER, *records]) + "\n")
+        command, name = self.FILES[kind]
+        broken = tmp_path / name
         self.CORRUPTIONS[corruption](broken)
         monkeypatch.chdir(tmp_path)
-        code = run(
-            "benchmark", "--dataset", "ds/manifest.json", "--model", "model.json",
-            "--partition", "p.csv", "--methods", "rcli", "--max-iters", 2, "--workers", 1,
-            "--out-dir", "out",
-        )
+        code = run(*self.COMMANDS[command], "--out-dir", "out")
         err = capsys.readouterr().err
         assert code in (0, 1, 2) and "Traceback" not in err, err
         if code:
@@ -1102,3 +1177,42 @@ class TestUsageErrors:
         assert exc.value.code == 1
         assert "not allowed with argument" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Runs the command line with every search replaced by one that hands the graph
+# core a node the graph lacks: a plain ValueError that no input can cause.
+DEFECT = """
+import sys
+from densecf import Graph, cli, runner
+
+runner.run_method = lambda *args, **kwargs: Graph(3).has_edge(0, 7)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestDefect:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["explain", "--instance", 0, "--method", "tri"],
+            ["benchmark", "--methods", "tri", "--workers", 1],
+            ["benchmark", "--methods", "tri", "--workers", 2],
+        ],
+        ids=["explain", "benchmark-serial", "benchmark-pool"],
+    )
+    def test_exits_three_with_the_traceback_logged(self, synth_dir, tmp_path, flags):
+        # a fresh process logs to stderr as the installed command does; a
+        # forked pool worker inherits the replaced search
+        src = str(Path(densecf.__file__).parents[1])
+        env = dict(os.environ, DENSECF_LOG="WARNING")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        command, *rest = flags
+        argv = [command, "--dataset", synth_dir, "--whitebox", *rest, "--out-dir", tmp_path]
+        done = subprocess.run(
+            [sys.executable, "-c", DEFECT, *map(str, argv)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 3, done.stderr
+        assert "internal error" in done.stderr and "Traceback" in done.stderr
+        assert "node 7 outside node range 0..2" in done.stderr
+        assert "configuration error" not in done.stderr

@@ -3,9 +3,10 @@ is the bottom file layer above ``graph`` and the only module that imports
 ``csv``, only ``graph`` reaches into a ``Graph``'s private state, no module
 imports another's underscore names, no two modules import each other,
 directly or through others, no parameter with a default, of a public
-function or method, goes unused by the program, and every node argument of
+function or method, goes unused by the program, every node argument of
 ``graph`` goes through its one node conversion or its one node-set
-conversion."""
+conversion, and ``cli.main`` maps only ``data``'s two error classes (and
+``OSError``) to exit codes, leaving anything else to its defect handler."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -252,3 +253,35 @@ def _members(v): ...
 """
     )
     assert unconverted_nodes(tree) == ["edges_within(nodes)", "degree(v)"]
+
+
+def main_handlers() -> list[list[str]]:
+    """The names each ``except`` clause of ``cli.main`` catches, in order; a
+    bare ``except:`` catches ``["*"]``."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main")
+    handlers = []
+    for node in ast.walk(main):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            handlers.append([ast.unparse(t) if t else "*" for t in caught])
+    return handlers
+
+
+def test_cli_main_maps_the_two_error_classes_and_a_defect():
+    # whose fault a failure is: data's two classes, bad files (and OS
+    # errors) exit 2 and bad settings exit 1; anything else, a ValueError of
+    # the graph core's included, is a defect that exits 3
+    assert main_handlers() == [
+        ["DatasetFormatError", "OSError"],
+        ["ConfigurationError"],
+        ["Exception"],
+    ]
+    defined = {
+        (path.stem, node.name)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and node.name in ("ConfigurationError", "DatasetFormatError")
+    }
+    assert defined == {("data", "ConfigurationError"), ("data", "DatasetFormatError")}
