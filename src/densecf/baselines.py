@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import random
+from itertools import chain
 from math import isqrt
 
 from .data import ConfigurationError, GraphDataset
@@ -38,17 +39,16 @@ def edg_search(
     y0 = oracle.predict(g)
     n = g.node_count
     if n < 2:
-        return finish_result(oracle, g, y0, g, False, 0, calls_before, "graph has no node pairs")
+        return finish_result(oracle, g, y0, None, 0, calls_before, "graph has no node pairs")
     rng = random.Random(options.seed)
-    current, found, iterations = g, False, 0
+    current, iterations = g, 0
     for iterations in range(1, max_iterations + 1):
         u, v = pair_at(n, rng.randrange(n * (n - 1) // 2))
         current = current.remove_edge(u, v) if current.has_edge(u, v) else current.add_edge(u, v)
-        found = oracle.predict(current) != y0
-        if found:
-            break
-    base = finish_result(oracle, g, y0, current, found, iterations, calls_before)
-    return refine_with_backward(oracle, g, base)
+        if oracle.predict(current) != y0:
+            base = finish_result(oracle, g, y0, current, iterations, calls_before)
+            return refine_with_backward(oracle, g, base)
+    return finish_result(oracle, g, y0, None, iterations, calls_before)
 
 
 def pair_at(n: int, k: int) -> Edge:
@@ -82,8 +82,8 @@ def dat_search(oracle: Oracle, g: Graph, dataset: GraphDataset | None) -> Counte
     if best is None:
         note = f"no graph among {len(dataset)} classifies opposite to the input"
         logger.warning(note)
-        return finish_result(oracle, g, y0, g, False, iterations, calls_before, note=note)
-    return finish_result(oracle, g, y0, best[2], True, iterations, calls_before)
+        return finish_result(oracle, g, y0, None, iterations, calls_before, note=note)
+    return finish_result(oracle, g, y0, best[2], iterations, calls_before)
 
 
 def backward_search(
@@ -110,13 +110,9 @@ def backward_search(
     while True:
         changed = False
         edits = EditList.between(g, current)
-        for edge in edits.removals:  # reverting a removal restores the edge
-            tentative = current.add_edge(*edge)
-            if oracle.predict(tentative) != input_class:
-                current = tentative
-                changed = True
-        for edge in edits.additions:  # reverting an addition deletes the edge
-            tentative = current.remove_edge(*edge)
+        for u, v in chain(edits.removals, edits.additions):  # a revert toggles the pair back
+            toggle = current.remove_edge if current.has_edge(u, v) else current.add_edge
+            tentative = toggle(u, v)
             if oracle.predict(tentative) != input_class:
                 current = tentative
                 changed = True
@@ -139,4 +135,4 @@ def refine_with_backward(
     calls_before = oracle.call_count - base.oracle_calls
     y0 = base.input_class
     refined = backward_search(oracle, g, base.counterfactual, y0, 1 - y0)
-    return finish_result(oracle, g, y0, refined, True, base.iterations, calls_before)
+    return finish_result(oracle, g, y0, refined, base.iterations, calls_before)

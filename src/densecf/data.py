@@ -156,8 +156,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def resolved(self) -> "SyntheticSpec":
-        if self.node_count < 1:
-            raise ConfigurationError("node_count must be at least 1")
+        if not 1 <= self.node_count < 2**32:  # _Draws' spans stay below 2**32
+            raise ConfigurationError(f"node_count must lie in 1..{2**32 - 1}")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
         if self.subgroups_per_class not in SUBGROUPS_PER_CLASS:
@@ -330,8 +330,8 @@ class _Draws:
       instead shuffles the top ``size`` places of the whole index range and
       takes them; so does this method.
 
-    Spans must be below 2**32, far above any node count; numpy draws whole
-    words beyond that, which is not restated here.
+    Spans must be below 2**32, as ``SyntheticSpec.resolved`` keeps node
+    counts; numpy draws whole words beyond that, which is not restated here.
     """
 
     def __init__(self, bits: np.random.PCG64) -> None:

@@ -75,9 +75,9 @@ class CounterfactualResult:
     search. ``found`` is whether ``counterfactual`` is set. A counterfactual
     is guaranteed (re-checked at construction with an uncounted classifier
     call) to classify opposite to ``input_graph``. ``edits``, which
-    reproduce it from ``input_graph`` via ``apply_edits``, and their number
-    ``distance`` are derived from the two graphs when read; with nothing
-    found they are empty and 0.
+    reproduce it from ``input_graph`` via ``apply_edits``, their number
+    ``distance`` and its share ``distance_ratio`` are derived from the two
+    graphs when read; with nothing found they are empty, 0 and None.
     """
 
     input_class: int
@@ -85,7 +85,6 @@ class CounterfactualResult:
     counterfactual: Graph | None
     iterations: int
     oracle_calls: int
-    distance_ratio: float | None
     note: str | None = None
 
     @property
@@ -104,35 +103,32 @@ class CounterfactualResult:
             return 0
         return symmetric_difference_distance(self.input_graph, self.counterfactual)
 
+    @property
+    def distance_ratio(self) -> float | None:
+        if self.counterfactual is None:
+            return None
+        return edit_distance_ratio(self.input_graph, self.counterfactual)
+
 
 def finish_result(
     oracle: Oracle,
     original: Graph,
     original_class: int,
-    final: Graph,
-    found: bool,
+    counterfactual: Graph | None,
     iterations: int,
     calls_before: int,
     note: str | None = None,
 ) -> CounterfactualResult:
-    """The search's result: its charged calls since ``calls_before`` and, when
-    ``found``, ``final`` after an uncharged check that it flips."""
-    calls = oracle.call_count - calls_before
-    counterfactual, ratio = None, None
-    if found:
-        if final == original:
+    """The search's result: its charged calls since ``calls_before`` and its
+    ``counterfactual``, if any, after an uncharged check that it flips."""
+    if counterfactual is not None:
+        if counterfactual == original:
             raise RuntimeError("search reported the unchanged input as a counterfactual")
-        if oracle.check(final) == original_class:
+        if oracle.check(counterfactual) == original_class:
             raise RuntimeError("search produced a candidate that does not flip the class")
-        counterfactual, ratio = final, edit_distance_ratio(original, final)
     return CounterfactualResult(
-        input_class=original_class,
-        input_graph=original,
-        counterfactual=counterfactual,
-        iterations=iterations,
-        oracle_calls=calls,
-        distance_ratio=ratio,
-        note=note,
+        input_class=original_class, input_graph=original, counterfactual=counterfactual,
+        iterations=iterations, oracle_calls=oracle.call_count - calls_before, note=note,
     )
 
 
@@ -174,16 +170,13 @@ def tri_search(
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
     removals, additions = _triangle_score_order(g)
-    current = g
-    found = False
-    i = 0
+    current, i = g, 0
     for edge_out, edge_in in islice(zip(removals, additions), options.max_iterations):
         current = with_swap(current, edge_out, edge_in)
         i += 1
         if oracle.predict(current) != y0:
-            found = True
-            break
-    return finish_result(oracle, g, y0, current, found, i, calls_before)
+            return finish_result(oracle, g, y0, current, i, calls_before)
+    return finish_result(oracle, g, y0, None, i, calls_before)
 
 
 def rank_nodes(g: Graph, strategy: str = "triangles") -> tuple[int, ...]:
@@ -328,25 +321,25 @@ def cli_search(
     )
     removed: list[frozenset[int]] = []
     usage = [0] * g.node_count
-    current = g
-    found = False
-    i = 0
-    while not found and i < min(max_iterations, len(order) // 2):
+    current, i = g, 0
+    while i < min(max_iterations, len(order) // 2):
         n_dense, n_sparse = order[i], order[-1 - i]
         # sparsify only removes edges and densify only adds them, so the
         # rounds refill up to the edge count the iteration started with
         target = current.edge_count
         current, _ = sparsify_cli(g, current, n_dense, removed, usage)
         i += 1
-        found = oracle.predict(current) != y0
-        while not found and current.edge_count < target:
+        while oracle.predict(current) == y0:  # the else runs only on a flip
+            if current.edge_count >= target:
+                break
             size = _clique_size_within(target - current.edge_count)
             grown, _ = densify_cli(current, n_sparse, usage, size)
             if grown.edge_count == current.edge_count:
                 break  # chosen region is saturated; class of current is already known
             current = grown
-            found = oracle.predict(current) != y0
-    return finish_result(oracle, g, y0, current, found, i, calls_before)
+        else:
+            return finish_result(oracle, g, y0, current, i, calls_before)
+    return finish_result(oracle, g, y0, None, i, calls_before)
 
 
 def rcli_search(

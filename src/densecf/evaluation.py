@@ -40,10 +40,18 @@ class QuartileSummary:
 
 
 def summarize_distribution(values: Sequence[float]) -> QuartileSummary:
-    """Order statistics with linear interpolation between closest ranks."""
+    """Order statistics with linear interpolation between closest ranks; values
+    a float cannot hold or interpolate between are a DatasetFormatError."""
     if len(values) == 0:
         raise EmptyDistributionError("cannot summarize an empty distribution")
-    q = np.percentile(np.asarray(values, dtype=float), [0, 25, 50, 75, 100])
+    try:
+        data = np.asarray(values, dtype=float)
+    except OverflowError as exc:  # an int beyond a float's range
+        raise DatasetFormatError(f"values too large to summarize ({exc})") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.percentile(data, [0, 25, 50, 75, 100])
+    if not np.isfinite(q).all():  # interpolating between neighbours overflowed
+        raise DatasetFormatError("values too far apart to take their quartiles")
     return QuartileSummary(*(float(x) for x in q))
 
 

@@ -109,6 +109,8 @@ class TestSynth:
             ("--cliques", -1, "cliques_per_graph"),
             ("--nodes", 0, "node_count"),
             ("--nodes", -5, "node_count"),
+            ("--nodes", 2**32, "node_count"),
+            ("--nodes", 10**30, "node_count"),
             ("--seed", -1, "seed"),
             ("--subgroup-size", 2, "subgroup_size"),
             ("--attach-m", 0, "attachment"),
@@ -116,7 +118,8 @@ class TestSynth:
             ("--cross-q", 1.5, "cross_probability"),
         ],
         ids=[
-            "cliques_per_graph", "node_count-0", "node_count-negative", "seed",
+            "cliques_per_graph", "node_count-0", "node_count-negative", "node_count-2**32",
+            "node_count-10**30", "seed",
             "subgroup_size", "attachment", "extra_edges", "cross_probability",
         ],
     )
@@ -719,6 +722,25 @@ class TestMalformedRecords:
         err = capsys.readouterr().err
         assert "data error" in err and "'tri'" in err and "'d'" in err and "'b'" in err
         assert not (tmp_path / "x" / "aggregates.json").exists()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [
+                GOOD_RECORD.replace(",0.5", ",-1.7e308"),
+                GOOD_RECORD.replace("tri,d,0,", "tri,d,1,").replace(",0.5", ",1.7e308"),
+            ],
+            [GOOD_RECORD.replace("true,1,2,1,", f"true,1,{10**400},1,")],
+        ],
+        ids=["ratios-too-far-apart", "oracle-calls-too-large"],
+    )
+    def test_values_the_aggregates_cannot_summarize_exit_two(self, tmp_path, rows, capsys):
+        path = tmp_path / "records.csv"
+        path.write_text("\n".join([RECORDS_HEADER, *rows]) + "\n")
+        assert run("report", "--records", path, "--out-dir", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("densecf: data error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_row_error_names_its_line(self, tmp_path, capsys):
         # the name spans lines 2-3 and line 4 is blank: the short row is line 5

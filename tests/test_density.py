@@ -795,11 +795,11 @@ class TestFinish:
         classify = CountingClassifier(lambda h: h.edge_count % 2)
         oracle = Oracle(classify)
         with pytest.raises(RuntimeError, match="unchanged"):
-            density.finish_result(oracle, g, 0, g, True, 1, 0)
+            density.finish_result(oracle, g, 0, g, 1, 0)
         assert classify.calls == 0
 
     def test_candidate_that_does_not_flip_is_rejected(self):
         g = Graph(4, [(0, 1), (1, 2)])
         oracle = Oracle(lambda h: 0)
         with pytest.raises(RuntimeError, match="flip"):
-            density.finish_result(oracle, g, 0, g.add_edge(2, 3), True, 1, 0)
+            density.finish_result(oracle, g, 0, g.add_edge(2, 3), 1, 0)

@@ -304,11 +304,11 @@ class TestKnnClassifier:
         assert oracle.predict(flipped) != y0  # the slot now holds the flipped graph
         # a candidate that is not the slot's graph is classified, and fails
         with pytest.raises(RuntimeError, match="does not flip"):
-            finish_result(oracle, g, y0, kept, True, 1, 0)
+            finish_result(oracle, g, y0, kept, 1, 0)
         assert computed == [g, flipped, kept]
         # the graph the search charged last is answered from the slot
         assert oracle.predict(flipped) != y0
-        result = finish_result(oracle, g, y0, Graph(10, flipped.edges), True, 1, 0)
+        result = finish_result(oracle, g, y0, Graph(10, flipped.edges), 1, 0)
         assert result.found and result.oracle_calls == oracle.call_count == 3
         assert computed == [g, flipped, kept, flipped]
 
