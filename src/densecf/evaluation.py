@@ -102,6 +102,12 @@ class MethodRunSummary:
     dataset: str
     records: tuple[InstanceRecord, ...]
 
+    def __post_init__(self) -> None:
+        # a run is reported under its method; a blank dataset is a manifest at
+        # the root of the file system
+        if not self.method:
+            raise ValueError("a run needs a method name")
+
     def __len__(self) -> int:
         return len(self.records)
 
@@ -179,9 +185,11 @@ def write_records_csv(summaries: Iterable[MethodRunSummary], path: Path | str) -
 
 
 def read_records_csv(path: Path | str) -> list[MethodRunSummary]:
-    """The runs of a records file, in first-appearance order; any row that
-    does not read back as an InstanceRecord, or repeats an instance of its
-    method and dataset, is a DatasetFormatError."""
+    """The runs of a records file, in first-appearance order; any row with a
+    blank method, or that does not read back as an InstanceRecord, or repeats
+    an instance of its method and dataset, is a DatasetFormatError. A blank
+    dataset reads back: a dataset whose manifest sits at the root of the
+    file system has no name."""
     groups: dict[tuple[str, str], list[InstanceRecord]] = {}
     first_line: dict[tuple[str, str, int], int] = {}
     rows = read_csv_rows(path)
@@ -193,6 +201,8 @@ def read_records_csv(path: Path | str) -> list[MethodRunSummary]:
         if len(row) != len(header):
             raise DatasetFormatError(f"{path}:{lineno}: {len(row)} fields, expected {len(header)}")
         cell = dict(zip(header, row))
+        if not cell["method"]:
+            raise DatasetFormatError(f"{path}:{lineno}: blank method")
         try:
             record = InstanceRecord(**{n: read(cell[n]) for n, (_, read) in _RECORD_CELLS.items()})
         except (KeyError, ValueError) as exc:

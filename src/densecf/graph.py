@@ -289,11 +289,28 @@ def _within(g: Graph, nodes: int | Iterable[int]) -> int:
     return mask
 
 
+# The most neighbour bits, summed over the asked nodes, that ``triangles_at``
+# counts on their rows. Timed alone on densify's tie sets from the benchmark
+# workloads (best of 7 calls each, one BLAS thread, 2-CPU machine), the row
+# loop costs about 0.19 us a bit, and the kernel, which builds the whole bit
+# matrix, 18-27 us at n = 60 and 28-32 us at n = 116, so the two meet near
+# 95-170 bits. End to end on whitebox60-2sg, a cut of 128 against 160 read
+# search_ms_p50 +1.9% at seed 0 (faster in 2 of 10 alternating pairs) and
+# level at seed 5, so the cut stays at 160.
+_ROW_COUNT_BITS = 160
+
+
 def triangles_at(g: Graph, nodes: int | Iterable[int]) -> dict[int, int]:
     """For each of ``nodes`` (node indices, or their ``node_mask``), the
-    ``triangle_counts`` entry of ``g``."""
+    ``triangle_counts`` entry of ``g``, counted on the nodes' rows while
+    their degrees sum to at most ``_ROW_COUNT_BITS`` and by the kernel
+    above that."""
     at = list(_members(_within(g, nodes)))
-    return dict(zip(at, _triangles_at_rows(g, at)))
+    rows = g._rows
+    if sum(rows[u].bit_count() for u in at) > _ROW_COUNT_BITS:
+        return dict(zip(at, _triangles_at_rows(g, at)))
+    # the triangles at u are the edges among u's neighbours
+    return {u: _edges_among(rows, rows[u]) for u in at}
 
 
 def triangles_within(g: Graph, nodes: int | Iterable[int]) -> int:
@@ -319,8 +336,18 @@ def triangles_within(g: Graph, nodes: int | Iterable[int]) -> int:
 def edges_within(g: Graph, nodes: int | Iterable[int]) -> int:
     """Number of edges of ``g`` with both ends in ``nodes`` (node indices, or
     their ``node_mask``)."""
-    mask = _within(g, nodes)
-    return sum((g._rows[u] & mask).bit_count() for u in _members(mask)) // 2
+    return _edges_among(g._rows, _within(g, nodes))
+
+
+def _edges_among(rows: tuple[int, ...], mask: int) -> int:
+    """Number of edges of the graph with bit rows ``rows`` whose ends both
+    lie in ``mask``, counted at both ends and halved."""
+    twice, rest = 0, mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        twice += (rows[low.bit_length() - 1] & mask).bit_count()
+    return twice // 2
 
 
 def within_deltas(before: Graph, after: Graph, masks: Sequence[int]) -> list | None:

@@ -687,6 +687,8 @@ BAD_RECORDS = {
     "instance-negative": GOOD_RECORD.replace("tri,d,0,", "tri,d,-1,"),
     "iterations-negative": GOOD_RECORD.replace("true,1,2,1,", "true,-1,2,1,"),
     "oracle-calls-negative": GOOD_RECORD.replace("true,1,2,1,", "true,1,-2,1,"),
+    # a run is reported under its method
+    "method-blank": GOOD_RECORD.replace("tri,d,0,", ",d,1,"),
 }
 
 
@@ -1000,6 +1002,8 @@ class TestCorruptedBenchmarkInput:
         code = run(*self.COMMANDS[command], "--out-dir", "out")
         err = capsys.readouterr().err
         assert code in (0, 1, 2) and "Traceback" not in err, err
+        if (kind, corruption) == ("report-records", "field-blanked"):
+            assert code == 2  # a blank method would read as a run named ''
         if code:
             lines = err.splitlines()
             assert len(lines) == 1 and broken.name in lines[0], err

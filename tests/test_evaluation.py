@@ -45,6 +45,12 @@ def test_negative_count_rejected(field):
         record(0, False, **{field: -1})
 
 
+def test_blank_method_rejected():
+    # a run is reported under its method, so no records file holds a blank one
+    with pytest.raises(ValueError, match="needs a method name"):
+        MethodRunSummary("", "d", (record(0, True),))
+
+
 class TestFlipRate:
     def test_empty_summary_rejected(self):
         with pytest.raises(ValueError, match="summary has no records"):

@@ -223,12 +223,15 @@ class TestTriangleCounts:
             assert all(type(c) is int for c in counts)
 
     def test_triangles_at_equal_the_counts_at_the_listed_nodes(self):
-        # both count through one float32 kernel; n runs across the 64-bit
-        # row boundary, and the reference counts on a plain edge set
+        # triangle_counts counts through the float32 kernel, and triangles_at
+        # on the rows up to a degree sum of _ROW_COUNT_BITS, through the kernel
+        # above it; n runs across the 64-bit row boundary, and the reference
+        # counts on a plain edge set
         rng = random.Random(29)
         sizes = (*range(0, 131, 13), 63, 64, 65, 127, 128)
         graphs = [random_graph(n, rng.uniform(0.1, 0.6), rng) for n in sizes]
-        graphs += [Graph(0), Graph(6), Graph.complete(1), Graph.complete(70)]
+        graphs += [Graph(0), Graph(6), Graph.complete(1), Graph.complete(18), Graph.complete(70)]
+        graphs += [random_graph(70, 0.9, rng), random_graph(24, 0.8, rng)]
         graphs.append(Graph(7, [(0, 1), (1, 2), (0, 2), (4, 5)]))  # isolated nodes 3 and 6
         for g in graphs:
             n, edges = g.node_count, g.edges
@@ -238,6 +241,15 @@ class TestTriangleCounts:
             node_sets = [rng.sample(range(n), rng.randint(0, n)), list(range(n))]
             if n:  # node n - 1 is above 63 from n = 65
                 node_sets.append(rng.sample(range(n), min(n, 12)) + [n - 1])
+            # the longest run of the highest nodes whose degree sum is at most
+            # the cut, and that run and one node more
+            under, bits = [], 0
+            for v in reversed(range(n)):
+                bits += g.degree(v)
+                if bits > graph._ROW_COUNT_BITS:
+                    node_sets += [under, [*under, v]]
+                    break
+                under.append(v)
             for nodes in node_sets:
                 expected = {v: counts[v] for v in nodes}
                 at = triangles_at(g, nodes)
@@ -248,6 +260,22 @@ class TestTriangleCounts:
                 with pytest.raises(ValueError, match=rf"outside node range 0\.\.{n - 1}"):
                     triangles_at(g, [0, bad])
         assert triangles_at(Graph(4), []) == {}
+
+    def test_triangles_at_builds_the_bit_matrix_only_above_the_cut(self, monkeypatch):
+        # densify asks mostly about a few sparse nodes, for which building the
+        # whole bit matrix costs more than reading their rows
+        g = Graph.complete(70)
+        counts = triangle_counts(g)
+        under = graph._ROW_COUNT_BITS // 69  # nodes of degree 69 whose degrees sum to at most the cut
+
+        def kernel_reached(rows):
+            raise AssertionError("the bit matrix was built")
+
+        monkeypatch.setattr(graph, "_bit_matrix", kernel_reached)
+        nodes = list(range(70 - under, 70))
+        assert triangles_at(g, nodes) == {v: counts[v] for v in nodes}
+        with pytest.raises(AssertionError, match="the bit matrix was built"):
+            triangles_at(g, [0, *nodes])
 
     def test_triangles_within_subset(self):
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
