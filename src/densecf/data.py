@@ -559,6 +559,7 @@ def load_dataset(path: Path | str) -> GraphDataset:
     index_of = {node_id: i for i, node_id in enumerate(node_ids)}
     if len(index_of) != len(node_ids):
         raise DatasetFormatError(f"{path}: duplicate node ids")
+    bit_of = {node_id: 1 << i for node_id, i in index_of.items()}
     graphs = manifest.get("graphs", [])
     if not isinstance(graphs, list):
         raise DatasetFormatError(f"{path}: 'graphs' must be a list")
@@ -571,7 +572,7 @@ def load_dataset(path: Path | str) -> GraphDataset:
             )
         entries.append(
             DatasetEntry(
-                graph=_load_edge_list(base / gspec["file"], index_of, len(node_ids)),
+                graph=_load_edge_list(base / gspec["file"], index_of, bit_of),
                 label=_parse_label(gspec, path),
                 name=_check_utf8(str(gspec.get("name", gspec["file"])), f"{path}: graph name"),
             )
@@ -664,22 +665,28 @@ def read_digits(text: str) -> int:
     return int(text)
 
 
-def _load_edge_list(path: Path, index_of: dict[str, int], node_count: int) -> Graph:
-    edges = []
+def _load_edge_list(path: Path, index_of: dict[str, int], bit_of: dict[str, int]) -> Graph:
+    # a good line ORs its pair into two node rows; a blank, a comment or a
+    # fault raises out of the split or a lookup and is sorted out only then
+    rows = [0] * len(index_of)
     with _open_named(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0][0] == "#":  # blank or comment
-                continue
-            if len(parts) != 2:
-                raise DatasetFormatError(f"{path}:{lineno}: expected 'u v', got {line.strip()!r}")
             try:
-                edges.append((index_of[parts[0]], index_of[parts[1]]))
-            except KeyError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: unknown node id {exc.args[0]!r}")
-            if parts[0] == parts[1]:
-                raise DatasetFormatError(f"{path}:{lineno}: self-loop at node id {parts[0]!r}")
-    return Graph(node_count, edges)
+                a, b = line.split()
+                u, v = index_of[a], index_of[b]
+            except (ValueError, KeyError) as exc:
+                parts = line.split()
+                if not parts or parts[0][0] == "#":  # blank or comment: no id starts with "#"
+                    continue
+                where = f"{path}:{lineno}"
+                if len(parts) != 2:
+                    raise DatasetFormatError(f"{where}: expected 'u v', got {line.strip()!r}")
+                raise DatasetFormatError(f"{where}: unknown node id {exc.args[0]!r}")
+            if u == v:
+                raise DatasetFormatError(f"{path}:{lineno}: self-loop at node id {a!r}")
+            rows[u] |= bit_of[b]
+            rows[v] |= bit_of[a]
+    return Graph.from_neighbor_masks(rows)
 
 
 def load_partition(path: Path | str, node_ids: Sequence[str]) -> RegionPartition:

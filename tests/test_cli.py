@@ -931,6 +931,16 @@ def field_blanked(path):
     path.write_text("".join(lines))
 
 
+def field_added(path):
+    # the middle line gets one more field, after the separator it already uses
+    lines = path.read_text().splitlines(keepends=True)
+    mid = len(lines) // 2
+    body = lines[mid].rstrip("\r\n")
+    sep = "," if "," in body else " "
+    lines[mid] = f"{body}{sep}x{lines[mid][len(body):]}"
+    path.write_text("".join(lines))
+
+
 def deleted(path):
     path.unlink()
 
@@ -977,6 +987,7 @@ class TestCorruptedBenchmarkInput:
         "directory": made_a_directory,
         "line-duplicated": line_duplicated,
         "field-blanked": field_blanked,
+        "field-added": field_added,
         "deleted": deleted,
     }
 
@@ -1004,6 +1015,8 @@ class TestCorruptedBenchmarkInput:
         assert code in (0, 1, 2) and "Traceback" not in err, err
         if (kind, corruption) == ("report-records", "field-blanked"):
             assert code == 2  # a blank method would read as a run named ''
+        if kind.endswith("edges") and corruption == "field-added":
+            assert code == 2 and re.search(r"graph-0001\.edges:\d+: expected 'u v'", err), err
         if code:
             lines = err.splitlines()
             assert len(lines) == 1 and broken.name in lines[0], err

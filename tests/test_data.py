@@ -369,6 +369,48 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match=message):
             load_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("a b c", "expected 'u v', got 'a b c'"),
+            ("zz a b", "expected 'u v', got 'zz a b'"),  # the field count before the id
+            ("zz zz", "unknown node id 'zz'"),  # the id before the self-loop
+            ("a zz", "unknown node id 'zz'"),
+            ("zz a", "unknown node id 'zz'"),
+            ("a #b", "unknown node id '#b'"),
+            ("a a", "self-loop at node id 'a'"),
+            ("#a b", []),
+            ("#", []),
+            (" \t ", []),
+            ("a\x85b", [(0, 1)]),  # NEL splits fields but does not end a line
+        ],
+    )
+    def test_edge_line_reports_its_first_fault(self, tmp_path, line, expected):
+        (tmp_path / "g.edges").write_text(f"b c\n{line}\na c\n", encoding="utf-8")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "format": "densecf-dataset", "version": 1, "node_ids": ["a", "b", "c"],
+            "graphs": [{"file": "g.edges", "label": 0}],
+        }))
+        if isinstance(expected, str):
+            message = f"{re.escape(str(tmp_path / 'g.edges'))}:2: {re.escape(expected)}$"
+            with pytest.raises(DatasetFormatError, match=message):
+                load_dataset(manifest)
+        else:
+            graph = load_dataset(manifest).entries[0].graph
+            assert graph == Graph(3, [(1, 2), (0, 2), *expected])
+
+    def test_reload_builds_each_graph_from_its_rows(self, tmp_path, monkeypatch):
+        # the loader checks the whole bit matrix at once, not pair by pair
+        dataset = generate_synthetic(SyntheticSpec(node_count=30, num_graphs=4, seed=2))
+        manifest = save_dataset(dataset, tmp_path / "ds")
+
+        def per_edge(self, *args):
+            raise AssertionError("a graph was built edge by edge")
+
+        monkeypatch.setattr(Graph, "__init__", per_edge)
+        assert load_dataset(manifest) == dataset
+
     def test_bad_label_diagnosed(self, tmp_path):
         dataset = self.make_dataset(with_partition=False)
         manifest = save_dataset(dataset, tmp_path / "ds")
