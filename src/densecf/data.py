@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -59,9 +60,6 @@ class RegionPartition:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.labels)))
-
-    def nodes_in(self, name: str) -> tuple[int, ...]:
-        return tuple(v for v, label in enumerate(self.labels) if label == name)
 
     def check_covers(self, node_count: int) -> None:
         if len(self.labels) != node_count:
@@ -741,16 +739,17 @@ def ingest_correlation_listing(
     """Build a dataset from a CSV listing of correlation-matrix files.
 
     The listing has a header ``file,label[,name]``; matrix paths are resolved
-    relative to the listing. All matrices must agree on their size. Each row
-    is checked, then its matrix read and thresholded, in file order, so the
-    first fault in the file is the one reported.
+    relative to the listing, and no two rows may name one file. All matrices
+    must agree on their size. Each row is checked, then its matrix read and
+    thresholded, in file order, so the first fault in the file is the one
+    reported.
     """
     listing_path = Path(listing_path)
     rows = read_csv_rows(listing_path)
     _, fields = next(rows, (0, []))
     if "file" not in fields or "label" not in fields:
         raise DatasetFormatError(f"{listing_path}: header must include file,label")
-    entries = []
+    entries, line_of = [], {}  # each matrix path read so far, resolved -> its listing line
     for lineno, cells in rows:
         where = f"{listing_path}:{lineno}"
         if len(cells) > len(fields):
@@ -765,6 +764,9 @@ def ingest_correlation_listing(
         filename = row.get("file")
         if not filename:
             raise DatasetFormatError(f"{where}: no file named")
+        first = line_of.setdefault(os.path.realpath(listing_path.parent / filename), lineno)
+        if first != lineno:
+            raise DatasetFormatError(f"{where}: file {filename!r} already listed at line {first}")
         matrix = load_correlation_matrix(listing_path.parent / filename)
         n = entries[0].graph.node_count if entries else matrix.shape[0]
         if matrix.shape[0] != n:

@@ -132,20 +132,15 @@ def finish_result(
     )
 
 
-def triangle_score_lists(g: Graph) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+def triangle_score_lists(g: Graph) -> tuple[Iterator[Edge], Iterator[Edge]]:
     """Order every node pair by the summed per-node triangle counts.
 
     Existing edges become removal candidates (ascending score, so the least
     triangle-entangled edges go first); absent edges become addition
     candidates (descending score, so new edges close as many wedges as
-    possible). Score ties break on lexicographic edge order.
+    possible). Score ties break on lexicographic edge order. Each list is an
+    iterator that builds a pair only when it is reached.
     """
-    removals, additions = _triangle_score_order(g)
-    return tuple(removals), tuple(additions)
-
-
-def _triangle_score_order(g: Graph) -> tuple[Iterator[Edge], Iterator[Edge]]:
-    """``triangle_score_lists`` as two iterators, each pair built when reached."""
     u, v = np.triu_indices(g.node_count, k=1)  # every pair, in lexicographic order
     scores = np.asarray(triangle_counts(g), dtype=np.int64)
     scores = scores[u] + scores[v]
@@ -169,7 +164,7 @@ def tri_search(
     """
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
-    removals, additions = _triangle_score_order(g)
+    removals, additions = triangle_score_lists(g)
     current, i = g, 0
     for edge_out, edge_in in islice(zip(removals, additions), options.max_iterations):
         current = with_swap(current, edge_out, edge_in)

@@ -62,9 +62,7 @@ class Graph:
             raise ValueError("node_count must be non-negative")
         rows = [0] * node_count
         for u, v in edges:
-            u, v = index(u), index(v)
-            if u == v or not (0 <= u < node_count and 0 <= v < node_count):
-                _normalize_edge(u, v, node_count)  # raises the edge's error
+            u, v = _normalize_edge(u, v, node_count)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         self.node_count = node_count
@@ -410,12 +408,7 @@ def with_swap(g: Graph, removal: Edge, addition: Edge) -> Graph:
         raise EditConflictError(f"removal of absent edges: {[(a, b)]}")
     if rows[c] >> d & 1:
         raise EditConflictError(f"addition of present edges: {[(c, d)]}")
-    out = list(rows)
-    out[a] ^= 1 << b
-    out[b] ^= 1 << a
-    out[c] ^= 1 << d
-    out[d] ^= 1 << c
-    return Graph._from_rows(tuple(out), g._edge_count, (rows, 1 << a | 1 << b | 1 << c | 1 << d))
+    return _toggled(g, ((a, b), (c, d)), g._edge_count)
 
 
 def _check_node(g: Graph, v: int) -> int:

@@ -193,7 +193,7 @@ def test_04_triangle_search_conservation():
     for run in range(200):
         n = rng.randrange(6, 16)
         g = random_graph(n, rng.uniform(0.2, 0.8), rng)
-        removals, additions = triangle_score_lists(g)
+        removals, additions = map(tuple, triangle_score_lists(g))
         cap = min(len(removals), len(additions))
         sizes = []
         fn = (lambda h: 0) if run % 2 else (lambda h: int(h.edge_count % 6 == 0))

@@ -1015,6 +1015,8 @@ class TestCorruptedBenchmarkInput:
         assert code in (0, 1, 2) and "Traceback" not in err, err
         if (kind, corruption) == ("report-records", "field-blanked"):
             assert code == 2  # a blank method would read as a run named ''
+        if (kind, corruption) == ("ingest-listing", "line-duplicated"):
+            assert code == 2  # the repeated row would ingest its matrix twice
         if kind.endswith("edges") and corruption == "field-added":
             assert code == 2 and re.search(r"graph-0001\.edges:\d+: expected 'u v'", err), err
         if code:

@@ -520,6 +520,18 @@ class TestIngest:
         with pytest.raises(DatasetFormatError, match=r"l1\.csv:5:"):
             ingest_correlation_listing(listing, percentile=90)
 
+    @pytest.mark.parametrize("again", ["m.csv", "./m.csv", "sub/../m.csv", "{dir}/m.csv", "link.csv"])
+    def test_a_file_listed_twice_is_rejected(self, tmp_path, again):
+        # the paths are compared as the listing joins and resolves them, so a
+        # relative, absolute or symlinked name of one file is a repeat
+        self.write_matrix(tmp_path / "m.csv", np.eye(3))
+        self.write_matrix(tmp_path / "n.csv", np.eye(3))
+        (tmp_path / "link.csv").symlink_to("m.csv")
+        listing = tmp_path / "l.csv"
+        listing.write_text(f"file,label\nm.csv,0\nn.csv,1\n{again.format(dir=tmp_path)},1\n")
+        with pytest.raises(DatasetFormatError, match=r"l\.csv:4: .* already listed at line 2$"):
+            ingest_correlation_listing(listing, percentile=90)
+
     def test_first_fault_in_file_order_is_reported(self, tmp_path):
         # line 2 names a missing matrix and line 3 has a bad label: line 2 is reported
         self.write_matrix(tmp_path / "m.csv", np.eye(3))

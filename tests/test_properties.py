@@ -542,7 +542,7 @@ def sorted_triangle_score_lists(g):
 @given(graph_pairs())
 def test_triangle_score_lists_match_the_sort_based_order(pair):
     g, _ = pair
-    removals, additions = triangle_score_lists(g)
+    removals, additions = map(tuple, triangle_score_lists(g))
     assert (removals, additions) == sorted_triangle_score_lists(g)
     assert all(type(x) is int for edge in removals + additions for x in edge)
 
