@@ -440,11 +440,15 @@ def make_whitebox(s0: Sequence[int], s1: Sequence[int]) -> Callable[[Graph], int
     graphs: the last one classified, and the one whose counts those were
     updated from. A slot's own graph object is answered from its counts, a
     graph edited from a slot's graph has them updated by ``within_deltas``,
-    and any other graph is counted afresh."""
+    and any other graph is counted afresh. The counts of every graph no edit
+    made (``Graph.edited``: a dataset graph) are kept in a table for as long
+    as the rule lives, so each is counted once; edited graphs never enter
+    it."""
     m0, m1 = masks = node_mask(s0), node_mask(s1)
     # (last graph, its counts, the graph they were updated from or None, its
     # counts), replaced whole so the rule can be shared
     slots = (None, None, None, None)
+    table: dict[Graph, tuple[int, int, int, int]] = {}
     checked = None  # the node count the halves passed ``_halves`` for; no other can pass
 
     def classify(g: Graph) -> int:
@@ -457,6 +461,12 @@ def make_whitebox(s0: Sequence[int], s1: Sequence[int]) -> Callable[[Graph], int
             return _by_counts(last_counts)
         if g is before:
             return _by_counts(before_counts)
+        if not g.edited:
+            counts = table.get(g)
+            if counts is None:  # two threads may both count it; both store the same counts
+                counts = table[g] = _counts(g, m0, m1)
+            slots = (g, counts, None, None)
+            return _by_counts(counts)
         base, base_counts = last, last_counts
         deltas = None if last is None else within_deltas(last, g, masks)
         if deltas is None and before is not None:

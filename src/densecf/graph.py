@@ -238,11 +238,12 @@ def symmetric_difference_distance(g: Graph, h: Graph) -> int:
 
 def edit_distance_ratio(g: Graph, h: Graph) -> float:
     """Symmetric-difference distance normalized by the size of the edge union."""
-    _check_same_nodes(g, h)
-    union = sum((a | b).bit_count() for a, b in zip(g._rows, h._rows)) // 2
+    distance = symmetric_difference_distance(g, h)
+    # |E(g) | E(h)| = (|E(g)| + |E(h)| + |E(g) ^ E(h)|) / 2, read from the stored counts
+    union = (g._edge_count + h._edge_count + distance) // 2
     if union == 0:
         raise UndefinedRatioError("both edge sets are empty")
-    return symmetric_difference_distance(g, h) / union
+    return distance / union
 
 
 def apply_edits(g: Graph, edits: EditList) -> Graph:
@@ -357,23 +358,34 @@ def within_deltas(before: Graph, after: Graph, masks: Sequence[int]) -> list | N
     old, new = before._rows, after._rows
     if origin is None or origin[0] is not old:
         return None
-    rows, deltas = list(old), [(0, 0)] * len(masks)
-    # row u's changed pairs uv, v > u: each toggle of uv within a mask moves
-    # that mask's triangles by the common neighbors of u and v in it, in the
-    # graph as it stands then
-    for u in _members(origin[1]):
-        diff = (old[u] ^ new[u]) >> (u + 1)
-        while diff:
-            low = diff & -diff
-            diff ^= low
-            v = u + low.bit_length()
-            for k, mask in enumerate(masks):
-                if mask >> u & mask >> v & 1:
-                    sign = 1 if new[u] >> v & 1 else -1
-                    t, e = deltas[k]
-                    deltas[k] = (t + sign * (rows[u] & rows[v] & mask).bit_count(), e + sign)
-                    rows[u] ^= 1 << v
-                    rows[v] ^= 1 << u
+    deltas = []
+    # a toggle of uv moves the triangles within a mask that holds u and v by
+    # their common neighbors in it, in the graph as it stands then, and moves
+    # no other mask's; so each mask replays only its own toggled pairs, on a
+    # map of the rows they changed, and the sum telescopes in any order
+    for mask in masks:
+        t = e = 0
+        replayed: dict[int, int] = {}
+        rest = origin[1] & mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            diff = (old[u] ^ new[u]) & mask & -(low << 1)  # toggled uv, v > u, in the mask
+            if diff:
+                row_u, now_u = replayed.get(u, old[u]), new[u]
+                while diff:
+                    bit = diff & -diff
+                    diff ^= bit
+                    v = bit.bit_length() - 1
+                    row_v = replayed.get(v, old[v])
+                    sign = 1 if now_u & bit else -1
+                    t += sign * (row_u & row_v & mask).bit_count()
+                    e += sign
+                    row_u ^= bit
+                    replayed[v] = row_v ^ low
+                replayed[u] = row_u
+        deltas.append((t, e))
     return deltas
 
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 from .baselines import dat_search, edg_search, refine_with_backward
 from .data import ConfigurationError, DatasetEntry, GraphDataset, RegionPartition
@@ -43,11 +43,15 @@ _ORACLE_NEEDS = {"model": "model", "whitebox": "node_count"}  # kind -> the fiel
 class OracleSpec:
     """Picklable recipe for building an oracle inside a worker process; an
     incomplete recipe is a ConfigurationError when it is made. Oracles built
-    from one ``"model"`` spec share the model's class table."""
+    from one ``"model"`` spec share the model's class table, and those built
+    from one ``"whitebox"`` spec share one ``make_whitebox`` rule, made with
+    the spec, and so its count table. Equality, hashing, ``repr`` and
+    pickling ignore the rule: an unpickled spec starts with a fresh one."""
 
     kind: str  # "model" or "whitebox"
     model: SFKnnModel | None = None
     node_count: int | None = None
+    _rule: Callable[[Graph], int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         needs = _ORACLE_NEEDS.get(self.kind)
@@ -57,12 +61,17 @@ class OracleSpec:
             )
         if getattr(self, needs) is None:
             raise ConfigurationError(f"a {self.kind!r} oracle needs {needs}")
+        rule = make_whitebox(*node_halves(self.node_count)) if self.kind == "whitebox" else None
+        object.__setattr__(self, "_rule", rule)
+
+    def __reduce__(self) -> tuple:
+        # rebuilt from the declared fields, so a pool worker's copy counts afresh
+        return OracleSpec, (self.kind, self.model, self.node_count)
 
     def build(self) -> Oracle:
         if self.kind == "model":
             return Oracle(knn_classifier(self.model))
-        s0, s1 = node_halves(self.node_count)
-        return Oracle(make_whitebox(s0, s1))
+        return Oracle(self._rule)
 
 
 def derive_seed(base: int, index: int) -> int:

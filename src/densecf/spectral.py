@@ -261,6 +261,14 @@ def train_sf_knn(
     for name, grid in (("neighbor", neighbor_grid), ("eigenvalue", eig_grid)):
         if min(grid) < 1:
             raise ConfigurationError(f"{name} counts must be positive, got {min(grid)}")
+    # an n-node graph has at most n positive eigenvalues; past that a feature
+    # is zero padding, so a larger count only allocates
+    most = max(dataset.node_count, max(DEFAULT_EIG_GRID))
+    if max(eig_grid) > most:
+        raise ConfigurationError(
+            f"eigenvalue counts must be at most {most} for {dataset.node_count}-node graphs,"
+            f" got {max(eig_grid)}"
+        )
     _check_metric(metric)
 
     order = list(range(n))

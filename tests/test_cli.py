@@ -216,6 +216,24 @@ class TestTrain:
         assert f"got {min(map(int, value.split(',')))}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("value", [str(10**30), str(10**12)])
+    def test_eigenvalue_count_past_the_node_count_exits_one_before_any_work(
+        self, synth_dir, tmp_path, value, capsys, monkeypatch
+    ):
+        # 10**30 passed numpy's dimension limit and 10**12 asked for a 7 TiB
+        # feature matrix, each an internal error
+        monkeypatch.setattr(
+            spectral, "positive_laplacian_eigenvalues", lambda g: pytest.fail("work was done")
+        )
+        assert run(
+            "train", "--dataset", synth_dir, "--eigs", f"4,{value}", "--out-dir", tmp_path / "x",
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("densecf: ") and err.count("\n") == 1, err
+        assert f"at most 24 for 24-node graphs, got {value}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestExplain:
     def test_whitebox_explain_writes_outputs(self, synth_dir, tmp_path):

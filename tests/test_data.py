@@ -29,7 +29,8 @@ from densecf import (
 )
 from densecf import data
 from densecf.data import DatasetEntry, load_correlation_matrix, load_partition
-from densecf.graph import with_clique, with_swap
+from densecf.graph import edges_within, node_mask, triangles_within, with_clique, with_swap
+from densecf.graph import within_deltas
 
 from conftest import random_graph
 
@@ -269,6 +270,63 @@ class TestWhitebox:
             result = edg_search(Oracle(make_whitebox(s0, s1)), entry.graph)
             assert result.found and result.oracle_calls > result.iterations + 1
             assert calls == [entry.graph, entry.graph]
+
+    def test_rule_counts_each_graph_no_edit_made_once(self, monkeypatch):
+        # a dataset graph, an unrelated one, the first again (which neither
+        # slot holds now) and an equal graph built apart: one table entry
+        s0, s1 = node_halves(12)
+        rng = random.Random(8)
+        g, h = random_graph(12, 0.5, rng), random_graph(12, 0.5, rng)
+        graphs = [g, h, g, Graph(12, g.edges)]
+        labels = [whitebox_classify(x, s0, s1) for x in graphs]
+        calls = []
+        count = data.triangles_within
+        monkeypatch.setattr(data, "triangles_within", lambda x, m: calls.append(x) or count(x, m))
+        rule = make_whitebox(s0, s1)
+        assert [rule(x) for x in graphs] == labels
+        assert calls == [g, g, h, h]
+
+    def test_an_edited_graph_never_enters_the_table(self, monkeypatch):
+        # the edited graph leaves both slots; then it, and an unedited graph
+        # with its edges, are each counted afresh
+        s0, s1 = node_halves(12)
+        rng = random.Random(9)
+        g, h = random_graph(12, 0.5, rng), random_graph(12, 0.5, rng)
+        edited = g.add_edge(*min(Graph.complete(12).edges - g.edges))
+        apart = Graph(12, edited.edges)
+        graphs = [g, edited, h, h.remove_edge(*min(h.edges)), edited, apart]
+        labels = [whitebox_classify(x, s0, s1) for x in graphs]
+        calls = []
+        count = data.triangles_within
+        monkeypatch.setattr(data, "triangles_within", lambda x, m: calls.append(x) or count(x, m))
+        rule = make_whitebox(s0, s1)
+        assert [rule(x) for x in graphs] == labels
+        assert calls == [g, g, h, h, edited, edited, apart, apart]
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            ("cross-half pairs only", [(0, 0), (0, 0)]),
+            ("a swap sharing a node in one half", [(-1, 0), (0, 0)]),
+            ("a clique over three masks", [(1, 2), (0, 1), (0, 0)]),
+        ],
+    )
+    def test_within_deltas_equal_a_recount(self, edit, expected):
+        halves = [node_mask(s) for s in node_halves(8)]
+        thirds = [node_mask(range(0, 3)), node_mask(range(3, 5)), node_mask(range(6, 8))]
+        g = Graph(8, [(0, 1), (0, 3), (1, 3), (0, 4), (4, 5), (4, 6), (5, 6), (2, 5)])
+        if edit == "cross-half pairs only":
+            masks, h = halves, with_swap(g, (0, 4), (1, 5))
+        elif edit == "a swap sharing a node in one half":
+            masks, h = halves, with_swap(g, (0, 1), (0, 2))
+        else:  # node 5 lies in no mask
+            masks, h = thirds, with_clique(g, range(7), True)
+        deltas = within_deltas(g, h, masks)
+        assert deltas == [
+            (triangles_within(h, m) - triangles_within(g, m), edges_within(h, m) - edges_within(g, m))
+            for m in masks
+        ]
+        assert deltas == expected
 
 
 class TestPersistence:

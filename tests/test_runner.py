@@ -1,4 +1,5 @@
 import gc
+import pickle
 import random
 import weakref
 
@@ -14,12 +15,15 @@ from densecf import (
     RegionPartition,
     RunOptions,
     SFKnnModel,
+    SyntheticSpec,
     apply_edits,
+    generate_synthetic,
     run_benchmark,
     run_method,
     spectral_features,
+    whitebox_classify,
 )
-from densecf import runner
+from densecf import data, runner
 from densecf.data import DatasetEntry
 from densecf.runner import derive_seed, pool_size, run_instance
 
@@ -38,6 +42,14 @@ def small_dataset(n=8, count=6, seed=51, partition=True):
 
 def whitebox_spec(dataset):
     return OracleSpec(kind="whitebox", node_count=dataset.node_count)
+
+
+def counted_triangles(monkeypatch):
+    """The graphs of every ``triangles_within`` call the white-box rule makes
+    from now on, one entry a call."""
+    calls, count = [], data.triangles_within
+    monkeypatch.setattr(data, "triangles_within", lambda g, m: calls.append(g) or count(g, m))
+    return calls
 
 
 def model_spec(dataset, k=3):
@@ -128,6 +140,45 @@ class TestOracleSpec:
         with pytest.raises(ConfigurationError, match="unknown oracle kind 'magic'"):
             OracleSpec("magic", node_count=8)
 
+    def test_whitebox_oracles_of_one_spec_count_a_dataset_graph_once(self, monkeypatch):
+        dataset = small_dataset(count=2)
+        g, h = (e.graph for e in dataset)
+        label_g, label_h = (whitebox_classify(x, range(4), range(4, 8)) for x in (g, h))
+        spec, calls = whitebox_spec(dataset), counted_triangles(monkeypatch)
+        first, second = spec.build(), spec.build()
+        assert (first.predict(g), first.predict(h)) == (label_g, label_h)
+        assert calls == [g, g, h, h]  # two counts a graph, one per half
+        # neither slot holds g now; the table, shared with ``first``, does
+        assert second.predict(g) == label_g
+        assert calls == [g, g, h, h] and second.call_count == 1
+        whitebox_spec(dataset).build().predict(g)  # another spec, another table
+        assert calls == [g, g, h, h, g, g]
+
+    def test_a_pickled_whitebox_spec_starts_with_an_empty_table(self, monkeypatch):
+        dataset = small_dataset(count=2)
+        g, h = (e.graph for e in dataset)
+        spec, calls = whitebox_spec(dataset), counted_triangles(monkeypatch)
+        spec.build().predict(g)
+        spec.build().predict(h)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec) and repr(copy) == repr(spec)
+        calls.clear()
+        copy.build().predict(g)
+        assert calls == [g, g]
+        calls.clear()
+        spec.build().predict(g)
+        assert calls == []
+
+    def test_dat_after_the_datasets_searches_counts_nothing_afresh(self, monkeypatch):
+        dataset = small_dataset(count=4)
+        spec, calls = whitebox_spec(dataset), counted_triangles(monkeypatch)
+        for index in range(len(dataset)):
+            run_instance("tri", index, spec.build(), dataset, None, RunOptions(seed=1))
+        calls.clear()
+        record = run_instance("dat", 0, spec.build(), dataset, None, RunOptions())
+        assert record.found and record.oracle_calls == len(dataset) + 1
+        assert calls == []
+
 
 class TestBenchmark:
     def test_records_ordered_and_complete(self):
@@ -213,6 +264,27 @@ class TestBenchmark:
             run_benchmark(
                 whitebox_spec(dataset), dataset, ["tri", "cli", "tri"], dataset_name="demo"
             )
+
+    def test_whitebox_work_count_is_pinned(self, monkeypatch):
+        # every fresh count the white-box rule makes over a seeded run, so a
+        # count table or slot that stops answering fails here: the oracles
+        # of one spec share the rule, each dataset graph is counted once, and
+        # every edited graph is updated from a slot
+        dataset = generate_synthetic(
+            SyntheticSpec(node_count=24, num_graphs=6, subgroups_per_class=2, seed=3)
+        )
+        partition = RegionPartition(tuple(f"r{u // 3}" for u in range(24)))
+        calls = counted_triangles(monkeypatch)
+        summaries = run_benchmark(
+            whitebox_spec(dataset),
+            dataset,
+            ["tri", "cli", "rcli", "dat+bw"],
+            dataset_name="synth",
+            partition=partition,
+            workers=1,
+        )
+        assert [sum(r.oracle_calls for r in s.records) for s in summaries] == [376, 73, 52, 672]
+        assert len(calls) == 12  # each of the 6 dataset graphs, once per half
 
     def test_records_carry_exact_call_counts(self):
         dataset = small_dataset(count=4)

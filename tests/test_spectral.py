@@ -510,6 +510,18 @@ class TestTraining:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             train_sf_knn(dataset, folds=2, seed=-1)
 
+    def test_eigenvalue_count_past_the_bound_rejected_before_any_eigenvalue(self, monkeypatch):
+        # the bound is the larger of the node count (12) and the default
+        # grid's largest count (20), so the default grid still trains here
+        dataset = triangle_class_dataset(num_graphs=10)
+        _, report = train_sf_knn(dataset, eig_grid=[20], folds=2)
+        assert report.n_eigs == 20
+        monkeypatch.setattr(
+            spectral, "positive_laplacian_eigenvalues", lambda g: pytest.fail("work was done")
+        )
+        with pytest.raises(ValueError, match="at most 20 for 12-node graphs, got 21"):
+            train_sf_knn(dataset, eig_grid=[5, 21], folds=2)
+
     def test_same_seed_reproduces_report(self):
         dataset = triangle_class_dataset(num_graphs=24)
         _, r1 = train_sf_knn(dataset, folds=4, seed=9)
