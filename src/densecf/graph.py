@@ -367,6 +367,10 @@ def within_deltas(before: Graph, after: Graph, masks: Sequence[int]) -> list | N
         t = e = 0
         replayed: dict[int, int] = {}
         rest = origin[1] & mask
+        # the bits walked inline, not through ``_members``: 10 alternating
+        # ``whitebox60-2sg`` pairs (seed 0, shared 2-CPU machine) read +4.2%
+        # ``searches_per_s`` (10 won) and a second 10 read +4.0% (9 won),
+        # against -0.9% for two copies of one tree
         while rest:
             low = rest & -rest
             rest ^= low

@@ -261,8 +261,9 @@ def train_sf_knn(
     for name, grid in (("neighbor", neighbor_grid), ("eigenvalue", eig_grid)):
         if min(grid) < 1:
             raise ConfigurationError(f"{name} counts must be positive, got {min(grid)}")
-    # an n-node graph has at most n positive eigenvalues; past that a feature
-    # is zero padding, so a larger count only allocates
+    # an n-node Laplacian has at most n - 1 positive eigenvalues, so a larger
+    # count only pads with zeros and allocates; the default grid's largest
+    # count stays allowed so that grid still trains on small graphs
     most = max(dataset.node_count, max(DEFAULT_EIG_GRID))
     if max(eig_grid) > most:
         raise ConfigurationError(
