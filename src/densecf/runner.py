@@ -42,16 +42,17 @@ _ORACLE_NEEDS = {"model": "model", "whitebox": "node_count"}  # kind -> the fiel
 @dataclass(frozen=True)
 class OracleSpec:
     """Picklable recipe for building an oracle inside a worker process; an
-    incomplete recipe is a ConfigurationError when it is made. Oracles built
-    from one ``"model"`` spec share the model's class table, and those built
-    from one ``"whitebox"`` spec share one ``make_whitebox`` rule, made with
-    the spec, and so its count table. Equality, hashing, ``repr`` and
-    pickling ignore the rule: an unpickled spec starts with a fresh one."""
+    incomplete recipe is a ConfigurationError when it is made. The spec makes
+    one classifier, ``knn_classifier(model)`` or ``make_whitebox`` over the
+    node halves, and every oracle it builds wraps it, so they share its memo
+    of the dataset graphs for as long as the spec lives: one run, or one pool
+    worker. Equality, hashing, ``repr`` and pickling ignore the classifier:
+    an unpickled spec starts with a fresh one."""
 
     kind: str  # "model" or "whitebox"
     model: SFKnnModel | None = None
     node_count: int | None = None
-    _rule: Callable[[Graph], int] | None = field(init=False, repr=False, compare=False)
+    _classifier: Callable[[Graph], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         needs = _ORACLE_NEEDS.get(self.kind)
@@ -61,17 +62,18 @@ class OracleSpec:
             )
         if getattr(self, needs) is None:
             raise ConfigurationError(f"a {self.kind!r} oracle needs {needs}")
-        rule = make_whitebox(*node_halves(self.node_count)) if self.kind == "whitebox" else None
-        object.__setattr__(self, "_rule", rule)
+        if self.kind == "model":
+            classifier = knn_classifier(self.model)
+        else:
+            classifier = make_whitebox(*node_halves(self.node_count))
+        object.__setattr__(self, "_classifier", classifier)
 
     def __reduce__(self) -> tuple:
-        # rebuilt from the declared fields, so a pool worker's copy counts afresh
+        # rebuilt from the declared fields, so a pool worker's copy starts an empty memo
         return OracleSpec, (self.kind, self.model, self.node_count)
 
     def build(self) -> Oracle:
-        if self.kind == "model":
-            return Oracle(knn_classifier(self.model))
-        return Oracle(self._rule)
+        return Oracle(self._classifier)
 
 
 def derive_seed(base: int, index: int) -> int:

@@ -9,7 +9,7 @@ Oracle, which counts each prediction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -89,11 +89,8 @@ class SFKnnModel:
     no training rows or a non-finite feature cannot be built, so any model
     can predict.
     ``training_matrix`` is ``training_features`` as an array, built once here
-    for every prediction. ``class_table`` holds the class of every graph that
-    no edit made (``Graph.edited``) which a ``knn_classifier`` of this model
-    has classified, shared by all of them while the model lives. Equality,
-    hashing, ``repr``, pickling and ``save_model`` ignore both: an unpickled
-    model starts with an empty table.
+    for every prediction; equality, hashing, ``repr`` and ``save_model``
+    ignore it.
     """
 
     training_features: tuple[tuple[float, ...], ...]
@@ -103,7 +100,6 @@ class SFKnnModel:
     metric: str = DEFAULT_METRIC
     seed: int | None = None
     training_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    class_table: dict[Graph, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.training_features) != len(self.training_labels):
@@ -123,11 +119,6 @@ class SFKnnModel:
         if not np.isfinite(matrix).all():
             raise ValueError("every feature must be finite")
         object.__setattr__(self, "training_matrix", matrix)
-        object.__setattr__(self, "class_table", {})
-
-    def __reduce__(self) -> tuple:
-        # rebuilt from the declared fields: a copy gets its own empty class table
-        return SFKnnModel, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def _predict_from_features(
@@ -160,12 +151,12 @@ def knn_predict(model: SFKnnModel, g: Graph) -> int:
 def knn_classifier(model: SFKnnModel) -> Callable[[Graph], int]:
     """``knn_predict`` over one model that answers a graph equal to the last
     one it classified without computing it again, so re-checking the graph a
-    search just charged costs no eigendecomposition. A graph no edit made
-    (a dataset graph) is answered from the model's ``class_table``, which
-    every classifier of the model shares, so each one is computed once for
-    as long as the model lives; edited graphs never enter it."""
+    search just charged costs no eigendecomposition. The class of every graph
+    no edit made (``Graph.edited``: a dataset graph) is kept in a table for
+    as long as the classifier lives, so each is computed once; edited graphs
+    never enter it."""
     last = None  # (graph, class), replaced whole so the classifier can be shared
-    table = model.class_table
+    table: dict[Graph, int] = {}
 
     def classify(g: Graph) -> int:
         nonlocal last

@@ -2,6 +2,7 @@ import gc
 import pickle
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,7 @@ from densecf import (
     spectral_features,
     whitebox_classify,
 )
-from densecf import data, runner
+from densecf import data, runner, spectral
 from densecf.data import DatasetEntry
 from densecf.runner import derive_seed, pool_size, run_instance
 
@@ -60,6 +61,28 @@ def model_spec(dataset, k=3):
         n_eigs=k,
     )
     return OracleSpec(kind="model", model=model)
+
+
+SPECS = {"model": model_spec, "whitebox": whitebox_spec}
+
+
+def computed(kind, monkeypatch):
+    """The graphs that the classifier of a ``kind`` spec computes from now on,
+    one entry a computation: a KNN prediction, or a white-box count."""
+    calls = []
+    if kind == "model":
+        predict = spectral.knn_predict
+        monkeypatch.setattr(spectral, "knn_predict", lambda m, g: calls.append(g) or predict(m, g))
+        return calls
+    count = data.triangles_within
+
+    def counting(g, mask):
+        if mask & 1:  # a count asks about both halves; keep the half of node 0
+            calls.append(g)
+        return count(g, mask)
+
+    monkeypatch.setattr(data, "triangles_within", counting)
+    return calls
 
 
 class TestRunMethod:
@@ -140,34 +163,53 @@ class TestOracleSpec:
         with pytest.raises(ConfigurationError, match="unknown oracle kind 'magic'"):
             OracleSpec("magic", node_count=8)
 
-    def test_whitebox_oracles_of_one_spec_count_a_dataset_graph_once(self, monkeypatch):
+    @pytest.mark.parametrize("kind", SPECS)
+    def test_oracles_of_one_spec_compute_a_dataset_graph_once(self, kind, monkeypatch):
         dataset = small_dataset(count=2)
         g, h = (e.graph for e in dataset)
-        label_g, label_h = (whitebox_classify(x, range(4), range(4, 8)) for x in (g, h))
-        spec, calls = whitebox_spec(dataset), counted_triangles(monkeypatch)
+        labels = [SPECS[kind](dataset).build().predict(x) for x in (g, h)]
+        spec, calls = SPECS[kind](dataset), computed(kind, monkeypatch)
         first, second = spec.build(), spec.build()
-        assert (first.predict(g), first.predict(h)) == (label_g, label_h)
-        assert calls == [g, g, h, h]  # two counts a graph, one per half
-        # neither slot holds g now; the table, shared with ``first``, does
-        assert second.predict(g) == label_g
-        assert calls == [g, g, h, h] and second.call_count == 1
-        whitebox_spec(dataset).build().predict(g)  # another spec, another table
-        assert calls == [g, g, h, h, g, g]
+        assert [first.predict(g), first.predict(h)] == labels
+        assert calls == [g, h]
+        # the last graph is h now; the memo, shared with ``first``, holds g
+        assert second.predict(g) == labels[0]
+        assert calls == [g, h] and second.call_count == 1
+        SPECS[kind](dataset).build().predict(g)  # another spec, another memo
+        assert calls == [g, h, g]
 
-    def test_a_pickled_whitebox_spec_starts_with_an_empty_table(self, monkeypatch):
+    @pytest.mark.parametrize("kind", SPECS)
+    def test_a_pickled_spec_starts_with_an_empty_memo(self, kind, monkeypatch):
         dataset = small_dataset(count=2)
         g, h = (e.graph for e in dataset)
-        spec, calls = whitebox_spec(dataset), counted_triangles(monkeypatch)
+        spec, calls = SPECS[kind](dataset), computed(kind, monkeypatch)
         spec.build().predict(g)
         spec.build().predict(h)
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec and hash(copy) == hash(spec) and repr(copy) == repr(spec)
         calls.clear()
         copy.build().predict(g)
-        assert calls == [g, g]
+        assert calls == [g]
         calls.clear()
         spec.build().predict(g)
         assert calls == []
+
+    @pytest.mark.parametrize("kind", SPECS)
+    def test_one_spec_for_every_search_gives_a_spec_per_search_records(self, kind, monkeypatch):
+        dataset, options = small_dataset(count=4), RunOptions(max_iterations=6, seed=1)
+        tasks = [(m, i) for m in ("tri", "cli", "rcli", "dat") for i in range(len(dataset))]
+
+        def run(spec_for):
+            return [
+                run_instance(m, i, spec_for().build(), dataset, dataset.partition, options)
+                for m, i in tasks
+            ]
+
+        fresh = run(lambda: SPECS[kind](dataset))
+        spec, calls = SPECS[kind](dataset), computed(kind, monkeypatch)
+        assert run(lambda: spec) == fresh
+        unedited = Counter(g for g in calls if not g.edited)
+        assert unedited == Counter(e.graph for e in dataset)  # each one once
 
     def test_dat_after_the_datasets_searches_counts_nothing_afresh(self, monkeypatch):
         dataset = small_dataset(count=4)

@@ -31,7 +31,7 @@ from densecf.data import DatasetEntry
 from densecf.density import finish_result
 from densecf.graph import adjacency_matrix
 from densecf.runner import run_instance
-from densecf.spectral import POSITIVE_EIGENVALUE_TOL, knn_classifier, normalized_laplacian
+from densecf.spectral import POSITIVE_EIGENVALUE_TOL, normalized_laplacian
 
 from conftest import random_graph
 
@@ -242,14 +242,13 @@ class TestKnnClassifier:
     def toggled(self, g, pair):
         return g.remove_edge(*pair) if g.has_edge(*pair) else g.add_edge(*pair)
 
-    def test_shared_across_threads_equals_knn_predict(self):
+    def test_shared_across_threads_equals_knn_predict(self, monkeypatch):
         # each thread walks its own edit chain through one classifier and asks
         # for every graph ten times, all but the first from the slot unless
         # another thread got in between; a slot holding one thread's graph
         # with another's class gives wrong labels. Each edited graph is
         # followed by the last two graphs of the chain built afresh: the
-        # first goes into the shared class table, the second is answered
-        # from it
+        # first goes into the shared memo, the second is answered from it
         model = self.model()
         classify = OracleSpec(kind="model", model=model).build().classifier
         walks = []
@@ -262,7 +261,14 @@ class TestKnnClassifier:
                 chain = [(g, knn_predict(model, g)), *chain[:2]]
                 steps += [chain[0], *((Graph(10, h.edges), c) for h, c in chain[1:])]
             walks.append(steps)
-        wrong = []
+        wrong, unedited = [], []
+
+        def counting(model, g):
+            if not g.edited:
+                unedited.append(g)
+            return knn_predict(model, g)
+
+        monkeypatch.setattr(spectral, "knn_predict", counting)
 
         def walk(steps):
             for g, expected in steps:
@@ -283,7 +289,7 @@ class TestKnnClassifier:
         assert {c for steps in walks for _, c in steps} == {0, 1}  # the walks cross classes
         assert not wrong
         built = {g for steps in walks for g, _ in steps if not g.edited}
-        assert model.class_table == {g: knn_predict(model, g) for g in built}
+        assert Counter(unedited) == Counter(built)  # each built graph computed once
 
     def test_flip_check_classifies_any_other_graph_again(self, monkeypatch):
         model = self.model()
@@ -313,11 +319,9 @@ class TestKnnClassifier:
         assert computed == [g, flipped, kept, flipped]
 
 
-class TestClassTable:
-    """Every classifier of one SF-KNN model shares the class of each graph no
-    edit made: a dataset graph is computed once while the model lives."""
-
-    SEARCHES = ("tri", "cli", "rcli", "dat")
+class TestOneModelAcrossARun:
+    """A run builds every oracle from one spec over one model: the spec's
+    classifier remembers the dataset graphs, and the model stays plain data."""
 
     def inputs(self):
         rng = random.Random(8)
@@ -334,51 +338,42 @@ class TestClassTable:
         )
         return dataset, partition, model
 
-    def run(self, model_for, methods, dataset, partition):
+    def run(self, spec, dataset, partition):
         options = RunOptions(max_iterations=6)
-        records = []
-        for method in methods:
+        for method in METHODS:
             for i in range(len(dataset)):
-                oracle = OracleSpec("model", model_for()).build()
-                records.append(run_instance(method, i, oracle, dataset, partition, options))
-        return records
+                run_instance(method, i, spec.build(), dataset, partition, options)
 
-    def test_each_dataset_graph_is_computed_once_per_model(self, monkeypatch):
+    def test_an_edited_graph_out_of_the_slot_is_computed_again(self, monkeypatch):
         dataset, partition, model = self.inputs()
-        fresh = self.run(lambda: replace(model), self.SEARCHES, dataset, partition)
-        unedited = []
+        spec = OracleSpec("model", model)
+        self.run(spec, dataset, partition)
+        computed = []
 
-        def counting(model, g):
-            if not g.edited:
-                unedited.append(g)
-            return knn_predict(model, g)
+        def counting(model, h):
+            computed.append(h)
+            return knn_predict(model, h)
 
         monkeypatch.setattr(spectral, "knn_predict", counting)
-        shared = self.run(lambda: model, self.SEARCHES, dataset, partition)
-        assert shared == fresh
-        assert sorted(Counter(unedited).values()) == [1] * len(dataset)
-        assert set(unedited) == {e.graph for e in dataset}
-
-    def test_no_edited_graph_enters_the_table(self):
-        dataset, partition, model = self.inputs()
-        self.run(lambda: model, METHODS, dataset, partition)
-        classify = knn_classifier(model)
+        classify = spec.build().classifier
         g = dataset.entries[0].graph
-        for h in (g.remove_edge(*min(g.edges)), g):
-            classify(h)
-        assert model.class_table.keys() == {e.graph for e in dataset}
-        assert not any(h.edited for h in model.class_table)
+        h = g.remove_edge(*min(g.edges))
+        for x in (h, *(e.graph for e in dataset), h):
+            classify(x)
+        # every dataset graph is answered from the run's memo, which no
+        # edited graph enters: h, once out of the last-graph slot, is computed again
+        assert computed == [h, h]
 
-    def test_the_table_leaves_the_model_unchanged(self, tmp_path):
+    def test_a_run_leaves_the_model_unchanged(self, tmp_path):
         dataset, partition, model = self.inputs()
         before = (hash(model), repr(model), pickle.dumps(model), replace(model))
         save_model(model, tmp_path / "before.json")
-        self.run(lambda: model, METHODS, dataset, partition)
-        assert model.class_table
+        self.run(OracleSpec("model", model), dataset, partition)
         save_model(model, tmp_path / "after.json")
         assert (hash(model), repr(model), pickle.dumps(model), model) == before
         assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
-        assert pickle.loads(pickle.dumps(model)).class_table == {}
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy == model and np.array_equal(copy.training_matrix, model.training_matrix)
 
 
 class TestOracle:
