@@ -40,15 +40,11 @@ def edg_search(
     n = g.node_count
     if n < 2:
         return finish_result(oracle, g, y0, None, 0, calls_before, "graph has no node pairs")
-    rng = random.Random(options.seed)
-    current, iterations = g, 0
-    for iterations in range(1, max_iterations + 1):
-        u, v = pair_at(n, rng.randrange(n * (n - 1) // 2))
-        current = current.remove_edge(u, v) if current.has_edge(u, v) else current.add_edge(u, v)
-        if oracle.predict(current) != y0:
-            base = finish_result(oracle, g, y0, current, iterations, calls_before)
-            return refine_with_backward(oracle, g, base)
-    return finish_result(oracle, g, y0, None, iterations, calls_before)
+    rng, pairs = random.Random(options.seed), n * (n - 1) // 2
+    flips = ((pair_at(n, rng.randrange(pairs)),) for _ in range(max_iterations))
+    iterations, flipped = oracle.walk(g, y0, flips)
+    base = finish_result(oracle, g, y0, flipped, iterations, calls_before)
+    return refine_with_backward(oracle, g, base)
 
 
 def pair_at(n: int, k: int) -> Edge:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .graph import Graph, edges_within, node_mask, triangles_within, within_deltas
+from .graph import Graph, edges_within, node_mask, triangles_within, walk_within, within_deltas
 
 DATASET_FORMAT = "densecf-dataset"
 DATASET_VERSION = 1
@@ -443,7 +443,8 @@ def make_whitebox(s0: Sequence[int], s1: Sequence[int]) -> Callable[[Graph], int
     and any other graph is counted afresh. The counts of every graph no edit
     made (``Graph.edited``: a dataset graph) are kept in a table for as long
     as the rule lives, so each is counted once; edited graphs never enter
-    it."""
+    it. The rule's ``walk`` answers ``Oracle.walk`` through ``walk_within``
+    and leaves the graph that flips, with its counts, in the last slot."""
     m0, m1 = masks = node_mask(s0), node_mask(s1)
     # (last graph, its counts, the graph they were updated from or None, its
     # counts), replaced whole so the rule can be shared
@@ -451,22 +452,22 @@ def make_whitebox(s0: Sequence[int], s1: Sequence[int]) -> Callable[[Graph], int
     table: dict[Graph, tuple[int, int, int, int]] = {}
     checked = None  # the node count the halves passed ``_halves`` for; no other can pass
 
-    def classify(g: Graph) -> int:
+    def counts_of(g: Graph) -> tuple[int, int, int, int]:
         nonlocal slots, checked
         if g.node_count != checked:
             _halves(g, m0, m1)
             checked = g.node_count
         last, last_counts, before, before_counts = slots
         if g is last:
-            return _by_counts(last_counts)
+            return last_counts
         if g is before:
-            return _by_counts(before_counts)
+            return before_counts
         if not g.edited:
             counts = table.get(g)
             if counts is None:  # two threads may both count it; both store the same counts
                 counts = table[g] = _counts(g, m0, m1)
             slots = (g, counts, None, None)
-            return _by_counts(counts)
+            return counts
         base, base_counts = last, last_counts
         deltas = None if last is None else within_deltas(last, g, masks)
         if deltas is None and before is not None:
@@ -480,8 +481,21 @@ def make_whitebox(s0: Sequence[int], s1: Sequence[int]) -> Callable[[Graph], int
             t0, e0, t1, e1 = base_counts
             counts = t0 + dt0, e0 + de0, t1 + dt1, e1 + de1
             slots = (g, counts, base, base_counts)
-        return _by_counts(counts)
+        return counts
 
+    def classify(g: Graph) -> int:
+        return _by_counts(counts_of(g))
+
+    def walk(g: Graph, y0: int, steps: Iterable) -> tuple[int, Graph | None]:
+        nonlocal slots
+        start = counts_of(g)
+        counts = list(start)
+        taken, reached = walk_within(g, steps, masks, counts, lambda c: _by_counts(c) != y0)
+        if reached is not None:
+            slots = (reached, tuple(counts), g, start)
+        return taken, reached
+
+    classify.walk = walk
     return classify
 
 

@@ -32,7 +32,6 @@ from .graph import (
     triangles_at,
     two_hop_neighborhood,
     with_clique,
-    with_swap,
 )
 from .spectral import Oracle
 
@@ -145,11 +144,15 @@ def triangle_score_lists(g: Graph) -> tuple[Iterator[Edge], Iterator[Edge]]:
     scores = np.asarray(triangle_counts(g), dtype=np.int64)
     scores = scores[u] + scores[v]
     present = adjacency_matrix(g)[u, v] == 1.0
-    # a stable sort keeps lexicographic pair order among equal scores
+    # a stable sort keeps lexicographic pair order among equal scores; on the
+    # smallest unsigned type that holds them (uint16 at n = 60 and 116) it is
+    # a radix sort, and top - key gives the descending order
+    top = int(scores.max(initial=0))
+    key = scores.astype(np.min_scalar_type(top))
     out = np.flatnonzero(present)
-    out = out[np.argsort(scores[out], kind="stable")]
+    out = out[np.argsort(key[out], kind="stable")]
     into = np.flatnonzero(~present)
-    into = into[np.argsort(-scores[into], kind="stable")]
+    into = into[np.argsort(top - key[into], kind="stable")]
     return zip(u[out].tolist(), v[out].tolist()), zip(u[into].tolist(), v[into].tolist())
 
 
@@ -165,13 +168,9 @@ def tri_search(
     calls_before = oracle.call_count
     y0 = oracle.predict(g)
     removals, additions = triangle_score_lists(g)
-    current, i = g, 0
-    for edge_out, edge_in in islice(zip(removals, additions), options.max_iterations):
-        current = with_swap(current, edge_out, edge_in)
-        i += 1
-        if oracle.predict(current) != y0:
-            return finish_result(oracle, g, y0, current, i, calls_before)
-    return finish_result(oracle, g, y0, None, i, calls_before)
+    swaps = islice(zip(removals, additions), options.max_iterations)  # fixed before any answer
+    i, flipped = oracle.walk(g, y0, swaps)
+    return finish_result(oracle, g, y0, flipped, i, calls_before)
 
 
 def rank_nodes(g: Graph, strategy: str = "triangles") -> tuple[int, ...]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,9 +43,9 @@ class Graph:
     The edge set is one int bitmask per node: bit v of row u is set when uv is
     an edge. Edge views are built from the rows when asked for, as (u, v) with
     u < v; self-loops are rejected and repeated pairs collapse. Instances are
-    immutable: ``add_edge``, ``remove_edge``, ``apply_edits``, ``with_clique``
-    and ``with_swap`` return new graphs, each sharing the row objects of the
-    nodes it does not touch with its input.
+    immutable: ``add_edge``, ``remove_edge``, ``apply_edits``, ``with_clique``,
+    ``with_swap``, ``with_toggles`` and ``walk_within`` return new graphs, each
+    sharing the row objects of the nodes it does not touch with its input.
 
     Provenance: a graph one of those edits made records, in ``_origin``, its
     input's row tuple and the ``node_mask`` of the rows the edit rebuilt;
@@ -139,13 +139,13 @@ class Graph:
         a, b = _normalize_edge(u, v, self.node_count)
         if self._rows[a] >> b & 1:
             raise EditConflictError(f"edge {(a, b)} already present")
-        return _toggled(self, ((a, b),), self._edge_count + 1)
+        return _toggled(self, ((a, b),))
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         a, b = _normalize_edge(u, v, self.node_count)
         if not self._rows[a] >> b & 1:
             raise EditConflictError(f"edge {(a, b)} not present")
-        return _toggled(self, ((a, b),), self._edge_count - 1)
+        return _toggled(self, ((a, b),))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -180,14 +180,21 @@ def _pairs(rows: Iterable[int]) -> Iterator[Edge]:
             row ^= low
 
 
-def _toggled(g: Graph, pairs: Iterable[Edge], edge_count: int) -> Graph:
-    """``g`` with each of the distinct ``pairs`` flipped, ``edge_count`` edges."""
-    out, touched = list(g._rows), 0
+def _toggled(g: Graph, pairs: Iterable[Edge]) -> Graph:
+    """``g`` with each of the normalized ``pairs`` flipped in turn."""
+    out, touched, edge_count = list(g._rows), 0, g._edge_count
     for a, b in pairs:
+        edge_count += -1 if out[a] >> b & 1 else 1
         out[a] ^= 1 << b
         out[b] ^= 1 << a
         touched |= 1 << a | 1 << b
     return Graph._from_rows(tuple(out), edge_count, (g._rows, touched))
+
+
+def with_toggles(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
+    """``g`` with each of the node ``pairs`` toggled in turn, each checked as
+    ``Graph(n, edges)`` checks an edge but not for whether it is present."""
+    return _toggled(g, [_normalize_edge(a, b, g.node_count) for a, b in pairs])
 
 
 def node_mask(nodes: int | Iterable[int]) -> int:
@@ -248,8 +255,8 @@ def edit_distance_ratio(g: Graph, h: Graph) -> float:
 
 def apply_edits(g: Graph, edits: EditList) -> Graph:
     """Apply an edit list, verifying it is consistent with ``g``. This is the
-    validating path for any edit list; ``with_swap`` and ``with_clique`` make
-    the two edits the searches repeat without building one."""
+    validating path for any edit list; ``with_clique`` makes the clique edit
+    of the searches without building one."""
     removals = {_normalize_edge(u, v, g.node_count) for u, v in edits.removals}
     additions = {_normalize_edge(u, v, g.node_count) for u, v in edits.additions}
     if removals & additions:
@@ -261,7 +268,7 @@ def apply_edits(g: Graph, edits: EditList) -> Graph:
     present = [(a, b) for a, b in additions if rows[a] >> b & 1]
     if present:
         raise EditConflictError(f"addition of present edges: {sorted(present)}")
-    return _toggled(g, chain(removals, additions), g.edge_count - len(removals) + len(additions))
+    return _toggled(g, chain(removals, additions))
 
 
 def triangle_counts(g: Graph) -> list[int]:
@@ -393,6 +400,43 @@ def within_deltas(before: Graph, after: Graph, masks: Sequence[int]) -> list | N
     return deltas
 
 
+def walk_within(
+    g: Graph, steps: Iterable, masks: Sequence[int], counts: list[int], stop: Callable
+) -> tuple[int, Graph | None]:
+    """Toggle each step's node pairs in turn from ``g`` on one list of its
+    rows, keeping ``counts`` (per disjoint node mask of ``masks``, the
+    triangles then the edges within it; ``g``'s on entry) up to date in
+    place. After the first step at which ``stop(counts)`` holds, returns
+    (steps taken, the graph reached), else (steps taken, None); pairs are
+    checked as ``with_toggles`` checks them."""
+    n = g.node_count
+    home = [-1] * n  # the index of the mask that holds each node
+    for i, mask in enumerate(masks):
+        for u in _members(_within(g, mask)):
+            home[u] = i
+    rows, touched, edge_count, taken = list(g._rows), 0, g._edge_count, 0
+    for taken, step in enumerate(steps, 1):
+        for a, b in step:
+            # the searches pass ordered int pairs in range; others are normalized
+            if not (type(a) is type(b) is int and 0 <= a < b < n):
+                a, b = _normalize_edge(a, b, n)
+            row_a, bit = rows[a], 1 << b
+            sign = -1 if row_a & bit else 1
+            i = home[a]
+            # toggling ab moves the triangles within a mask holding both ends
+            # by their common neighbours in it, and no other mask's
+            if i >= 0 and i == home[b]:
+                counts[2 * i] += sign * (row_a & rows[b] & masks[i]).bit_count()
+                counts[2 * i + 1] += sign
+            rows[a] = row_a ^ bit
+            rows[b] ^= 1 << a
+            touched |= 1 << a | bit
+            edge_count += sign
+        if stop(counts):
+            return taken, Graph._from_rows(tuple(rows), edge_count, (g._rows, touched))
+    return taken, None
+
+
 def with_clique(g: Graph, nodes: int | Iterable[int], present: bool) -> Graph:
     """``g`` with every pair among ``nodes`` (node indices, or their
     ``node_mask``) made an edge when ``present``, else a non-edge, without
@@ -413,10 +457,8 @@ def with_swap(g: Graph, removal: Edge, addition: Edge) -> Graph:
     ``apply_edits(g, EditList((removal,), (addition,)))`` and raises its
     errors, but rebuilds only the rows of the pairs' ends."""
     (a, b), (c, d), n = removal, addition, g.node_count
-    # the searches pass ordered int pairs in range; anything else is normalized
-    if not (type(a) is type(b) is type(c) is type(d) is int and 0 <= a < b < n and 0 <= c < d < n):
-        a, b = _normalize_edge(a, b, n)
-        c, d = _normalize_edge(c, d, n)
+    a, b = _normalize_edge(a, b, n)
+    c, d = _normalize_edge(c, d, n)
     rows = g._rows
     if a == c and b == d:
         raise EditConflictError("an edge appears both as removal and addition")
@@ -424,7 +466,7 @@ def with_swap(g: Graph, removal: Edge, addition: Edge) -> Graph:
         raise EditConflictError(f"removal of absent edges: {[(a, b)]}")
     if rows[c] >> d & 1:
         raise EditConflictError(f"addition of present edges: {[(c, d)]}")
-    return _toggled(g, ((a, b), (c, d)), g._edge_count)
+    return _toggled(g, ((a, b), (c, d)))
 
 
 def _check_node(g: Graph, v: int) -> int:

@@ -11,13 +11,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .data import ConfigurationError, DatasetFormatError, GraphDataset
 from .data import read_versioned_json, write_json
-from .graph import Graph, adjacency_matrix
+from .graph import Graph, adjacency_matrix, with_toggles
 
 POSITIVE_EIGENVALUE_TOL = 1e-8
 
@@ -184,7 +184,7 @@ class Oracle:
     :meth:`check`, which evaluates without charging the search; the input's
     class is the one the search charged, carried on its result. Both read
     ``classifier`` at call time, so replacing that attribute (to wrap it in
-    a counter, say) reroutes both.
+    a counter, say) reroutes both, and :meth:`walk` too.
     """
 
     def __init__(self, classifier: Callable[[Graph], int]) -> None:
@@ -194,6 +194,24 @@ class Oracle:
     def predict(self, g: Graph) -> int:
         self.call_count += 1
         return int(self.classifier(g))
+
+    def walk(self, g: Graph, y0: int, steps: Iterable) -> tuple[int, Graph | None]:
+        """Toggle each step's node pairs in turn from ``g``, charging one call
+        a step, up to the first graph that classifies unlike ``y0``: returns
+        (steps taken, that graph or None). A classifier with a ``walk`` of its
+        own (the white-box rule) answers the whole walk; any other, a wrapper
+        included, is asked each step's graph through :meth:`predict`."""
+        own = getattr(self.classifier, "walk", None)
+        if own is not None:
+            taken, reached = own(g, y0, steps)
+            self.call_count += taken
+            return taken, reached
+        taken = 0
+        for taken, pairs in enumerate(steps, 1):
+            g = with_toggles(g, pairs)
+            if self.predict(g) != y0:
+                return taken, g
+        return taken, None
 
     def check(self, g: Graph) -> int:
         """The class of ``g``, evaluated without charging a call."""

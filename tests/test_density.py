@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from densecf import density, graph
+from densecf import data, density, graph
 from densecf import (
     ConfigurationError,
     CoverageError,
@@ -169,6 +169,26 @@ class TestTriSearch:
         for g in graphs:
             tri_search(Oracle(lambda h: 0), g)
         assert calls == graphs
+
+    def test_whitebox_search_builds_only_its_counterfactual(self, monkeypatch):
+        # the white-box rule answers tri's whole walk on one row list: no
+        # graph per swap, and no edit replayed through within_deltas
+        spec = SyntheticSpec(node_count=24, num_graphs=10, subgroups_per_class=2, seed=1)
+        dataset, rule = generate_synthetic(spec), make_whitebox(*node_halves(24))
+        built, replayed, from_rows = [], [], Graph._from_rows.__func__
+        monkeypatch.setattr(Graph, "_from_rows", classmethod(
+            lambda cls, *args: built.append(args) or from_rows(cls, *args)
+        ))
+        for module in (graph, data):
+            monkeypatch.setattr(module, "within_deltas", lambda *args: replayed.append(args))
+        swaps, outcomes = 0, set()
+        for entry in dataset:
+            built.clear()
+            result = tri_search(Oracle(rule), entry.graph)
+            assert len(built) == result.found
+            swaps += result.iterations
+            outcomes.add(result.found)
+        assert outcomes == {True, False} and swaps > 500 and replayed == []
 
 
 class TestRankNodes:

@@ -162,6 +162,19 @@ def test_a_wrapped_classifier_sees_every_predict(monkeypatch):
     oracle.classifier = lambda x: seen.append(x) or classify(x)
     edited = g.remove_edge(*min(g.edges))
     for graph in (g, h, g, edited):  # a table hit, a miss, a hit, an edited graph
-        oracle.predict(graph)
+        y0 = oracle.predict(graph)
     assert computed == [h, edited]
     assert len(seen) == oracle.call_count == 4
+    # a walk charges each step it takes through Oracle.predict, so the
+    # wrapper sees every step's graph, each one edited and computed
+    steps = [((0, 1),), ((2, 3), (0, 2)), ((1, 2),), ((0, 3),)]
+    taken, reached = oracle.walk(edited, 1 - y0, steps)  # stops at the first step of class y0
+    assert taken >= 1 and len(seen) == oracle.call_count == 4 + taken
+    assert computed == [h, edited, *seen[4:]] and all(x.edited for x in seen[4:])
+    assert reached is seen[-1]
+    # the white-box rule's own walk is bypassed by a wrapper, as the traced run needs
+    rule = runner.OracleSpec(kind="whitebox", node_count=dataset.node_count).build()
+    inner, seen = rule.classifier, []
+    rule.classifier = lambda x: seen.append(x) or inner(x)
+    taken, _ = rule.walk(g, rule.check(g), steps)  # the check is one uncharged evaluation
+    assert len(seen) == 1 + rule.call_count == 1 + taken

@@ -3,6 +3,7 @@ edit round trips, and the dataset and ingest loaders' contracts."""
 
 import json
 import pickle
+import random
 import string
 import tempfile
 from itertools import combinations
@@ -21,6 +22,7 @@ from densecf import (
     GraphDataset,
     InstanceRecord,
     MethodRunSummary,
+    Oracle,
     PartitionError,
     RegionPartition,
     SFKnnModel,
@@ -31,6 +33,7 @@ from densecf import (
     load_dataset,
     load_model,
     make_whitebox,
+    node_halves,
     save_dataset,
     save_model,
     symmetric_difference_distance,
@@ -58,6 +61,7 @@ from densecf.graph import (
     triangles_within,
     with_clique,
     with_swap,
+    with_toggles,
     within_deltas,
 )
 from densecf.spectral import KNN_METRICS, MODEL_FORMAT, MODEL_VERSION
@@ -523,6 +527,81 @@ def test_whitebox_rule_equals_the_reference_over_edits_from_any_graph(tree):
         assert rule(g) == whitebox_classify(g, s0, s1)
 
 
+@st.composite
+def walks(draw):
+    """A graph on 2-10 nodes, a class to walk away from, and 0-12 steps of
+    one or two node pairs each, either way round, so two pairs of a step may
+    share a node or be one pair twice."""
+    n = draw(st.integers(2, 10))
+    g = draw(graphs_on(n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    steps = draw(st.lists(st.lists(pair, min_size=1, max_size=2).map(tuple), max_size=12))
+    return g, draw(st.sampled_from((0, 1))), steps
+
+
+def walked(oracle, g, y0, steps):
+    """``oracle.walk`` over ``steps`` and the steps it left unread."""
+    rest = iter(steps)
+    taken, reached = oracle.walk(g, y0, rest)
+    return taken, reached, list(rest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks(), st.booleans())
+@example((Graph(4, [(0, 1), (2, 3)]), 0, []), False)  # no steps
+@example((Graph(4, [(0, 1), (1, 2)]), 0, [((0, 2),), ((2, 3),)]), True)  # a flip at step 1
+@example((Graph(4, [(0, 1)]), 0, [((1, 0), (2, 1)), ((0, 2), (0, 2))]), False)  # shared nodes
+def test_whitebox_walk_equals_the_generic_loop(walk, primed):
+    # the rule's walk against Oracle's loop over a memo-free rule, whether
+    # or not the walk's start sits in one of the rule's slots
+    g, y0, steps = walk
+    s0, s1 = node_halves(g.node_count)
+    reference = Oracle(lambda h: whitebox_classify(h, s0, s1))
+    rule = Oracle(make_whitebox(s0, s1))
+    if primed:
+        rule.check(g)
+    expected = walked(reference, g, y0, steps)
+    taken, reached, rest = walked(rule, g, y0, steps)
+    assert (taken, reached, rest) == expected
+    assert rule.call_count == reference.call_count == taken
+    assert rest == steps[taken:]
+    if reached is not None:
+        for h in (reached, expected[1]):  # built on the row list, and by the loop
+            assert h.edited and h.edge_count == len(h.edges)
+        assert whitebox_classify(reached, s0, s1) != y0
+        assert rule.check(reached) == whitebox_classify(reached, s0, s1)
+        after = with_toggles(reached, [(0, 1)])  # the counts left in the slot move on
+        assert rule.check(after) == whitebox_classify(after, s0, s1)
+    # a wrapper on the classifier takes the loop and sees every charged step
+    wrapped, seen = Oracle(make_whitebox(s0, s1)), []
+    inner = wrapped.classifier
+    wrapped.classifier = lambda h: seen.append(h) or inner(h)
+    assert walked(wrapped, g, y0, steps) == expected
+    assert len(seen) == wrapped.call_count == taken
+    used = iter(steps)
+    list(used)
+    for oracle in (rule, reference):  # an exhausted iterator takes no step
+        assert oracle.walk(g, y0, used) == (0, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(walks(), st.data())
+def test_whitebox_walk_rejects_a_bad_pair_as_the_loop_does(walk, data):
+    g, y0, steps = walk
+    n = g.node_count
+    bad = data.draw(st.sampled_from(((0, n), (1, 1), (-1, 0))))
+    steps = [*steps, ((0, 1), bad)]
+    s0, s1 = node_halves(n)
+
+    def outcome(classify):
+        try:
+            return Oracle(classify).walk(g, y0, steps)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(make_whitebox(s0, s1)) == outcome(lambda h: whitebox_classify(h, s0, s1))
+
+
 def sorted_triangle_score_lists(g):
     """The sort-based body ``triangle_score_lists`` had before it used argsort."""
     scores = triangle_counts(g)
@@ -545,6 +624,41 @@ def test_triangle_score_lists_match_the_sort_based_order(pair):
     removals, additions = map(tuple, triangle_score_lists(g))
     assert (removals, additions) == sorted_triangle_score_lists(g)
     assert all(type(x) is int for edge in removals + additions for x in edge)
+
+
+def argsort_triangle_score_lists(g):
+    """The int64 stable argsorts ``triangle_score_lists`` ran before its keys
+    took the smallest unsigned type that holds them."""
+    u, v = np.triu_indices(g.node_count, k=1)
+    scores = np.asarray(triangle_counts(g), dtype=np.int64)
+    scores = scores[u] + scores[v]
+    present = adjacency_matrix(g)[u, v] == 1.0
+    out, into = np.flatnonzero(present), np.flatnonzero(~present)
+    out = out[np.argsort(scores[out], kind="stable")]
+    into = into[np.argsort(-scores[into], kind="stable")]
+    return tuple(zip(u[out].tolist(), v[out].tolist())), tuple(
+        zip(u[into].tolist(), v[into].tolist())
+    )
+
+
+@st.composite
+def dense_graphs(draw):
+    """Graphs on 0-26 nodes of any edge density, so pair scores pass 255
+    (a complete graph on 13 nodes scores 2 * 66) and the keys take uint16."""
+    n, p = draw(st.integers(0, 26)), draw(st.floats(0, 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return Graph(n, [pair for pair in combinations(range(n), 2) if rng.random() < p])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_graphs())
+@example(Graph(0))
+@example(Graph(1))
+@example(Graph(26))
+@example(Graph.complete(26))
+@example(Graph.complete(26).remove_edge(3, 17))
+def test_triangle_score_lists_match_the_int64_argsort_order(g):
+    assert tuple(map(tuple, triangle_score_lists(g))) == argsort_triangle_score_lists(g)
 
 
 @given(graph_pairs())
