@@ -411,20 +411,17 @@ def whitebox_classify(g: Graph, s0: Sequence[int] | int, s1: Sequence[int] | int
     Each half is a sequence of node indices or its ``node_mask``. Ties fall
     back to induced edge counts, then to class 0.
     """
-    m0, m1 = _halves(g, node_mask(s0), node_mask(s1))
-    return _by_counts(_counts(g, m0, m1))
+    return _by_counts(_counts(g, node_mask(s0), node_mask(s1)))
 
 
-def _halves(g: Graph, m0: int, m1: int) -> tuple[int, int]:
+def _counts(g: Graph, m0: int, m1: int) -> tuple[int, int, int, int]:
+    # (triangles, edges) within half 0, then within half 1, as one flat tuple;
+    # a graph is counted here or from one counted here, so only here are the
+    # halves checked against its node count
     if m0 & m1:
         raise PartitionError("node subsets overlap")
     if m0 | m1 != (1 << g.node_count) - 1:
         raise PartitionError("node subsets must cover all nodes")
-    return m0, m1
-
-
-def _counts(g: Graph, m0: int, m1: int) -> tuple[int, int, int, int]:
-    # (triangles, edges) within half 0, then within half 1, as one flat tuple
     t0, t1 = triangles_within(g, m0), triangles_within(g, m1)
     return t0, edges_within(g, m0), t1, edges_within(g, m1)
 
@@ -446,54 +443,46 @@ def make_whitebox(s0: Sequence[int], s1: Sequence[int]) -> Callable[[Graph], int
     it. The rule's ``walk`` answers ``Oracle.walk`` through ``walk_within``
     and leaves the graph that flips, with its counts, in the last slot."""
     m0, m1 = masks = node_mask(s0), node_mask(s1)
-    # (last graph, its counts, the graph they were updated from or None, its
-    # counts), replaced whole so the rule can be shared
-    slots = (None, None, None, None)
+    # ((last graph, its counts), (the graph they were updated from, its
+    # counts)), ``empty`` where a slot holds none; replaced whole so the rule
+    # can be shared
+    empty = (None, None)
+    slots = (empty, empty)
     table: dict[Graph, tuple[int, int, int, int]] = {}
-    checked = None  # the node count the halves passed ``_halves`` for; no other can pass
 
     def counts_of(g: Graph) -> tuple[int, int, int, int]:
-        nonlocal slots, checked
-        if g.node_count != checked:
-            _halves(g, m0, m1)
-            checked = g.node_count
-        last, last_counts, before, before_counts = slots
-        if g is last:
-            return last_counts
-        if g is before:
-            return before_counts
-        if not g.edited:
+        nonlocal slots
+        for slot in slots:
+            base, base_counts = slot
+            if g is base:
+                return base_counts
+            deltas = base is not None and g.edited and within_deltas(base, g, masks)
+            if deltas:
+                (dt0, de0), (dt1, de1) = deltas
+                t0, e0, t1, e1 = base_counts
+                counts = t0 + dt0, e0 + de0, t1 + dt1, e1 + de1
+                slots = ((g, counts), slot)
+                return counts
+        if g.edited:
+            counts = _counts(g, m0, m1)
+        else:
             counts = table.get(g)
             if counts is None:  # two threads may both count it; both store the same counts
                 counts = table[g] = _counts(g, m0, m1)
-            slots = (g, counts, None, None)
-            return counts
-        base, base_counts = last, last_counts
-        deltas = None if last is None else within_deltas(last, g, masks)
-        if deltas is None and before is not None:
-            base, base_counts = before, before_counts
-            deltas = within_deltas(before, g, masks)
-        if deltas is None:
-            counts = _counts(g, m0, m1)
-            slots = (g, counts, None, None)
-        else:
-            (dt0, de0), (dt1, de1) = deltas
-            t0, e0, t1, e1 = base_counts
-            counts = t0 + dt0, e0 + de0, t1 + dt1, e1 + de1
-            slots = (g, counts, base, base_counts)
+        slots = ((g, counts), empty)
         return counts
 
     def classify(g: Graph) -> int:
         return _by_counts(counts_of(g))
 
-    def walk(g: Graph, y0: int, steps: Iterable) -> tuple[int, Graph | None]:
+    def walk(g: Graph, y0: int, steps: Iterable) -> Graph | None:
         nonlocal slots
         start = counts_of(g)
         counts = list(start)
-        taken, reached = walk_within(g, steps, masks, counts, lambda c: _by_counts(c) != y0)
+        reached = walk_within(g, steps, masks, counts, lambda c: _by_counts(c) != y0)
         if reached is not None:
-            slots = (reached, tuple(counts), g, start)
-        return taken, reached
+            slots = ((reached, tuple(counts)), (g, start))
+        return reached
 
     classify.walk = walk
     return classify

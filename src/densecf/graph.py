@@ -44,7 +44,7 @@ class Graph:
     an edge. Edge views are built from the rows when asked for, as (u, v) with
     u < v; self-loops are rejected and repeated pairs collapse. Instances are
     immutable: ``add_edge``, ``remove_edge``, ``apply_edits``, ``with_clique``,
-    ``with_swap``, ``with_toggles`` and ``walk_within`` return new graphs, each
+    ``with_toggles`` and ``walk_within`` return new graphs, each
     sharing the row objects of the nodes it does not touch with its input.
 
     Provenance: a graph one of those edits made records, in ``_origin``, its
@@ -402,20 +402,20 @@ def within_deltas(before: Graph, after: Graph, masks: Sequence[int]) -> list | N
 
 def walk_within(
     g: Graph, steps: Iterable, masks: Sequence[int], counts: list[int], stop: Callable
-) -> tuple[int, Graph | None]:
+) -> Graph | None:
     """Toggle each step's node pairs in turn from ``g`` on one list of its
     rows, keeping ``counts`` (per disjoint node mask of ``masks``, the
     triangles then the edges within it; ``g``'s on entry) up to date in
-    place. After the first step at which ``stop(counts)`` holds, returns
-    (steps taken, the graph reached), else (steps taken, None); pairs are
+    place. Returns the graph reached at the first step after which
+    ``stop(counts)`` holds, reading no step beyond it, else None; pairs are
     checked as ``with_toggles`` checks them."""
     n = g.node_count
     home = [-1] * n  # the index of the mask that holds each node
     for i, mask in enumerate(masks):
         for u in _members(_within(g, mask)):
             home[u] = i
-    rows, touched, edge_count, taken = list(g._rows), 0, g._edge_count, 0
-    for taken, step in enumerate(steps, 1):
+    rows, touched, edge_count = list(g._rows), 0, g._edge_count
+    for step in steps:
         for a, b in step:
             # the searches pass ordered int pairs in range; others are normalized
             if not (type(a) is type(b) is int and 0 <= a < b < n):
@@ -433,8 +433,8 @@ def walk_within(
             touched |= 1 << a | bit
             edge_count += sign
         if stop(counts):
-            return taken, Graph._from_rows(tuple(rows), edge_count, (g._rows, touched))
-    return taken, None
+            return Graph._from_rows(tuple(rows), edge_count, (g._rows, touched))
+    return None
 
 
 def with_clique(g: Graph, nodes: int | Iterable[int], present: bool) -> Graph:
@@ -449,24 +449,6 @@ def with_clique(g: Graph, nodes: int | Iterable[int], present: bool) -> Graph:
         change += row.bit_count() - rows[u].bit_count()
         rows[u] = row
     return Graph._from_rows(tuple(rows), g._edge_count + change // 2, (g._rows, mask))
-
-
-def with_swap(g: Graph, removal: Edge, addition: Edge) -> Graph:
-    """``g`` with the edge ``removal`` made a non-edge and the non-edge
-    ``addition`` made an edge, so the edge count stays. Equal to
-    ``apply_edits(g, EditList((removal,), (addition,)))`` and raises its
-    errors, but rebuilds only the rows of the pairs' ends."""
-    (a, b), (c, d), n = removal, addition, g.node_count
-    a, b = _normalize_edge(a, b, n)
-    c, d = _normalize_edge(c, d, n)
-    rows = g._rows
-    if a == c and b == d:
-        raise EditConflictError("an edge appears both as removal and addition")
-    if not rows[a] >> b & 1:
-        raise EditConflictError(f"removal of absent edges: {[(a, b)]}")
-    if rows[c] >> d & 1:
-        raise EditConflictError(f"addition of present edges: {[(c, d)]}")
-    return _toggled(g, ((a, b), (c, d)))
 
 
 def _check_node(g: Graph, v: int) -> int:

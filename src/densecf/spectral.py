@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import count
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -199,19 +201,28 @@ class Oracle:
         """Toggle each step's node pairs in turn from ``g``, charging one call
         a step, up to the first graph that classifies unlike ``y0``: returns
         (steps taken, that graph or None). A classifier with a ``walk`` of its
-        own (the white-box rule) answers the whole walk; any other, a wrapper
-        included, is asked each step's graph through :meth:`predict`."""
+        own (the white-box rule) answers the whole walk, returning that graph
+        or None; any other, a wrapper included, is asked each step's graph
+        through :meth:`predict`. Either way a step is charged once answered,
+        so a step with a rejected pair, or an error from ``steps``, is not."""
         own = getattr(self.classifier, "walk", None)
-        if own is not None:
-            taken, reached = own(g, y0, steps)
+        if own is None:
+            taken = 0
+            for taken, pairs in enumerate(steps, 1):
+                g = with_toggles(g, pairs)
+                if self.predict(g) != y0:
+                    return taken, g
+            return taken, None
+        tried, reached = count(), None  # advanced as each step is asked for
+        try:
+            reached = own(g, y0, map(itemgetter(1), zip(tried, steps)))
+        finally:
+            # each step asked for is answered but a last one that did not
+            # flip: ``steps`` ran out or raised, or a pair of it was rejected;
+            # a walk that raised before asking for one is charged nothing
+            taken = max(next(tried) - (reached is None), 0)
             self.call_count += taken
-            return taken, reached
-        taken = 0
-        for taken, pairs in enumerate(steps, 1):
-            g = with_toggles(g, pairs)
-            if self.predict(g) != y0:
-                return taken, g
-        return taken, None
+        return taken, reached
 
     def check(self, g: Graph) -> int:
         """The class of ``g``, evaluated without charging a call."""

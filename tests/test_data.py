@@ -10,12 +10,14 @@ import pytest
 
 from densecf import (
     DatasetFormatError,
+    EditList,
     Graph,
     GraphDataset,
     Oracle,
     PartitionError,
     RegionPartition,
     SyntheticSpec,
+    apply_edits,
     edg_search,
     generate_synthetic,
     ingest_correlation_listing,
@@ -29,7 +31,7 @@ from densecf import (
 )
 from densecf import data
 from densecf.data import DatasetEntry, load_correlation_matrix, load_partition
-from densecf.graph import edges_within, node_mask, triangles_within, with_clique, with_swap
+from densecf.graph import edges_within, node_mask, triangles_within, with_clique
 from densecf.graph import within_deltas
 
 from conftest import random_graph
@@ -239,7 +241,7 @@ class TestWhitebox:
         built = random_graph(12, 0.5, random.Random(5))
         absent = [(u, v) for u in range(12) for v in range(u + 1, 12) if not built.has_edge(u, v)]
         sibling = built.add_edge(*absent[1])
-        swapped = with_swap(sibling, min(sibling.edges), absent[2])
+        swapped = apply_edits(sibling, EditList((min(sibling.edges),), (absent[2],)))
         clique = with_clique(swapped, range(5), True)
         fresh = Graph(12, clique.edges)
         orphan = clique.remove_edge(*min(clique.edges))
@@ -316,9 +318,9 @@ class TestWhitebox:
         thirds = [node_mask(range(0, 3)), node_mask(range(3, 5)), node_mask(range(6, 8))]
         g = Graph(8, [(0, 1), (0, 3), (1, 3), (0, 4), (4, 5), (4, 6), (5, 6), (2, 5)])
         if edit == "cross-half pairs only":
-            masks, h = halves, with_swap(g, (0, 4), (1, 5))
+            masks, h = halves, apply_edits(g, EditList(((0, 4),), ((1, 5),)))
         elif edit == "a swap sharing a node in one half":
-            masks, h = halves, with_swap(g, (0, 1), (0, 2))
+            masks, h = halves, apply_edits(g, EditList(((0, 1),), ((0, 2),)))
         else:  # node 5 lies in no mask
             masks, h = thirds, with_clique(g, range(7), True)
         deltas = within_deltas(g, h, masks)

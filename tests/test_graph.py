@@ -27,7 +27,6 @@ from densecf.graph import (
     triangles_at,
     triangles_within,
     with_clique,
-    with_swap,
 )
 
 from conftest import (
@@ -56,8 +55,9 @@ class TestGraphBasics:
         assert g.has_edge(np.int64(70), np.int64(99)) and not g.has_edge(70, 80)
         assert two_hop_neighborhood(g, np.int64(70)) == {80, 99}
         assert triangles_within(g.add_edge(70, 80), np.arange(100)) == 1
-        swapped = with_swap(g, (np.int64(70), np.int64(99)), (np.int64(70), np.int64(80)))
-        assert swapped == with_swap(g, (70, 99), (70, 80))
+        swap = EditList(((np.int64(70), np.int64(99)),), ((np.int64(70), np.int64(80)),))
+        swapped = apply_edits(g, swap)
+        assert swapped == apply_edits(g, EditList(((70, 99),), ((70, 80),)))
         assert all(type(row) is int for row in swapped._rows)
 
     def test_rejects_self_loop(self):

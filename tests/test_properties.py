@@ -60,7 +60,6 @@ from densecf.graph import (
     node_mask,
     triangles_within,
     with_clique,
-    with_swap,
     with_toggles,
     within_deltas,
 )
@@ -318,7 +317,8 @@ def edited(draw, g, how):
     present = [p for p in pairs if g.has_edge(*p)]
     absent = [p for p in pairs if not g.has_edge(*p)]
     if how == "swap" and present and absent:
-        return with_swap(g, draw(st.sampled_from(present)), draw(st.sampled_from(absent)))
+        swap = EditList((draw(st.sampled_from(present)),), (draw(st.sampled_from(absent)),))
+        return apply_edits(g, swap)
     if how == "edge":
         u, v = draw(st.sampled_from(pairs))
         return g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
@@ -407,48 +407,6 @@ def test_with_clique_sets_exactly_the_pairs_among_its_nodes(pair, data):
 
 
 @st.composite
-def swaps(draw):
-    """A graph on 0-9 nodes and a (removal, addition) pair of node pairs, each
-    one of its edges, one of its non-edges, or any two nodes in -1..n, so a
-    self-loop or a node out of range; either way round."""
-    n = draw(st.integers(0, 9))
-    g = draw(graphs_on(n))
-    absent = set(combinations(range(n), 2)) - g.edges
-    kinds = [st.tuples(st.integers(-1, n), st.integers(-1, n))]
-    kinds += [st.sampled_from(sorted(pairs)) for pairs in (g.edges, absent) if pairs]
-
-    def pair():
-        u, v = draw(st.one_of(kinds))
-        return (u, v) if draw(st.booleans()) else (v, u)
-
-    return g, pair(), pair()
-
-
-@settings(max_examples=300, deadline=None)
-@given(swaps())
-@example((Graph(3, [(0, 1)]), (1, 0), (0, 2)))  # a swap
-@example((Graph(3, [(0, 1)]), (1, 2), (0, 2)))  # an absent removal
-@example((Graph(3, [(0, 1), (1, 2)]), (0, 1), (2, 1)))  # a present addition
-@example((Graph(3, [(0, 1)]), (0, 1), (0, 1)))  # one pair both ways
-@example((Graph(3, [(0, 1)]), (0, 1), (2, 2)))  # a self-loop
-@example((Graph(3, [(0, 1)]), (0, 3), (0, 2)))  # out of range
-@example((Graph(3, [(0, 1)]), (0, 1), (-1, 2)))  # out of range
-def test_with_swap_equals_apply_edits(swap):
-    g, removal, addition = swap
-    try:
-        expected = apply_edits(g, EditList((removal,), (addition,)))
-    except ValueError as exc:
-        with pytest.raises(ValueError) as raised:
-            with_swap(g, removal, addition)
-        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
-        return
-    h = with_swap(g, removal, addition)
-    assert h == expected and h.edge_count == len(h.edges) == g.edge_count
-    ends = {*removal, *addition}
-    assert all(h._rows[u] is g._rows[u] for u in range(g.node_count) if u not in ends)
-
-
-@st.composite
 def graph_walks(draw):
     """Halves of 3-12 nodes, which may overlap or miss a node, and a sequence
     of graphs: mostly chains of edits by each edit function, with unrelated
@@ -490,12 +448,20 @@ def outcome(classify, g):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graph_walks())
-def test_shared_whitebox_rule_equals_the_reference_along_a_walk(walk):
+@given(graph_walks(), st.booleans())
+@example((([0, 1, 2], [3, 4, 5]), [Graph(6, [(3, 4)]), Graph(7), Graph(7).add_edge(0, 6)]), True)
+def test_shared_whitebox_rule_equals_the_reference_along_a_walk(walk, walking):
+    # each graph is classified, or, when ``walking``, starts a walk of no
+    # steps, which counts it as classifying it does or raises what the
+    # reference raises, whatever node count the rule counted before
     (s0, s1), graphs = walk
     rule = make_whitebox(s0, s1)
+    oracle = Oracle(rule)
+    reference = lambda h: whitebox_classify(h, s0, s1)
+    ask = (lambda h: oracle.walk(h, 0, ())[1] or reference(h)) if walking else rule
     for g in graphs:
-        assert outcome(rule, g) == outcome(lambda h: whitebox_classify(h, s0, s1), g)
+        assert outcome(ask, g) == outcome(reference, g)
+    assert oracle.call_count == 0  # nor does a walk of no steps charge, even one that raises
 
 
 @st.composite
@@ -585,19 +551,29 @@ def test_whitebox_walk_equals_the_generic_loop(walk, primed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(walks(), st.data())
-def test_whitebox_walk_rejects_a_bad_pair_as_the_loop_does(walk, data):
+@given(walks(), st.sampled_from(("(0, n)", (1, 1), (-1, 0), "the steps raise")))
+@example((Graph(6), 0, [((0, 3),), ((1, 4),)]), "the steps raise")  # after two steps, no flip
+def test_whitebox_walk_rejects_a_bad_pair_as_the_loop_does(walk, bad):
     g, y0, steps = walk
     n = g.node_count
-    bad = data.draw(st.sampled_from(((0, n), (1, 1), (-1, 0))))
-    steps = [*steps, ((0, 1), bad)]
     s0, s1 = node_halves(n)
 
+    def bad_steps():
+        yield from steps
+        if bad == "the steps raise":
+            raise ValueError("no more steps")
+        yield (0, 1), (0, n) if bad == "(0, n)" else bad
+
     def outcome(classify):
+        # what the walk returns or, if the pair or the steps raise, the
+        # message; and the calls it charged, the input's own included
+        oracle = Oracle(classify)
+        oracle.predict(g)
         try:
-            return Oracle(classify).walk(g, y0, steps)
+            result = oracle.walk(g, y0, bad_steps())
         except ValueError as exc:
-            return str(exc)
+            result = str(exc)
+        return result, oracle.call_count
 
     assert outcome(make_whitebox(s0, s1)) == outcome(lambda h: whitebox_classify(h, s0, s1))
 
