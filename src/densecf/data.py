@@ -411,7 +411,7 @@ def whitebox_classify(g: Graph, s0: Sequence[int] | int, s1: Sequence[int] | int
     Each half is a sequence of node indices or its ``node_mask``. Ties fall
     back to induced edge counts, then to class 0.
     """
-    return _by_counts(_counts(g, node_mask(s0), node_mask(s1)))
+    return _class_of(_counts(g, node_mask(s0), node_mask(s1)))
 
 
 def _counts(g: Graph, m0: int, m1: int) -> tuple[int, int, int, int]:
@@ -426,10 +426,21 @@ def _counts(g: Graph, m0: int, m1: int) -> tuple[int, int, int, int]:
     return t0, edges_within(g, m0), t1, edges_within(g, m1)
 
 
-def _by_counts(counts: tuple[int, int, int, int]) -> int:
-    # the half with more triangles wins, then the one with more edges; a full tie is class 0
-    t0, e0, t1, e1 = counts
-    return int(t1 > t0 or t1 == t0 and e1 > e0)
+def _by_counts(against: int) -> Callable[[Sequence[int]], int]:
+    """The rule on a graph's counts, (triangles, edges) within half 0 then
+    half 1: the half with more triangles wins, then the one with more edges;
+    a full tie is class 0. The function returned answers the class xor
+    ``against``: the class itself for 0, and for a walk's start class, 1
+    exactly when the class differs, so a walk's stop test is one call."""
+
+    def rule(counts: Sequence[int]) -> int:
+        t0, e0, t1, e1 = counts
+        return int(t1 > t0 or t1 == t0 and e1 > e0) ^ against
+
+    return rule
+
+
+_class_of = _by_counts(0)
 
 
 def make_whitebox(s0: Sequence[int], s1: Sequence[int]) -> Callable[[Graph], int]:
@@ -473,13 +484,13 @@ def make_whitebox(s0: Sequence[int], s1: Sequence[int]) -> Callable[[Graph], int
         return counts
 
     def classify(g: Graph) -> int:
-        return _by_counts(counts_of(g))
+        return _class_of(counts_of(g))
 
     def walk(g: Graph, y0: int, steps: Iterable) -> Graph | None:
         nonlocal slots
         start = counts_of(g)
         counts = list(start)
-        reached = walk_within(g, steps, masks, counts, lambda c: _by_counts(c) != y0)
+        reached = walk_within(g, steps, masks, counts, _by_counts(y0))
         if reached is not None:
             slots = ((reached, tuple(counts)), (g, start))
         return reached

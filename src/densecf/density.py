@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import filterfalse, islice
+from functools import cache
+from itertools import chain, filterfalse, islice
 from math import isqrt
 from typing import Collection, Iterator, Sequence
 
@@ -22,7 +23,8 @@ from .graph import (
     Edge,
     EditList,
     Graph,
-    adjacency_matrix,
+    bit_matrix,
+    bit_triangle_counts,
     edges_within,
     edit_distance_ratio,
     eigenvector_centrality,
@@ -131,6 +133,16 @@ def finish_result(
     )
 
 
+@cache
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, every node pair in lexicographic order, in
+    the smallest unsigned type that holds n - 1; read-only, as it is shared."""
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    u, v = (side.astype(dtype) for side in np.triu_indices(n, 1))
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
+
+
 def triangle_score_lists(g: Graph) -> tuple[Iterator[Edge], Iterator[Edge]]:
     """Order every node pair by the summed per-node triangle counts.
 
@@ -140,10 +152,13 @@ def triangle_score_lists(g: Graph) -> tuple[Iterator[Edge], Iterator[Edge]]:
     possible). Score ties break on lexicographic edge order. Each list is an
     iterator that builds a pair only when it is reached.
     """
-    u, v = np.triu_indices(g.node_count, k=1)  # every pair, in lexicographic order
-    scores = np.asarray(triangle_counts(g), dtype=np.int64)
-    scores = scores[u] + scores[v]
-    present = adjacency_matrix(g)[u, v] == 1.0
+    u, v = _pair_indices(g.node_count)
+    bits = bit_matrix(g)
+    scores = bit_triangle_counts(bits)
+    # ``take`` reads the small pair indices as they are, where indexing with
+    # them would first convert them to intp: 3x slower at n = 60
+    scores = scores.take(u) + scores.take(v)
+    present = bits.take(u * np.intp(g.node_count) + v).view(np.bool_)
     # a stable sort keeps lexicographic pair order among equal scores; on the
     # smallest unsigned type that holds them (uint16 at n = 60 and 116) it is
     # a radix sort, and top - key gives the descending order
@@ -153,7 +168,16 @@ def triangle_score_lists(g: Graph) -> tuple[Iterator[Edge], Iterator[Edge]]:
     out = out[np.argsort(key[out], kind="stable")]
     into = np.flatnonzero(~present)
     into = into[np.argsort(top - key[into], kind="stable")]
-    return zip(u[out].tolist(), v[out].tolist()), zip(u[into].tolist(), v[into].tolist())
+    # ``tri_search`` zips the two lists, so it reads at most as many additions
+    # as there are removals; only those are turned into Python ints up front
+    head, rest = into[: len(out)], into[len(out) :]
+    additions = chain(zip(u.take(head).tolist(), v.take(head).tolist()), _pairs_at(u, v, rest))
+    return zip(u.take(out).tolist(), v.take(out).tolist()), additions
+
+
+def _pairs_at(u: np.ndarray, v: np.ndarray, order: np.ndarray) -> Iterator[Edge]:
+    # a generator, so nothing is converted unless a reader reaches it
+    yield from zip(u.take(order).tolist(), v.take(order).tolist())
 
 
 def tri_search(

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import ctypes
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .baselines import dat_search, edg_search, refine_with_backward
 from .data import ConfigurationError, DatasetEntry, GraphDataset, RegionPartition
@@ -19,6 +24,8 @@ from .density import (
 from .evaluation import InstanceRecord, MethodRunSummary
 from .graph import Graph
 from .spectral import Oracle, SFKnnModel, knn_classifier
+
+logger = logging.getLogger(__name__)
 
 
 # The searches are looked up as module globals when a method runs (not bound
@@ -154,6 +161,29 @@ _WORKER_CTX: tuple | None = None  # (oracle spec, dataset, partition, options) i
 def _init_worker(*ctx) -> None:
     global _WORKER_CTX
     _WORKER_CTX = ctx
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
+
+
+@cache
+def _blas_thread_setter() -> Callable[[int], None] | None:
+    """OpenBLAS's own thread-count setter when numpy runs on its bundled
+    scipy-openblas, else None. A pool worker runs one search at a time
+    beside the others, and OpenBLAS's threads in each worker contend for the
+    same CPUs: on a 2-CPU machine, a 116-node ``benchmark`` of tri, cli, edg
+    and dat over two workers took 7.2-7.3 s with them and 2.0-2.1 s with one
+    thread each, with the same records."""
+    if np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name") != "scipy-openblas":
+        return None
+    try:  # numpy's extension links the library, so its handle reaches the symbols
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):  # a numpy laid out otherwise
+        return None
+    for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+        if hasattr(lib, name):
+            return getattr(lib, name)
+    return None
 
 
 def _run_task(task: tuple[str, int]) -> InstanceRecord:
@@ -197,6 +227,8 @@ def run_benchmark(
         records = [run_instance(m, i, build(), dataset, partition, options) for m, i in tasks]
     else:
         ctx = (oracle_spec, dataset, partition, options)
+        if _blas_thread_setter() is None:  # looked up here, so a forked worker has it
+            logger.warning("no scipy-openblas thread setter: pool workers keep the BLAS's threads")
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=ctx) as pool:
             records = list(pool.map(_run_task, tasks, chunksize=4))  # in task order
     n = len(dataset)

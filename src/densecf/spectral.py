@@ -179,9 +179,10 @@ def knn_classifier(model: SFKnnModel) -> Callable[[Graph], int]:
 
 
 class Oracle:
-    """Black-box wrapper that counts every prediction it performs.
+    """Black-box wrapper that counts every prediction it answers.
 
-    Searches must go through :meth:`predict`, which charges one call. Only
+    Searches must go through :meth:`predict`, which charges one call once the
+    classifier answers, as :meth:`walk` charges a step. Only
     the check that a found counterfactual flips the class goes through
     :meth:`check`, which evaluates without charging the search; the input's
     class is the one the search charged, carried on its result. Both read
@@ -194,8 +195,11 @@ class Oracle:
         self.call_count = 0
 
     def predict(self, g: Graph) -> int:
+        """The class of ``g``, charging one call once the classifier answers,
+        so a call that raises is not charged."""
+        label = int(self.classifier(g))
         self.call_count += 1
-        return int(self.classifier(g))
+        return label
 
     def walk(self, g: Graph, y0: int, steps: Iterable) -> tuple[int, Graph | None]:
         """Toggle each step's node pairs in turn from ``g``, charging one call

@@ -143,11 +143,12 @@ class SerialPool:
 @contextmanager
 def serial_pool():
     """Patch ``SerialPool`` into ``runner`` and yield the pool sizes it is
-    asked for; the worker context ``_init_worker`` sets is put back after."""
+    asked for; the worker context ``_init_worker`` sets is put back after,
+    and its BLAS pin is a no-op, so this process keeps its own thread count."""
     from densecf import runner
 
     SerialPool.sizes = []
     with patch.object(runner, "ProcessPoolExecutor", SerialPool), patch.object(
         runner, "_WORKER_CTX", None
-    ):
+    ), patch.object(runner, "_blas_thread_setter", lambda: lambda threads: None):
         yield SerialPool.sizes

@@ -52,7 +52,7 @@ from densecf.data import (
     load_correlation_matrix,
     load_partition,
 )
-from densecf.density import triangle_score_lists
+from densecf.density import _pair_indices, triangle_score_lists
 from densecf.evaluation import RECORDS_CSV_COLUMNS, read_records_csv, write_records_csv
 from densecf.graph import (
     adjacency_matrix,
@@ -517,6 +517,8 @@ def walked(oracle, g, y0, steps):
 @example((Graph(4, [(0, 1), (2, 3)]), 0, []), False)  # no steps
 @example((Graph(4, [(0, 1), (1, 2)]), 0, [((0, 2),), ((2, 3),)]), True)  # a flip at step 1
 @example((Graph(4, [(0, 1)]), 0, [((1, 0), (2, 1)), ((0, 2), (0, 2))]), False)  # shared nodes
+# row 0 (768, no cached int) toggled away and back in the step that flips
+@example((Graph(10, [(0, 8), (0, 9)]), 0, [((0, 1), (1, 0), (5, 6))]), False)
 def test_whitebox_walk_equals_the_generic_loop(walk, primed):
     # the rule's walk against Oracle's loop over a memo-free rule, whether
     # or not the walk's start sits in one of the rule's slots
@@ -532,8 +534,24 @@ def test_whitebox_walk_equals_the_generic_loop(walk, primed):
     assert rule.call_count == reference.call_count == taken
     assert rest == steps[taken:]
     if reached is not None:
+        masks = [node_mask(s0), node_mask(s1)]
+        recount = [  # the change a fresh count sees; the two graphs are equal
+            (
+                triangles_within(reached, m) - triangles_within(g, m),
+                edges_within(reached, m) - edges_within(g, m),
+            )
+            for m in masks
+        ]
         for h in (reached, expected[1]):  # built on the row list, and by the loop
             assert h.edited and h.edge_count == len(h.edges)
+        # the walk's record, from g: its mask names exactly the rows that are
+        # not g's own objects, so every row that changed lies inside it
+        origin, rebuilt = reached._origin
+        nodes = range(g.node_count)
+        assert origin is g._rows
+        assert rebuilt == node_mask(u for u in nodes if reached._rows[u] is not g._rows[u])
+        assert not node_mask(u for u in nodes if reached._rows[u] != g._rows[u]) & ~rebuilt
+        assert within_deltas(g, reached, masks) == recount
         assert whitebox_classify(reached, s0, s1) != y0
         assert rule.check(reached) == whitebox_classify(reached, s0, s1)
         after = with_toggles(reached, [(0, 1)])  # the counts left in the slot move on
@@ -633,8 +651,21 @@ def dense_graphs(draw):
 @example(Graph(26))
 @example(Graph.complete(26))
 @example(Graph.complete(26).remove_edge(3, 17))
+@example(Graph(116, [(u, v) for u, v in combinations(range(116), 2) if u * (v + 1) % 3 == 0]))
 def test_triangle_score_lists_match_the_int64_argsort_order(g):
     assert tuple(map(tuple, triangle_score_lists(g))) == argsort_triangle_score_lists(g)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 3, 60, 116))
+def test_pair_indices_are_read_only_triu_indices(n):
+    u, v = _pair_indices(n)
+    expected_u, expected_v = np.triu_indices(n, 1)
+    assert np.array_equal(u, expected_u) and np.array_equal(v, expected_v)
+    assert u.dtype == v.dtype == np.uint8  # the smallest unsigned type for n - 1
+    assert _pair_indices(n)[0] is u  # built once per node count
+    for side in (u, v):
+        with pytest.raises(ValueError, match="read-only"):
+            side[:] = 0
 
 
 @given(graph_pairs())

@@ -1,9 +1,13 @@
+import ctypes
 import gc
+import multiprocessing
 import pickle
 import random
 import weakref
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from densecf import (
@@ -29,6 +33,15 @@ from densecf.data import DatasetEntry
 from densecf.runner import derive_seed, pool_size, run_instance
 
 from conftest import random_graph, serial_pool
+
+
+def _blas_threads() -> int:
+    """The thread count of numpy's scipy-openblas in this process."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+        if hasattr(lib, name):
+            return getattr(lib, name)()
+    raise AssertionError("no scipy-openblas thread count")
 
 
 def small_dataset(n=8, count=6, seed=51, partition=True):
@@ -278,6 +291,27 @@ class TestBenchmark:
             pooled = run_benchmark(whitebox_spec(dataset), workers=64, **kwargs)
         assert sizes == [2]
         assert pooled == serial
+
+    @pytest.mark.skipif(
+        runner._blas_thread_setter() is None, reason="numpy's BLAS is not scipy-openblas"
+    )
+    @pytest.mark.parametrize("method", ("fork", "spawn"))
+    def test_a_pool_worker_runs_one_blas_thread(self, method, monkeypatch):
+        # two threads where a worker starts: inherited under fork, read from
+        # the environment under spawn; the worker's initializer pins one
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        before = _blas_threads()
+        runner._blas_thread_setter()(2)
+        try:
+            context = multiprocessing.get_context(method)
+            with ProcessPoolExecutor(1, mp_context=context) as pool:
+                assert pool.submit(_blas_threads).result(timeout=60) == 2
+            with ProcessPoolExecutor(
+                1, mp_context=context, initializer=runner._init_worker, initargs=(None,) * 4
+            ) as pool:
+                assert pool.submit(_blas_threads).result(timeout=60) == 1
+        finally:
+            runner._blas_thread_setter()(before)
 
     def test_one_task_runs_serially_whatever_the_workers(self):
         dataset = small_dataset(count=1)

@@ -17,15 +17,19 @@ from densecf import (
     GraphDataset,
     Oracle,
     OracleSpec,
+    PartitionError,
     RegionPartition,
     RunOptions,
     SFKnnModel,
     knn_predict,
     load_model,
+    make_whitebox,
+    node_halves,
     save_model,
     spectral,
     spectral_features,
     train_sf_knn,
+    whitebox_classify,
 )
 from densecf.data import DatasetEntry
 from densecf.density import finish_result
@@ -399,6 +403,28 @@ class TestOracle:
         oracle.classifier = lambda g: 0  # as a wrapping counter replaces it
         assert oracle.check(Graph(2)) == 0 and oracle.predict(Graph(2)) == 0
         assert oracle.call_count == 1
+
+    def test_a_call_that_raises_is_not_charged(self):
+        def fails(g):
+            raise RuntimeError("no answer")
+
+        oracle = Oracle(fails)
+        with pytest.raises(RuntimeError, match="no answer"):
+            oracle.predict(Graph(2))
+        assert oracle.call_count == 0
+
+    def test_a_walk_charges_alike_through_the_loop_and_the_rule(self):
+        # the halves cover 6 nodes of 7, so counting the graph raises: the
+        # loop over whitebox_classify raises on its first step's graph, the
+        # rule's own walk before it asks for a step, and neither is charged
+        s0, s1 = node_halves(6)
+        g, steps = Graph(7), [((0, 1),), ((2, 3),)]
+        loop = Oracle(lambda h: whitebox_classify(h, s0, s1))
+        rule = Oracle(make_whitebox(s0, s1))
+        for oracle in (loop, rule):
+            with pytest.raises(PartitionError, match="must cover all nodes"):
+                oracle.walk(g, 0, iter(steps))
+        assert loop.call_count == rule.call_count == 0
 
     def test_per_worker_clones_sum_to_aggregate(self):
         base = Oracle(lambda g: g.edge_count % 2)
