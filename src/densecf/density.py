@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, filterfalse, islice
 from math import isqrt
 from typing import Collection, Iterator, Sequence
@@ -23,12 +22,11 @@ from .graph import (
     Edge,
     EditList,
     Graph,
-    bit_matrix,
-    bit_triangle_counts,
     edges_within,
     edit_distance_ratio,
     eigenvector_centrality,
     least_overlapping_clique,
+    pair_triangle_scores,
     symmetric_difference_distance,
     triangle_counts,
     triangles_at,
@@ -133,16 +131,6 @@ def finish_result(
     )
 
 
-@cache
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, 1)``, every node pair in lexicographic order, in
-    the smallest unsigned type that holds n - 1; read-only, as it is shared."""
-    dtype = np.min_scalar_type(max(n - 1, 0))
-    u, v = (side.astype(dtype) for side in np.triu_indices(n, 1))
-    u.flags.writeable = v.flags.writeable = False
-    return u, v
-
-
 def triangle_score_lists(g: Graph) -> tuple[Iterator[Edge], Iterator[Edge]]:
     """Order every node pair by the summed per-node triangle counts.
 
@@ -152,25 +140,18 @@ def triangle_score_lists(g: Graph) -> tuple[Iterator[Edge], Iterator[Edge]]:
     possible). Score ties break on lexicographic edge order. Each list is an
     iterator that builds a pair only when it is reached.
     """
-    u, v = _pair_indices(g.node_count)
-    bits = bit_matrix(g)
-    scores = bit_triangle_counts(bits)
-    # ``take`` reads the small pair indices as they are, where indexing with
-    # them would first convert them to intp: 3x slower at n = 60
-    scores = scores.take(u) + scores.take(v)
-    present = bits.take(u * np.intp(g.node_count) + v).view(np.bool_)
-    # a stable sort keeps lexicographic pair order among equal scores; on the
-    # smallest unsigned type that holds them (uint16 at n = 60 and 116) it is
-    # a radix sort, and top - key gives the descending order
+    u, v, scores, present = pair_triangle_scores(g)
+    # one stable sort, ties in lexicographic pair order: an edge's key is its
+    # score, and a non-edge's, 2 * top + 1 - score, lies above every edge's and
+    # falls as the score rises. The keys take the smallest unsigned type that
+    # holds them (uint16 at n = 60 and 116), on which the sort is a radix sort
     top = int(scores.max(initial=0))
-    key = scores.astype(np.min_scalar_type(top))
-    out = np.flatnonzero(present)
-    out = out[np.argsort(key[out], kind="stable")]
-    into = np.flatnonzero(~present)
-    into = into[np.argsort(top - key[into], kind="stable")]
+    key = np.where(present, scores, 2 * top + 1 - scores).astype(np.min_scalar_type(2 * top + 1))
+    order = np.argsort(key, kind="stable")
+    edges = g.edge_count
+    out, head, rest = order[:edges], order[edges : 2 * edges], order[2 * edges :]
     # ``tri_search`` zips the two lists, so it reads at most as many additions
     # as there are removals; only those are turned into Python ints up front
-    head, rest = into[: len(out)], into[len(out) :]
     additions = chain(zip(u.take(head).tolist(), v.take(head).tolist()), _pairs_at(u, v, rest))
     return zip(u.take(out).tolist(), v.take(out).tolist()), additions
 

@@ -7,7 +7,7 @@ edit the edge set. Edits return new graphs, so instances can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain
 from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
@@ -277,10 +277,27 @@ def triangle_counts(g: Graph) -> list[int]:
     return _triangles_at_rows(_bit_matrix(g._rows), slice(None)).tolist()
 
 
-def bit_triangle_counts(bits: np.ndarray) -> np.ndarray:
-    """``triangle_counts`` of the graph whose ``bit_matrix`` is ``bits``, as
-    an int64 array, for a caller that reads the matrix too."""
-    return _triangles_at_rows(bits, slice(None))
+@cache
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, every node pair in lexicographic order, in
+    the smallest unsigned type that holds n - 1; read-only, as it is shared."""
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    u, v = (side.astype(dtype) for side in np.triu_indices(n, 1))
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
+
+
+def pair_triangle_scores(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For every node pair u < v of ``g`` in lexicographic order: the shared
+    read-only index arrays u and v, the pair's summed ``triangle_counts``
+    (int64) and whether it is an edge, all read from one bit matrix."""
+    u, v = _pair_indices(g.node_count)
+    bits = _bit_matrix(g._rows)
+    scores = _triangles_at_rows(bits, slice(None))
+    # ``take`` reads the small pair indices as they are, where indexing with
+    # them would first convert them to intp: 3x slower at n = 60
+    scores = scores.take(u) + scores.take(v)
+    return u, v, scores, bits.take(u * np.intp(g.node_count) + v).view(np.bool_)
 
 
 def _triangles_at_rows(bits: np.ndarray, rows: slice | list[int]) -> np.ndarray:
@@ -415,7 +432,8 @@ def walk_within(
     triangles then the edges within it; ``g``'s on entry) up to date in
     place. Returns the graph reached at the first step after which
     ``stop(counts)`` holds, reading no step beyond it, else None; pairs are
-    checked as ``with_toggles`` checks them."""
+    checked as ``with_toggles`` checks them, and masks sharing a node are a
+    ValueError."""
     n = g.node_count
     inside, at = _homes(tuple(_within(g, mask) for mask in masks), n)
     old, rows = g._rows, list(g._rows)
@@ -456,6 +474,8 @@ def _homes(masks: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, 
     inside, at = [0] * n, [0] * n
     for i, mask in enumerate(masks):
         for u in _members(mask):
+            if inside[u]:
+                raise ValueError(f"node {u} lies in more than one mask")
             inside[u], at[u] = mask, 2 * i
     return tuple(inside), tuple(at)
 
@@ -606,11 +626,6 @@ def two_hop_neighborhood(g: Graph, v: int) -> frozenset[int]:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     return _bit_matrix(g._rows).astype(np.float64)
-
-
-def bit_matrix(g: Graph) -> np.ndarray:
-    """The n x n uint8 adjacency matrix of ``g``: entry (u, v) is 1 when uv is an edge."""
-    return _bit_matrix(g._rows)
 
 
 def _bit_matrix(rows: tuple[int, ...]) -> np.ndarray:

@@ -283,6 +283,19 @@ class TestTriangleCounts:
         assert triangles_within(g, {0, 1, 2, 3}) == 1
         assert triangles_within(g, range(6)) == 2
 
+    def test_walk_within_rejects_masks_that_share_a_node(self):
+        # with one count slot per node, node 1 would move only the second
+        # mask's counts: [1, 3, 0, 0] after the toggle, where a recount reads
+        # [0, 2, 0, 0]
+        g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        counts = [1, 3, 0, 1]
+        with pytest.raises(ValueError, match="node 1 lies in more than one mask"):
+            graph.walk_within(g, [((1, 2),)], (0b0111, 0b0110), counts, lambda c: True)
+        assert counts == [1, 3, 0, 1]
+        counts = [1, 3, 0, 0]  # disjoint masks: the walk reads the recount
+        reached = graph.walk_within(g, [((1, 2),)], (0b0111, 0b1000), counts, lambda c: True)
+        assert reached == g.remove_edge(1, 2) and counts == [0, 2, 0, 0]
+
 
 # each of the graph core's functions that takes a node or a node set, called
 # with the node ``v`` (as a set member where the function takes a set)

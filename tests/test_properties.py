@@ -52,12 +52,14 @@ from densecf.data import (
     load_correlation_matrix,
     load_partition,
 )
-from densecf.density import _pair_indices, triangle_score_lists
+from densecf.density import triangle_score_lists
 from densecf.evaluation import RECORDS_CSV_COLUMNS, read_records_csv, write_records_csv
 from densecf.graph import (
+    _pair_indices,
     adjacency_matrix,
     edges_within,
     node_mask,
+    pair_triangle_scores,
     triangles_within,
     with_clique,
     with_toggles,
@@ -618,6 +620,15 @@ def test_triangle_score_lists_match_the_sort_based_order(pair):
     removals, additions = map(tuple, triangle_score_lists(g))
     assert (removals, additions) == sorted_triangle_score_lists(g)
     assert all(type(x) is int for edge in removals + additions for x in edge)
+    u, v, scores, present = pair_triangle_scores(g)
+    pairs = list(combinations(range(g.node_count), 2))
+    assert list(zip(u.tolist(), v.tolist())) == pairs
+    counts = triangle_counts(g)
+    assert scores.tolist() == [counts[a] + counts[b] for a, b in pairs]
+    assert present.tolist() == [g.has_edge(a, b) for a, b in pairs]
+    again = pair_triangle_scores(g)
+    assert again[0] is u and again[1] is v  # shared between calls
+    assert not (u.flags.writeable or v.flags.writeable)
 
 
 def argsort_triangle_score_lists(g):
@@ -652,6 +663,7 @@ def dense_graphs(draw):
 @example(Graph.complete(26))
 @example(Graph.complete(26).remove_edge(3, 17))
 @example(Graph(116, [(u, v) for u, v in combinations(range(116), 2) if u * (v + 1) % 3 == 0]))
+@example(Graph.complete(184).remove_edge(0, 1))
 def test_triangle_score_lists_match_the_int64_argsort_order(g):
     assert tuple(map(tuple, triangle_score_lists(g))) == argsort_triangle_score_lists(g)
 
