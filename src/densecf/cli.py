@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: train, explain, benchmark, synth, ingest, report. Every run
-writes a run_manifest.json with the resolved configuration and input hashes;
-all other outputs are byte-stable for identical invocations.
+writes a run_manifest.json with the resolved configuration and the sha256 of
+every file the run read; all other outputs are byte-stable for identical
+invocations.
 
 Exit codes: 0 success (a not-found counterfactual is still a success),
 1 usage or configuration error, 2 data error, 3 internal error: a defect in
@@ -12,7 +13,6 @@ densecf, whose traceback is logged. Set DENSECF_LOG to control logging verbosity
 from __future__ import annotations
 
 import argparse
-import hashlib
 import inspect
 import logging
 import os
@@ -36,6 +36,7 @@ from .data import (
     load_dataset,
     load_partition,
     read_digits,
+    recording_reads,
     save_dataset,
     write_csv_rows,
     write_json,
@@ -77,26 +78,16 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _write_manifest(out_dir: Path, args, inputs: list[Path], **resolved) -> None:
-    """Record the parsed arguments, with ``resolved`` overriding defaults the
-    command worked out, plus input hashes."""
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+def _write_manifest(args, inputs: dict[str, str]) -> None:
+    """Record the arguments as the command resolved them, and ``inputs``."""
     manifest = {
         "command": args.command,
-        "config": {**config, **resolved},
+        "config": {k: v for k, v in vars(args).items() if k not in ("command", "func")},
         "toolkit_version": __version__,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    write_json(manifest, out_dir / "run_manifest.json")
+    write_json(manifest, Path(args.out_dir) / "run_manifest.json")
 
 
 def _out_dir(args) -> Path:
@@ -118,9 +109,8 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _search_setup(args) -> tuple[GraphDataset, RegionPartition | None, OracleSpec, list[Path]]:
-    """An explain or benchmark run's dataset, region partition and oracle, and
-    the manifest's inputs: the dataset manifest and the model, if one is read."""
+def _search_setup(args) -> tuple[GraphDataset, RegionPartition | None, OracleSpec]:
+    """An explain or benchmark run's dataset, region partition and oracle."""
     dataset = load_dataset(args.dataset)
     if not dataset.entries:
         raise ConfigurationError(f"dataset {args.dataset} has no graphs")
@@ -128,10 +118,8 @@ def _search_setup(args) -> tuple[GraphDataset, RegionPartition | None, OracleSpe
     if args.partition:
         partition = load_partition(args.partition, dataset.node_ids)
     if args.whitebox:
-        spec, model = OracleSpec("whitebox", node_count=dataset.node_count), []
-    else:
-        spec, model = OracleSpec("model", model=load_model(args.model)), [Path(args.model)]
-    return dataset, partition, spec, [dataset_manifest(args.dataset), *model]
+        return dataset, partition, OracleSpec("whitebox", node_count=dataset.node_count)
+    return dataset, partition, OracleSpec("model", model=load_model(args.model))
 
 
 def _run_options(args) -> RunOptions:
@@ -154,7 +142,6 @@ def cmd_train(args) -> None:
     out = _out_dir(args)
     save_model(model, out / "model.json")
     write_json(asdict(report), out / "train_report.json")
-    _write_manifest(out, args, [dataset_manifest(args.dataset)])
     print(
         f"trained sf-knn: accuracy={report.accuracy:.3f} f1={report.f1:.3f} "
         f"n_neighbors={report.n_neighbors} n_eigs={report.n_eigs}"
@@ -175,7 +162,7 @@ def _select_instance(dataset: GraphDataset, selector: str) -> int:
 
 
 def cmd_explain(args) -> None:
-    dataset, partition, spec, inputs = _search_setup(args)
+    dataset, partition, spec = _search_setup(args)
     index = _select_instance(dataset, args.instance)
     entry = dataset.entries[index]
     oracle = spec.build()
@@ -200,7 +187,6 @@ def cmd_explain(args) -> None:
                 region_change_summary(entry.graph, result.counterfactual, partition),
                 out / "regions.csv",
             )
-    _write_manifest(out, args, inputs)
     status = "found" if result.found else "not found"
     print(
         f"{args.method} on instance {index} ({entry.name}): {status}, "
@@ -211,7 +197,7 @@ def cmd_explain(args) -> None:
 def cmd_benchmark(args) -> None:
     if args.workers is not None and args.workers < 1:
         raise ConfigurationError(f"--workers must be at least 1, got {args.workers}")
-    dataset, partition, spec, inputs = _search_setup(args)
+    dataset, partition, spec = _search_setup(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ConfigurationError("no methods given")
@@ -230,7 +216,7 @@ def cmd_benchmark(args) -> None:
         write_records_csv(summaries, out / "records.csv")
     if args.format in ("both", "json"):
         write_json(build_aggregate_report(summaries), out / "aggregates.json")
-    _write_manifest(out, args, inputs, workers=workers)
+    args.workers = workers  # the manifest records the pool size used
     for summary in summaries:
         found = sum(1 for r in summary.records if r.found)
         print(f"{summary.method}: {found}/{len(summary.records)} found")
@@ -251,7 +237,6 @@ def cmd_synth(args) -> None:
     dataset = generate_synthetic(spec)
     out = _out_dir(args)
     manifest_path = save_dataset(dataset, out)
-    _write_manifest(out, args, [])
     print(f"wrote {len(dataset)} graphs on {dataset.node_count} nodes to {manifest_path}")
 
 
@@ -261,7 +246,6 @@ def cmd_ingest(args) -> None:
     )
     out = _out_dir(args)
     manifest_path = save_dataset(dataset, out)
-    _write_manifest(out, args, [Path(args.listing)])
     avg_edges = sum(e.graph.edge_count for e in dataset) / len(dataset)
     print(
         f"ingested {len(dataset)} graphs on {dataset.node_count} nodes "
@@ -274,7 +258,6 @@ def cmd_report(args) -> None:
     report = build_aggregate_report(summaries)
     out = _out_dir(args)
     write_json(report, out / "aggregates.json")
-    _write_manifest(out, args, [Path(args.records)])
     print(f"aggregated {sum(len(s) for s in summaries)} records from {len(summaries)} runs")
 
 
@@ -379,7 +362,9 @@ def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        with recording_reads() as inputs:
+            args.func(args)
+        _write_manifest(args, inputs)
     except (DatasetFormatError, OSError) as exc:
         print(f"densecf: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -3,21 +3,24 @@
 Correlation matrices enter here and come out as graphs; synthetic datasets are
 generated with dense subgroups on one half of the node set so that a white-box
 triangle-count rule classifies them perfectly. Below every other module but
-``graph``, it also reads each CSV and writes each JSON file the package uses.
+``graph``, it also reads every file the package reads, and writes its files.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
+import io
 import json
 import os
 from bisect import bisect_right
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -612,8 +615,7 @@ def read_versioned_json(path: Path | str, fmt: str, version: int) -> dict:
     """The JSON object in ``path``, checked to carry the given ``format`` and
     ``version`` keys. Any failure, reading included, is a DatasetFormatError."""
     path = Path(path)
-    with _open_named(path) as fh:
-        text = fh.read()
+    text = _read_text(path).read()  # outside the try: a read error is no JSON error
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
@@ -636,37 +638,50 @@ def _parse_label(gspec: dict, manifest_path: Path) -> int:
     return label
 
 
-@contextmanager
-def _open_named(path: Path) -> Iterator[TextIO]:
-    """Open a file that a manifest or flag names, for reading as UTF-8 text;
-    a leading byte-order mark is skipped, so every input reads alike with one.
+_ledger: ContextVar[dict[str, str] | None] = ContextVar("_ledger", default=None)
 
-    A name that cannot be opened (missing, a directory, a NUL byte) and a
-    file that is not UTF-8 are data errors, not internal ones.
-    """
+
+@contextmanager
+def recording_reads() -> Iterator[dict[str, str]]:
+    """Within the block, in this thread, the dict this yields maps the path
+    of each file the package reads to the sha256 of its bytes."""
+    token = _ledger.set({})
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        yield _ledger.get()
+    finally:
+        _ledger.reset(token)
+
+
+def _read_text(path: Path) -> io.StringIO:
+    """A file that a manifest or flag names, read once and decoded whole as
+    UTF-8 text, a leading byte-order mark skipped so every input reads alike
+    with one; under ``recording_reads`` the sha256 of its bytes is recorded.
+    A name that cannot be read (missing, a directory, a NUL byte) and a file
+    that is not UTF-8 are data errors, not internal ones."""
+    try:
+        raw = path.read_bytes()
     except (OSError, ValueError) as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise DatasetFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    ledger = _ledger.get()
+    if ledger is not None:
+        ledger[str(path)] = hashlib.sha256(raw).hexdigest()
+    try:
+        return io.StringIO(raw.decode("utf-8-sig"), newline="")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def read_csv_rows(path: Path | str) -> Iterator[tuple[int, list[str]]]:
     """Each nonblank row of a UTF-8 CSV file with the physical line it ends
     on, so that a quoted field spanning lines does not shift later numbers."""
     path = Path(path)
-    with _open_named(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            for row in reader:
-                if row:
-                    yield reader.line_num, row
-        except csv.Error as exc:
-            raise DatasetFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    reader = csv.reader(_read_text(path))
+    try:
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise DatasetFormatError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def write_csv_rows(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -691,23 +706,22 @@ def _load_edge_list(path: Path, index_of: dict[str, int], bit_of: dict[str, int]
     # a good line ORs its pair into two node rows; a blank, a comment or a
     # fault raises out of the split or a lookup and is sorted out only then
     rows = [0] * len(index_of)
-    with _open_named(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                a, b = line.split()
-                u, v = index_of[a], index_of[b]
-            except (ValueError, KeyError) as exc:
-                parts = line.split()
-                if not parts or parts[0][0] == "#":  # blank or comment: no id starts with "#"
-                    continue
-                where = f"{path}:{lineno}"
-                if len(parts) != 2:
-                    raise DatasetFormatError(f"{where}: expected 'u v', got {line.strip()!r}")
-                raise DatasetFormatError(f"{where}: unknown node id {exc.args[0]!r}")
-            if u == v:
-                raise DatasetFormatError(f"{path}:{lineno}: self-loop at node id {a!r}")
-            rows[u] |= bit_of[b]
-            rows[v] |= bit_of[a]
+    for lineno, line in enumerate(_read_text(path), start=1):
+        try:
+            a, b = line.split()
+            u, v = index_of[a], index_of[b]
+        except (ValueError, KeyError) as exc:
+            parts = line.split()
+            if not parts or parts[0][0] == "#":  # blank or comment: no id starts with "#"
+                continue
+            where = f"{path}:{lineno}"
+            if len(parts) != 2:
+                raise DatasetFormatError(f"{where}: expected 'u v', got {line.strip()!r}")
+            raise DatasetFormatError(f"{where}: unknown node id {exc.args[0]!r}")
+        if u == v:
+            raise DatasetFormatError(f"{path}:{lineno}: self-loop at node id {a!r}")
+        rows[u] |= bit_of[b]
+        rows[v] |= bit_of[a]
     return Graph.from_neighbor_masks(rows)
 
 

@@ -963,25 +963,48 @@ def deleted(path):
     path.unlink()
 
 
+def utf16_marked(path):
+    path.write_bytes(path.read_text(encoding="utf-8").encode("utf-16"))  # with its mark
+
+
+def write_run_inputs(root, synth_dir, trained_dir):
+    """Under ``root``, every file a run of ``RUNS`` reads: the dataset in ds/,
+    model.json, p.csv, records.csv, and in in/ an ingest listing, its
+    matrices and a partition."""
+    shutil.copytree(synth_dir, root / "ds")
+    shutil.copy(trained_dir / "model.json", root)
+    write_partition(root / "p.csv")
+    (root / "in").mkdir()
+    write_listing(root / "in")
+    (root / "in" / "p.csv").write_text(
+        "node_id,region_name\n" + "".join(f"{v},{'ab'[v // 3]}\n" for v in range(6))
+    )
+    records = [GOOD_RECORD.replace("tri,d,0,", f"tri,d,{i},") for i in range(5)]
+    (root / "records.csv").write_text("\n".join([RECORDS_HEADER, *records]) + "\n")
+
+
+# a run of each subcommand that reads files, in a directory write_run_inputs filled
+RUNS = {
+    "benchmark": [
+        "benchmark", "--dataset", "ds/manifest.json", "--model", "model.json",
+        "--partition", "p.csv", "--methods", "rcli", "--max-iters", 2, "--workers", 1,
+    ],
+    "explain": [
+        "explain", "--dataset", "ds/manifest.json", "--model", "model.json",
+        "--partition", "p.csv", "--instance", 1, "--method", "rcli", "--max-iters", 2,
+    ],
+    "train": [
+        "train", "--dataset", "ds/manifest.json", "--folds", 2, "--neighbors", 1, "--eigs", 2,
+    ],
+    "ingest": ["ingest", "--listing", "in/listing.csv", "--partition", "in/p.csv"],
+    "report": ["report", "--records", "records.csv"],
+}
+
+
 class TestCorruptedBenchmarkInput:
     """One broken file among valid ones: each subcommand that reads it runs
-    or exits 1 or 2 with one stderr line naming that file, never 3."""
-
-    COMMANDS = {
-        "benchmark": [
-            "benchmark", "--dataset", "ds/manifest.json", "--model", "model.json",
-            "--partition", "p.csv", "--methods", "rcli", "--max-iters", 2, "--workers", 1,
-        ],
-        "explain": [
-            "explain", "--dataset", "ds/manifest.json", "--model", "model.json",
-            "--partition", "p.csv", "--instance", 1, "--method", "rcli", "--max-iters", 2,
-        ],
-        "train": [
-            "train", "--dataset", "ds/manifest.json", "--folds", 2, "--neighbors", 1, "--eigs", 2,
-        ],
-        "ingest": ["ingest", "--listing", "in/listing.csv", "--partition", "in/p.csv"],
-        "report": ["report", "--records", "records.csv"],
-    }
+    or exits 1 or 2 with one stderr line naming that file, never 3; a file
+    that is not UTF-8 text exits 2."""
     # kind: (the subcommand run, the file broken)
     FILES = {
         "manifest": ("benchmark", "ds/manifest.json"),
@@ -1007,6 +1030,7 @@ class TestCorruptedBenchmarkInput:
         "field-blanked": field_blanked,
         "field-added": field_added,
         "deleted": deleted,
+        "utf16-marked": utf16_marked,
     }
 
     @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
@@ -1014,23 +1038,16 @@ class TestCorruptedBenchmarkInput:
     def test_exit_is_never_internal(
         self, synth_dir, trained_dir, tmp_path, kind, corruption, capsys, monkeypatch
     ):
-        shutil.copytree(synth_dir, tmp_path / "ds")
-        shutil.copy(trained_dir / "model.json", tmp_path)
-        write_partition(tmp_path / "p.csv")
-        (tmp_path / "in").mkdir()
-        write_listing(tmp_path / "in")
-        (tmp_path / "in" / "p.csv").write_text(
-            "node_id,region_name\n" + "".join(f"{v},{'ab'[v // 3]}\n" for v in range(6))
-        )
-        records = [GOOD_RECORD.replace("tri,d,0,", f"tri,d,{i},") for i in range(5)]
-        (tmp_path / "records.csv").write_text("\n".join([RECORDS_HEADER, *records]) + "\n")
+        write_run_inputs(tmp_path, synth_dir, trained_dir)
         command, name = self.FILES[kind]
         broken = tmp_path / name
         self.CORRUPTIONS[corruption](broken)
         monkeypatch.chdir(tmp_path)
-        code = run(*self.COMMANDS[command], "--out-dir", "out")
+        code = run(*RUNS[command], "--out-dir", "out")
         err = capsys.readouterr().err
         assert code in (0, 1, 2) and "Traceback" not in err, err
+        if corruption == "utf16-marked":
+            assert code == 2, err
         if (kind, corruption) == ("report-records", "field-blanked"):
             assert code == 2  # a blank method would read as a run named ''
         if (kind, corruption) == ("ingest-listing", "line-duplicated"):
@@ -1042,6 +1059,75 @@ class TestCorruptedBenchmarkInput:
             assert len(lines) == 1 and broken.name in lines[0], err
 
 
+def dataset_files(manifest):
+    """The names a run reads a dataset's files by, given its manifest's."""
+    payload = json.loads(manifest.read_text())
+    files = [entry["file"] for entry in payload["graphs"]]
+    if payload["partition"]:
+        files.append(payload["partition"])
+    return [str(manifest), *(str(manifest.parent / f) for f in files)]
+
+
+def recorded_inputs(argv, out):
+    assert run(*argv, "--out-dir", out) == 0
+    return json.loads((out / "run_manifest.json").read_text())["inputs"]
+
+
+def digests(names):
+    return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names}
+
+
+class TestRunManifestInputs:
+    """A run's manifest maps each file the run read, by the name it read it
+    by, to the sha256 of its bytes, and names no other file."""
+
+    # the files each run of RUNS reads beside its dataset's
+    READS = {
+        "benchmark": ["model.json", "p.csv"],
+        "explain": ["model.json", "p.csv"],
+        "train": [],
+        "ingest": ["in/listing.csv", "in/m0.csv", "in/m1.csv", "in/m2.csv", "in/p.csv"],
+        "report": ["records.csv"],
+    }
+    # one edited file of a run's inputs: a graph loses its first edge, node 0
+    # moves region, and a matrix's first diagonal cell changes
+    EDITS = {
+        "edges": ("explain", "ds/graph-0001.edges", lambda text: text.split("\n", 1)[1]),
+        "partition": ("explain", "p.csv", lambda text: text.replace("\n0,front\n", "\n0,back\n")),
+        "matrix": ("ingest", "in/m1.csv", lambda text: "0.5" + text.removeprefix("1.0")),
+    }
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_every_file_read_is_hashed(
+        self, synth_dir, trained_dir, tmp_path, command, monkeypatch
+    ):
+        write_run_inputs(tmp_path, synth_dir, trained_dir)
+        monkeypatch.chdir(tmp_path)
+        read = self.READS[command]
+        if "--dataset" in RUNS[command]:
+            read = [*dataset_files(Path("ds/manifest.json")), *read]
+        assert recorded_inputs(RUNS[command], tmp_path / "out") == digests(read)
+
+    def test_synth_reads_no_file(self, tmp_path):
+        assert recorded_inputs(["synth", "--nodes", 12, "--num-graphs", 10], tmp_path) == {}
+
+    @pytest.mark.parametrize("kind", list(EDITS))
+    def test_editing_one_file_moves_only_its_digest(
+        self, synth_dir, trained_dir, tmp_path, kind, monkeypatch
+    ):
+        command, name, edit = self.EDITS[kind]
+        write_run_inputs(tmp_path, synth_dir, trained_dir)
+        monkeypatch.chdir(tmp_path)
+        before = recorded_inputs(RUNS[command], tmp_path / "before")
+        path = tmp_path / name
+        edited = edit(path.read_text())
+        assert edited != path.read_text()
+        path.write_text(edited)
+        after = recorded_inputs(RUNS[command], tmp_path / "after")
+        assert after.keys() == before.keys()
+        assert [k for k in before if after[k] != before[k]] == [name]
+
+
 class TestDatasetDirectory:
     @pytest.mark.parametrize("command", ["train", "explain", "benchmark"])
     def test_writes_manifest_hashing_the_dataset_manifest(self, synth_dir, tmp_path, command):
@@ -1051,10 +1137,8 @@ class TestDatasetDirectory:
             "explain": ["--whitebox", "--instance", 0, "--method", "tri"],
             "benchmark": ["--whitebox", "--methods", "dat", "--max-iters", 3, "--workers", 1],
         }[command]
-        assert run(command, "--dataset", synth_dir, *flags, "--out-dir", out) == 0
-        inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
-        manifest = synth_dir / "manifest.json"
-        assert inputs == {str(manifest): hashlib.sha256(manifest.read_bytes()).hexdigest()}
+        inputs = recorded_inputs([command, "--dataset", synth_dir, *flags], out)
+        assert inputs == digests(dataset_files(synth_dir / "manifest.json"))
 
     def test_records_name_the_dataset_as_its_manifest_does(self, tmp_path):
         # a dotted directory name is the dataset's name whole, not its stem

@@ -18,7 +18,7 @@ import numpy as np
 from densecf import METHODS
 from densecf.cli import main
 
-GOLDEN_LISTING_SHA256 = "9c37a87342f933047251b10f38ae8e349ac8df78d11531fee2b6bce30bfe7810"
+GOLDEN_LISTING_SHA256 = "4c6c182daf7387c52c1e12d06a9f59dc5602de8e1a19d73f2c10853e773c3f5d"
 
 _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -22,6 +23,7 @@ from densecf import (
     generate_synthetic,
     ingest_correlation_listing,
     load_dataset,
+    load_model,
     make_whitebox,
     node_halves,
     save_dataset,
@@ -31,6 +33,7 @@ from densecf import (
 )
 from densecf import data
 from densecf.data import DatasetEntry, load_correlation_matrix, load_partition
+from densecf.data import recording_reads
 from densecf.graph import edges_within, node_mask, triangles_within, with_clique
 from densecf.graph import within_deltas
 
@@ -258,6 +261,24 @@ class TestWhitebox:
             counted.append(len(calls))
         assert counted == [2, 0, 0, 0, 0, 2, 0, 2, 0, 0]
 
+    def test_a_walk_keeps_its_start_for_graphs_edited_from_it(self, monkeypatch):
+        # a walk that flips leaves the graph it reached in the last slot and
+        # its start in the other, so a graph edited from the start, as a
+        # search's next candidate may be, is updated from the start's counts
+        s0, s1 = node_halves(6)
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])  # half 0 has the triangle: class 0
+        rule = make_whitebox(s0, s1)
+        assert rule(g) == 0
+        reached = rule.walk(g, 0, [((3, 5),), ((4, 5),), ((0, 1),)])
+        sibling = g.add_edge(3, 5)
+        labels = [whitebox_classify(x, s0, s1) for x in (reached, sibling)]
+        assert labels == [1, 0]
+        calls = []
+        count = data.triangles_within
+        monkeypatch.setattr(data, "triangles_within", lambda x, m: calls.append(x) or count(x, m))
+        assert [rule(reached), rule(sibling)] == labels
+        assert calls == []
+
     def test_edg_search_counts_only_its_input(self, monkeypatch):
         # edg flips edges from its last graph, then backward refinement
         # classifies each tentative revert edited from the kept graph, which
@@ -345,6 +366,47 @@ class TestPersistence:
         dataset = self.make_dataset()
         manifest = save_dataset(dataset, tmp_path / "ds")
         assert load_dataset(manifest) == dataset
+
+    @pytest.mark.parametrize("load", [load_dataset, load_model])
+    def test_a_missing_file_is_a_read_error_not_a_json_one(self, tmp_path, load):
+        path = tmp_path / "missing.json"
+        with pytest.raises(DatasetFormatError) as info:
+            load(path)
+        assert str(info.value).startswith(f"cannot read {path}: ")
+
+    def test_a_ledger_records_only_its_own_thread_and_block(self, tmp_path):
+        # two threads read while both hold a ledger open; reads outside a
+        # block are recorded nowhere
+        manifests = [save_dataset(self.make_dataset(), tmp_path / name) for name in "ab"]
+        barrier, ledgers = threading.Barrier(2, timeout=30), {}
+
+        def read(manifest):
+            with recording_reads() as ledger:
+                barrier.wait()
+                load_dataset(manifest)
+                barrier.wait()
+            load_dataset(manifest)
+            ledgers[manifest] = ledger
+
+        threads = [threading.Thread(target=read, args=(m,)) for m in manifests]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        for manifest in manifests:
+            files = manifest.parent.iterdir()  # the manifest, edge lists and partition
+            assert ledgers[manifest] == {
+                str(f): hashlib.sha256(f.read_bytes()).hexdigest() for f in files
+            }
+
+    def test_a_file_is_decoded_whole_before_it_is_parsed(self, tmp_path):
+        # a bad first line, and a byte no UTF-8 text holds well past it
+        dataset = GraphDataset(("0", "1", "2"), (DatasetEntry(Graph(3), 0, "g"),))
+        manifest = save_dataset(dataset, tmp_path)
+        (tmp_path / "graph-0000.edges").write_bytes(b"0 1 2\n" + b"# pad\n" * 4000 + b"\xff\n")
+        with pytest.raises(DatasetFormatError, match=r"not UTF-8 text .* in position 24006"):
+            load_dataset(manifest)
 
     def test_round_trip_without_partition(self, tmp_path):
         dataset = self.make_dataset(with_partition=False)

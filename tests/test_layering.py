@@ -1,10 +1,10 @@
 """The package's import layering, read from the source with ``ast``: ``data``
 is the bottom file layer above ``graph`` and the only module that imports
-``csv``, only ``graph`` reaches into a ``Graph``'s private state, no module
-imports another's underscore names, no two modules import each other,
-directly or through others, no parameter with a default, of a public
-function or method, goes unused by the program, every node argument of
-``graph`` goes through its one node conversion or its one node-set
+``csv`` or opens a file, only ``graph`` reaches into a ``Graph``'s private
+state, no module imports another's underscore names, no two modules import
+each other, directly or through others, no parameter with a default, of a
+public function or method, goes unused by the program, every node argument
+of ``graph`` goes through its one node conversion or its one node-set
 conversion, and ``cli.main`` maps only ``data``'s two error classes (and
 ``OSError``) to exit codes, leaving anything else to its defect handler."""
 
@@ -57,6 +57,20 @@ def test_only_data_imports_csv():
             if any(name.split(".")[0] == "csv" for name in names):
                 importers.add(path.stem)
     assert importers == {"data"}
+
+
+def test_only_data_opens_files():
+    # one owner reads every file, and hashes each as it reads it for the
+    # run's manifest, and writes every file
+    opening = {"open", "read_bytes", "read_text", "write_bytes", "write_text"}
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in opening:
+                    callers.add((path.stem, name))
+    assert {module for module, _ in callers} == {"data"}, sorted(callers)
 
 
 def test_only_graph_touches_graph_internals():
